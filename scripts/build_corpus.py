@@ -95,7 +95,7 @@ def main():
             "format": 1,
             "kind": "targetmap",
             "src": "s1.sset.json",
-            "tables": [{x: list(v) for x, v in lvl.items()} for lvl in levels],
+            "tables": [{x: K.to_generators(n, v) for x, v in lvl.items()} for n, lvl in enumerate(levels)],
         },
     )
     print("corpus complete")

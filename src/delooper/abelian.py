@@ -24,7 +24,6 @@ class PresentedGroup:
         self.rels = rels
         self._snf = SmithSolver(rels)
         self._inv = None
-        self._uinv = None
 
     @staticmethod
     def free(n):
@@ -65,9 +64,7 @@ class PresentedGroup:
 
     def canon_vector(self, v):
         """Canonical coset representative, expressed back in generator coordinates."""
-        if self._uinv is None:
-            self._uinv = SmithSolver(self._snf.U).solve_columns(Mat.eye(self.ngens))
-        return self._uinv.apply(list(self.canon(v)))
+        return self._snf.Uinv.apply(list(self.canon(v)))
 
     def is_zero_elt(self, v):
         return all(x == 0 for x in self.canon(v))
@@ -104,8 +101,7 @@ class PresentedGroup:
         """All elements as canonical generator-coordinate vectors (finite only)."""
         if self.order() is None:
             raise ValueError("cannot enumerate an infinite group")
-        if self._uinv is None:
-            self._uinv = SmithSolver(self._snf.U).solve_columns(Mat.eye(self.ngens))
+        uinv = self._snf.Uinv
         ranges = []
         for i in range(self.ngens):
             if i < self._snf.rank:
@@ -113,7 +109,7 @@ class PresentedGroup:
             else:
                 ranges.append(range(1))
         for y in itertools.product(*ranges):
-            yield self._uinv.apply(list(y))
+            yield uinv.apply(list(y))
 
     def describe(self):
         facs = self.invariant_factors()
@@ -156,15 +152,6 @@ class Hom:
         if other.dst is not self.src and other.dst.ngens != self.src.ngens:
             raise ValueError("hom composition mismatch")
         return Hom(other.src, self.dst, self.mat @ other.mat)
-
-    def eq_hom(self, other):
-        diff = self.mat - other.mat
-        solver = self.dst._snf
-        return all(solver.contains_column(diff.col(j)) for j in range(diff.c))
-
-    def is_zero_hom(self):
-        solver = self.dst._snf
-        return all(solver.contains_column(self.mat.col(j)) for j in range(self.mat.c))
 
     def apply(self, v):
         return self.mat.apply(v)

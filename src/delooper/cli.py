@@ -323,7 +323,7 @@ def _load_target_map(path, target):
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     tables = []
     for n, level in enumerate(data["tables"]):
-        tables.append({x: target.canon(n, [int(v) for v in vec]) for x, vec in level.items()})
+        tables.append({x: target.from_generators(n, [int(v) for v in vec]) for x, vec in level.items()})
     tm = TargetMap(src=src, target=target, tables=tables)
     if not tm.is_valid():
         raise StructuralError(f"{path}: tables do not define a pointed simplicial map")
@@ -339,6 +339,9 @@ def cmd_star_check(args, started):
     g = _load_hom(args.g)
     h = _load_target_map(args.h, K)
     ok, witness = check_condition_star(f, g, h, K)
+    if not ok:
+        n, a, lhs, rhs = witness
+        witness = (n, a, tuple(K.to_generators(n, lhs)), tuple(K.to_generators(n, rhs)))
     _report(
         "star-check",
         [args.f, args.g, args.h, args.target],

@@ -214,6 +214,14 @@ class SmithSolver:
         while r < min(A.r, A.c) and self.D.a[r][r] != 0:
             r += 1
         self.rank = r
+        self._uinv = None
+
+    @property
+    def Uinv(self):
+        """The inverse of U, computed on first use and kept."""
+        if self._uinv is None:
+            self._uinv = SmithSolver(self.U).solve_columns(Mat.eye(self.A.r))
+        return self._uinv
 
     def solve_columns(self, B):
         """Particular solution X with A @ X = B, or None. Free coords set to 0."""
@@ -276,16 +284,9 @@ def column_basis(A):
     From D = U A V: the column lattice of A equals that of U^{-1} D, whose
     nonzero columns d_i * Uinv[:,i] are independent. Deterministic.
     """
-    D, U, V = smith_normal_form(A)
-    r = 0
-    while r < min(A.r, A.c) and D.a[r][r] != 0:
-        r += 1
+    snf = SmithSolver(A)
+    r = snf.rank
     if r == 0:
         return Mat(A.r, 0, [[] for _ in range(A.r)])
-    Uinv = SmithSolver(U).solve_columns(Mat.eye(A.r))
+    D, Uinv = snf.D, snf.Uinv
     return Mat(A.r, r, [[D.a[j][j] * Uinv.a[i][j] for j in range(r)] for i in range(A.r)])
-
-
-def lattice_contains(L, b):
-    """Is the vector b in the column lattice of L?"""
-    return solve(L, Mat.column(b)) is not None

@@ -6,6 +6,8 @@ a word in a simplicial group target by left-iterated multiplication; the
 star of a group homomorphism F(A) -> F(B) against a map B -> K is the
 generator restriction of the evaluated composite, and the associativity
 condition linking two stars is checked exactly, levelwise, up to the cap.
+Elements of an abelian target are Smith-coordinate tuples (see
+AbelianTarget); JSON files give them in generator coordinates.
 """
 
 from __future__ import annotations
@@ -126,39 +128,64 @@ def induced_hom(F_src, F_dst, simp_map):
 
 
 class AbelianTarget:
-    """A simplicial abelian group as a multiplicative target; elements are
-    canonical coset vectors."""
+    """A simplicial abelian group as a multiplicative target.
+
+    An element of level n is the Smith-coordinate tuple of its coset, the
+    key ``PresentedGroup.canon`` returns: coordinate i is reduced mod the
+    Smith diagonal entry d_i, and left unreduced where d_i = 0. The group
+    law is componentwise addition mod d_i; faces and degeneracies are the
+    integer matrices U_{n-/+1} . d . U_n^{-1} in these coordinates.
+    ``from_generators`` and ``to_generators`` convert from and to the
+    generator coordinates that files use.
+    """
 
     def __init__(self, sab):
         self.sab = sab
         self.cap = sab.cap
+        snfs = [G._snf for G in sab.levels]
+        self._moduli = [
+            tuple(snf.D.a[i][i] if i < snf.rank else 0 for i in range(G.ngens)) for G, snf in zip(sab.levels, snfs)
+        ]
+        self._faces = {
+            n: [snfs[n - 1].U @ d @ snfs[n].Uinv for d in sab.faces[n]] for n in range(1, self.cap + 1)
+        }
+        self._degeneracies = {
+            n: [snfs[n + 1].U @ s @ snfs[n].Uinv for s in sab.degeneracies[n]] for n in range(self.cap)
+        }
 
     def identity(self, n):
-        return tuple(self.sab.levels[n].canon_vector([0] * self.sab.levels[n].ngens))
+        return (0,) * len(self._moduli[n])
 
     def canon(self, n, v):
-        return tuple(self.sab.levels[n].canon_vector(list(v)))
+        """The element with Smith coordinates v, reduced."""
+        return tuple([x % d if d else x for x, d in zip(v, self._moduli[n])])
 
     def mul(self, n, a, b):
-        return self.canon(n, [x + y for x, y in zip(a, b)])
+        return tuple([(x + y) % d if d else x + y for x, y, d in zip(a, b, self._moduli[n])])
 
     def inv(self, n, a):
-        return self.canon(n, [-x for x in a])
+        return tuple([-x % d if d else -x for x, d in zip(a, self._moduli[n])])
 
     def face(self, n, i, a):
-        return self.canon(n - 1, self.sab.face(n, i).apply(list(a)))
+        return self.canon(n - 1, self._faces[n][i].apply(a))
 
     def degeneracy(self, n, j, a):
-        return self.canon(n + 1, self.sab.degeneracy(n, j).apply(list(a)))
+        return self.canon(n + 1, self._degeneracies[n][j].apply(a))
 
     def elements(self, n):
-        grp = self.sab.levels[n]
-        if grp.order() is None:
+        """Every element of level n, in the order of PresentedGroup.elements."""
+        moduli = self._moduli[n]
+        if 0 in moduli:
             raise ValueError("cannot enumerate an infinite level")
-        return [self.canon(n, v) for v in grp.elements()]
+        return list(itertools.product(*(range(d) for d in moduli)))
 
-    def is_multiplicative_table(self):
-        return True
+    def from_generators(self, n, v):
+        """The element whose generator-coordinate vector is v."""
+        return self.sab.levels[n].canon(v)
+
+    def to_generators(self, n, a):
+        """A generator-coordinate vector of the element a."""
+        return self.sab.levels[n]._snf.Uinv.apply(a)
 
 
 @dataclass
@@ -229,14 +256,6 @@ class FiniteGroupTarget:
                         if t[self.mul(n, a, b)] != self.mul(n + 1, t[a], t[b]):
                             return f"s_{j} at level {n} is not a homomorphism"
         return None
-
-
-def constant_finite_target(elements, mult, inverse, identity, cap):
-    lvl = FiniteGroupLevel(elements=list(elements), mult=dict(mult), inverse=dict(inverse), identity=identity)
-    ident = {x: x for x in elements}
-    faces = {n: [dict(ident) for _ in range(n + 1)] for n in range(1, cap + 1)}
-    degs = {n: [dict(ident) for _ in range(n + 1)] for n in range(0, cap)}
-    return FiniteGroupTarget([lvl] * (cap + 1), faces, degs, cap)
 
 
 @dataclass
@@ -323,24 +342,13 @@ def check_condition_star(f, g, h, K):
 def is_strictly_multiplicative(h, K, L):
     """n . (h x h) = h . m on every pair, levelwise."""
     for n in range(K.cap + 1):
-        for a in K.elements(n):
-            for b in K.elements(n):
-                if h(n, K.mul(n, a, b)) != L.mul(n, h(n, a), h(n, b)):
+        elements = K.elements(n)
+        for a in elements:
+            ha = h(n, a)
+            for b in elements:
+                if h(n, K.mul(n, a, b)) != L.mul(n, ha, h(n, b)):
                     return False, (n, a, b)
     return True, None
-
-
-@dataclass
-class GroupTargetMap:
-    """A map between group targets given by element tables (not assumed
-    multiplicative until checked)."""
-
-    src_target: object
-    dst_target: object
-    tables: list
-
-    def __call__(self, n, x):
-        return self.tables[n][x]
 
 
 def check_functoriality(e, f, g, h, K, L):

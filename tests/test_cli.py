@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -110,3 +111,70 @@ def test_synthesize_emits_verifiable_object(tmp_path):
         json.dump(rep["object"], fh)
     rc2, out2 = run("verify", str(path))
     assert rc2 == 0
+
+
+def _star_bundle(tmp_path):
+    """star-check files over a target whose level 1 is Z/2 + Z/3 on two
+    generators, so its Smith coordinates (Z/1 + Z/6) differ from the
+    generator coordinates the files use. f = g = inversion on F(S^1), and h
+    sends the loop cell to the generator vector (1, 1), of order 6."""
+    from delooper import schemas
+    from delooper.abelian import PresentedGroup
+    from delooper.intlin import Mat
+    from delooper.moore import ChainComplex, dold_kan
+    from delooper.simplicial import sphere
+    from delooper.star import milnor_F, power_hom
+
+    S1 = sphere(1, 2)
+    groups = [PresentedGroup.free(0), PresentedGroup.from_factors([2, 3]), PresentedGroup.free(0)]
+    diffs = {1: Mat(0, 2, []), 2: Mat(2, 0, [[], []])}
+    target = dold_kan(ChainComplex(groups=groups, diffs=diffs), 2)
+    cell = next(x for x in S1.elements[1] if x != "*")
+    tables = [{"*": []}, {"*": [0, 0], cell: [1, 1]}, {"*": [0] * target.rank(2)}]
+    for j in range(2):
+        tables[2][S1.degeneracy(1, j, cell)] = target.degeneracy(1, j).apply([1, 1])
+    inversion = power_hom(milnor_F(S1), -1)
+    files = {
+        "s1.sset.json": schemas.sset_to_json(S1),
+        "target.dsab.json": schemas.dsab_to_json(target),
+        "h.targetmap.json": {"format": 1, "kind": "targetmap", "src": "s1.sset.json", "tables": tables},
+        "inv.freehom.json": {
+            "format": 1,
+            "kind": "freehom",
+            "src": "s1.sset.json",
+            "dst": "s1.sset.json",
+            "tables": [{g: [list(l) for l in w] for g, w in level.items()} for level in inversion.tables],
+        },
+    }
+    for name, data in files.items():
+        schemas.save(str(tmp_path / name), data)
+    argv = ["star-check", "--target", str(tmp_path / "target.dsab.json"), "--h", str(tmp_path / "h.targetmap.json")]
+    argv += ["--f", str(tmp_path / "inv.freehom.json"), "--g", str(tmp_path / "inv.freehom.json")]
+    return argv, target, cell
+
+
+def test_star_check_reads_generator_coordinates(tmp_path):
+    argv, _, _ = _star_bundle(tmp_path)
+    rc, out = run(*argv)
+    assert rc == 0, out
+    assert json.loads(out)["verdict"] == "holds"
+
+
+def test_star_check_failure_witness_in_generator_coordinates(tmp_path, monkeypatch, capsys):
+    """Condition (*) holds on every group target. With inversion replaced by
+    doubling the retraction is no longer multiplicative: f # g sends the
+    cell to h(cell) while f . (g . h) sends it to 4 h(cell), and the report
+    must give both in the files' generator coordinates."""
+    from delooper import cli
+    from delooper.star import AbelianTarget
+
+    argv, target, cell = _star_bundle(tmp_path)
+    monkeypatch.setattr(AbelianTarget, "inv", lambda self, n, a: self.mul(n, a, a))
+    assert cli.main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "fails"
+    n, a, lhs, rhs = ast.literal_eval(rep["witnesses"][0])
+    assert (n, a) == (1, cell)
+    G = target.levels[1]
+    assert list(lhs) == G.canon_vector([4, 4]) != list(G.canon([4, 4]))
+    assert list(rhs) == G.canon_vector([1, 1]) != list(G.canon([1, 1]))

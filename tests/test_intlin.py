@@ -104,6 +104,17 @@ def test_column_basis_spans_same_lattice():
             assert solver_a.contains_column(B.col(j))
 
 
+def test_uinv_inverts_u():
+    rng = random.Random(5)
+    for _ in range(30):
+        A = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
+        solver = SmithSolver(A)
+        eye = Mat.eye(A.r)
+        assert solver.U @ solver.Uinv == eye
+        assert solver.Uinv @ solver.U == eye
+        assert solver.Uinv is solver.Uinv
+
+
 def test_kernel_mod_lattice():
     A = Mat.from_rows([[1, 0], [0, 1]])
     L = Mat.from_rows([[2, 0], [0, 3]])

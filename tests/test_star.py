@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delooper.abelian import PresentedGroup
 from delooper.intlin import Mat
@@ -27,12 +30,28 @@ from delooper.star import (
 )
 
 
-def loop_target(order, cap, degree=1):
-    groups = [PresentedGroup.free(0)] * (cap + 1)
-    groups = list(groups)
-    groups[degree] = PresentedGroup.cyclic(order)
+def cyclic_target(orders):
+    """Inverse Dold-Kan of Z/c_0 -> Z/c_1 -> ... with zero differentials
+    (c = 0 meaning the zero group), the targets of acceptance criterion 4."""
+    groups = [PresentedGroup.cyclic(c) if c else PresentedGroup.free(0) for c in orders]
+    cap = len(orders) - 1
     diffs = {m: Mat(groups[m - 1].ngens, groups[m].ngens) for m in range(1, cap + 1)}
     return AbelianTarget(dold_kan(ChainComplex(groups=groups, diffs=diffs), cap))
+
+
+def loop_target(order, cap, degree=1):
+    return cyclic_target([order if m == degree else 0 for m in range(cap + 1)])
+
+
+# criterion 4's target shapes: caps 2 and 3, chain groups 0, Z/2, Z/3 or
+# Z/4, not all zero, every level of order at most 64
+CRITERION_4_SHAPES = [
+    orders
+    for cap in (2, 3)
+    for orders in itertools.product((0, 2, 3, 4), repeat=cap + 1)
+    if any(orders)
+    and all(math.prod(c ** math.comb(n, m) for m, c in enumerate(orders[: n + 1]) if c) <= 64 for n in range(cap + 1))
+]
 
 
 def all_target_maps(A, K):
@@ -279,3 +298,32 @@ def test_functoriality_rejects_non_multiplicative():
     assert not ok
     with pytest.raises(ValueError):
         check_functoriality(identity_hom(F), identity_hom(F), maps[0], Shift(), K, K)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(CRITERION_4_SHAPES), st.integers(0, 10**6))
+def test_smith_coordinates_agree_with_generator_coordinates(orders, seed):
+    """Every operation on Smith-coordinate tuples, read back in generator
+    coordinates, is the same operation done on generator vectors."""
+    K = cyclic_target(orders)
+    levels = K.sab.levels
+    rng = random.Random(seed)
+    for n in range(K.cap + 1):
+        G = levels[n]
+        elements = K.elements(n)
+        assert elements == [G.canon(v) for v in G.elements()]
+        assert len(set(elements)) == len(elements) == G.order()
+        assert K.identity(n) == K.from_generators(n, G.zero())
+        for _ in range(6):
+            a, b = rng.choice(elements), rng.choice(elements)
+            va, vb = K.to_generators(n, a), K.to_generators(n, b)
+            assert K.from_generators(n, va) == a
+            assert K.to_generators(n, K.mul(n, a, b)) == G.canon_vector([x + y for x, y in zip(va, vb)])
+            assert K.to_generators(n, K.inv(n, a)) == G.canon_vector([-x for x in va])
+            assert K.canon(n, [3 * x for x in a]) == K.from_generators(n, [3 * x for x in va])
+            for i in range(n + 1 if n else 0):
+                face = K.sab.face(n, i).apply(va)
+                assert K.to_generators(n - 1, K.face(n, i, a)) == levels[n - 1].canon_vector(face)
+            for j in range(n + 1 if n < K.cap else 0):
+                degeneracy = K.sab.degeneracy(n, j).apply(va)
+                assert K.to_generators(n + 1, K.degeneracy(n, j, a)) == levels[n + 1].canon_vector(degeneracy)
