@@ -59,7 +59,7 @@ def _report(command, inputs, verdict, witnesses, started, extra=None, seed=None,
         "witnesses": witnesses,
         "caps": caps,
         "seed": _ACTIVE_SEED if seed is None else seed,
-        "timing_s": round(time.time() - started, 3),
+        "timing_s": round(time.perf_counter() - started, 3),
     }
     if extra:
         out.update(extra)
@@ -192,7 +192,7 @@ def cmd_perm(args, started):
     if args.action == "enum":
         k = int(args.arg)
         lattice = build_permutohedron(k)
-        counts = {str(d): len(fs) for d, fs in sorted(lattice.by_dimension().items())}
+        counts = {str(d): n for d, n in lattice.face_counts.items()}
         _report(
             "perm-enum",
             [],
@@ -471,7 +471,7 @@ def build_parser():
 
 def main(argv=None):
     global _ACTIVE_SEED
-    started = time.time()
+    started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     _ACTIVE_SEED = getattr(args, "seed", 0)

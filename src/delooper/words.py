@@ -88,12 +88,6 @@ class FaceWord:
                         frontier.append(nxt)
         return {FaceWord(self.source_dim, w) for w in seen}
 
-    def compose_after(self, earlier):
-        """Word doing `earlier` first, then self."""
-        if earlier.target_dim != self.source_dim:
-            raise ValueError("composition dimension mismatch")
-        return FaceWord(earlier.source_dim, earlier.letters + self.letters)
-
     @staticmethod
     def from_deleted(source_dim, deleted):
         """Normal-form word from the set of deleted vertices."""

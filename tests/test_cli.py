@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +86,45 @@ def test_reports_deterministic():
     rep1.pop("timing_s")
     rep2.pop("timing_s")
     assert rep1 == rep2
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("perm", "enum", "6"), "aa5f3722cebe5329c2f9c7269ed2c50f00c7faec7098b8cfb399db207c08612a"),
+        (("perm", "schema", "5:0,0,0,0,0"), "13188277598d2a82b4725aaf5e8d07546c71645e909bf2ebfb36728c2023014f"),
+        (("simplex", "index", "6"), "eba0675149ce88cbce9a1a278090053693f2f533c4422047435fed7db0c2b363"),
+    ],
+)
+def test_combinatorial_reports_pinned(argv, digest, capsys):
+    """Reports, apart from timing_s, hash to the digests of the plain
+    recursive enumeration: same face counts, same equation order."""
+    from delooper import cli
+
+    assert cli.main(list(argv)) == 0
+    rep = json.loads(capsys.readouterr().out)
+    rep.pop("timing_s")
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("perm", "schema", "10:" + ",".join(["0"] * 10)),
+        ("perm", "label", "9:" + ",".join(["0"] * 9)),
+        ("simplex", "index", "11"),
+        ("simplex", "index", "40"),
+    ],
+)
+def test_enumeration_bounds_fail_fast(argv, capsys):
+    from delooper import cli
+
+    started = time.perf_counter()
+    assert cli.main(list(argv)) == 2
+    assert time.perf_counter() - started < 1.0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "input-error"
+    assert "beyond practical bound" in rep["error"]
 
 
 def test_moore_window_flag():

@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from delooper.permutohedron import (
+    PRACTICAL_K,
+    PRACTICAL_SIMPLEX_N,
     ResourceError,
     build_permutohedron,
     compatible_schema,
@@ -19,6 +22,51 @@ def test_p2_is_hexagon():
     L = build_permutohedron(2)
     counts = {d: len(fs) for d, fs in L.by_dimension().items()}
     assert counts == {0: 6, 1: 6, 2: 1}
+
+
+def _reference_ordered_partitions(elements):
+    """The plain recursive enumerator whose output order is the contract."""
+    out = []
+
+    def build(remaining, prefix):
+        if not remaining:
+            out.append(tuple(prefix))
+            return
+        rem = tuple(sorted(remaining))
+        for r in range(1, len(rem) + 1):
+            for block in itertools.combinations(rem, r):
+                build(set(rem) - set(block), prefix + [tuple(block)])
+
+    build(set(elements), [])
+    return out
+
+
+@pytest.mark.parametrize("k", range(0, 6))
+def test_ordered_partitions_order_pinned(k):
+    assert ordered_partitions(range(1, k + 2)) == _reference_ordered_partitions(range(1, k + 2))
+
+
+def test_ordered_partitions_of_unsorted_set():
+    assert ordered_partitions([7, 3, 5, 3]) == _reference_ordered_partitions([7, 3, 5, 3])
+    assert ordered_partitions([]) == [()]
+
+
+def _surjections(n, r):
+    """r! S(n, r): surjections of an n-set onto r ordered blocks."""
+    return sum((-1) ** j * math.comb(r, j) * (r - j) ** n for j in range(r + 1))
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_face_counts_are_ordered_set_partitions(k):
+    # a face of dimension d has k + 1 - d blocks
+    L = build_permutohedron(k)
+    assert L.face_counts == {d: _surjections(k + 1, k + 1 - d) for d in range(k + 1)}
+    assert L.face_counts == {d: len(fs) for d, fs in sorted(L.by_dimension().items())}
+
+
+def test_p6_face_counts():
+    L = build_permutohedron(6)
+    assert L.face_counts == {0: 5040, 1: 15120, 2: 16800, 3: 8400, 4: 1806, 5: 126, 6: 1}
 
 
 def test_p0_is_point():
@@ -54,6 +102,22 @@ def test_lattice_is_graded_by_refinement():
 def test_resource_bound():
     with pytest.raises(ResourceError):
         build_permutohedron(8)
+
+
+def test_schema_resource_bound():
+    # a word of length 10 would enumerate 102,247,563 ordered partitions
+    k = PRACTICAL_K + 1
+    with pytest.raises(ResourceError):
+        compatible_schema(FaceWord(k + 1, (0,) * (k + 1)))
+    with pytest.raises(ResourceError):
+        compatible_schema(FaceWord(10, (0,) * 10))
+
+
+def test_simplex_resource_bound():
+    with pytest.raises(ResourceError):
+        simplex_face_index(PRACTICAL_SIMPLEX_N + 1)
+    with pytest.raises(ResourceError):
+        compatible_sequence_schema(PRACTICAL_SIMPLEX_N + 1)
 
 
 def test_factorization_closure_counts():
