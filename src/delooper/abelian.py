@@ -269,12 +269,3 @@ def tensor(G, H):
     IH = Mat.eye(H.ngens)
     rels = kron(G.rels, IH).hstack(kron(IG, H.rels))
     return PresentedGroup(G.ngens * H.ngens, rels)
-
-
-def graded_string(factors_by_degree):
-    parts = []
-    for d in sorted(factors_by_degree):
-        facs = factors_by_degree[d]
-        if facs:
-            parts.append(f"{d}: " + " + ".join("Z" if f == 0 else f"Z/{f}" for f in facs))
-    return "; ".join(parts) if parts else "0"

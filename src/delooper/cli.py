@@ -13,6 +13,8 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from typing import Callable, NamedTuple
 
 from . import schemas
 from .delta_core import (
@@ -34,36 +36,19 @@ from .permutohedron import (
     simplex_face_index,
 )
 from .pi_algebra import NotAbelianError, Obstruction, SphereTable, deloop, validate
-from .simplicial import StructuralError
+from .simplicial import FiniteSimplicialSet, StructuralError
 from .star import AbelianTarget, GroupHomMap, TargetMap, check_condition_star, milnor_F
 from .synthesis import FibrancyError, SynthesisFailure, synthesize
 from .words import FaceWord
 
 OK, FAIL, USAGE = 0, 1, 2
 
-_ACTIVE_SEED = 0
+_LOADERS = {"sset": schemas.sset_from_json, "dsab": schemas.dsab_from_json, "bisab": schemas.bisab_from_json}
 
 
 def _digest(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
-
-
-def _report(command, inputs, verdict, witnesses, started, extra=None, seed=None, caps=None):
-    out = {
-        "command": command,
-        "inputs": {os.path.basename(p): _digest(p) for p in inputs},
-        "verdict": verdict,
-        "witnesses": witnesses,
-        "caps": caps,
-        "seed": _ACTIVE_SEED if seed is None else seed,
-        "timing_s": round(time.perf_counter() - started, 3),
-    }
-    if extra:
-        out.update(extra)
-    print(json.dumps(out, indent=1, default=str))
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def _parse_word(text):
@@ -75,229 +60,154 @@ def _parse_word(text):
         raise StructuralError(f"malformed face word {text!r}; expected 'dim:i,j,...'") from exc
 
 
-def _load_object(path, cap=None):
+def _cap(text):
+    """argparse type of --cap: a degree, so an integer at least 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
+
+
+def _load_object(path, kinds, cap=None):
+    """Load an object file whose kind is one of `kinds`, truncated to `cap` if given."""
     data = schemas.load(path)
     kind = data.get("kind")
-    if kind == "sset":
-        obj = schemas.sset_from_json(data)
-    elif kind == "dsab":
-        obj = schemas.dsab_from_json(data)
-    elif kind == "bisab":
-        obj = schemas.bisab_from_json(data)
-    else:
+    if kind not in kinds:
         raise schemas.SchemaError(f"cannot load object of kind {kind!r} from {path}")
-    if cap is not None and kind in ("sset", "dsab"):
-        obj = _truncate(obj, cap)
-    return obj
+    obj = _LOADERS[kind](data)
+    return obj if cap is None else _truncate(obj, cap)
+
+
+def _load_delta(path, kinds, cap=None):
+    """Load an object file as a face-only object, dropping any degeneracies."""
+    V = _load_object(path, kinds, cap)
+    return underlying_delta(V) if isinstance(V, SAb) else V
 
 
 def _truncate(obj, cap):
-    from .simplicial import FiniteSimplicialSet
-
     if cap >= obj.cap:
         return obj
-    if isinstance(obj, FiniteSimplicialSet):
-        return FiniteSimplicialSet(
-            cap,
-            obj.elements[: cap + 1],
-            {n: obj.faces[n] for n in range(1, cap + 1)},
-            {n: obj.degeneracies[n] for n in range(0, cap)},
-        )
-    levels = obj.levels[: cap + 1]
     faces = {n: obj.faces[n] for n in range(1, cap + 1)}
+    if not isinstance(obj, (SAb, FiniteSimplicialSet)):
+        return DeltaSAb(obj.levels[: cap + 1], faces, cap)
+    degs = {n: obj.degeneracies[n] for n in range(0, cap)}
     if isinstance(obj, SAb):
-        degs = {n: obj.degeneracies[n] for n in range(0, cap)}
-        return SAb(levels, faces, degs, cap)
-    return DeltaSAb(levels, faces, cap)
+        return SAb(obj.levels[: cap + 1], faces, degs, cap)
+    return FiniteSimplicialSet(cap, obj.elements[: cap + 1], faces, degs)
 
 
-def cmd_verify(args, started):
-    X = _load_object(args.file, getattr(args, 'cap', None))
-    report = verify_identities(X)
-    verdict = "consistent" if report.ok else "violations"
-    _report("verify", [args.file], verdict, [v.describe() for v in report.violations], started, caps=getattr(X, "cap", None))
-    return OK if report.ok else FAIL
+def _identities(X, caps, extra):
+    """The result of checking every simplicial identity of X."""
+    rep = verify_identities(X)
+    verdict = "consistent" if rep.ok else "violations"
+    return (OK if rep.ok else FAIL), verdict, [v.describe() for v in rep.violations], caps, extra
 
 
-def cmd_moore(args, started):
-    V = _load_object(args.file, getattr(args, 'cap', None))
+def cmd_verify(args):
+    X = _load_object(args.file, args.kinds, args.cap)
+    return _identities(X, X.cap, {})
+
+
+def cmd_moore(args):
+    V = _load_object(args.file, args.kinds, args.cap)
     degrees = None
     if args.window:
         lo, hi = (int(x) for x in args.window.split(","))
         degrees = range(lo, hi + 1)
     pis = homotopy_groups(V, degrees)
-    _report(
-        "moore",
-        [args.file],
-        "computed",
-        [],
-        started,
-        extra={"homotopy": {str(d): list(f) for d, f in pis.factors.items()}},
-        caps=V.cap,
-    )
-    return OK
+    return OK, "computed", [], V.cap, {"homotopy": {str(d): list(f) for d, f in pis.factors.items()}}
 
 
-def cmd_match(args, started):
-    V = _load_object(args.file, getattr(args, 'cap', None))
-    if isinstance(V, SAb):
-        V = underlying_delta(V)
+def cmd_match(args):
+    V = _load_delta(args.file, args.kinds, args.cap)
     mo = matching_object(V, args.n)
-    _report(
-        "match",
-        [args.file],
-        "computed",
-        [],
-        started,
-        extra={
-            "n": args.n,
-            "matching_invariants": list(mo.group.invariant_factors()),
-            "delta_well_defined": mo.delta.is_well_defined(),
-        },
-        caps=V.cap,
-    )
-    return OK
+    return OK, "computed", [], V.cap, {
+        "n": args.n,
+        "matching_invariants": list(mo.group.invariant_factors()),
+        "delta_well_defined": mo.delta.is_well_defined(),
+    }
 
 
-def cmd_reedy(args, started):
-    V = _load_object(args.file, getattr(args, 'cap', None))
-    if isinstance(V, SAb):
-        V = underlying_delta(V)
+def cmd_reedy(args):
+    V = _load_delta(args.file, args.kinds, args.cap)
     rep = is_reedy_fibrant(V)
     witnesses = [{"degree": n, "missed_tuple": w} for n, w in sorted(rep.witnesses.items())]
-    _report("reedy", [args.file], "fibrant" if rep.fibrant else "not-fibrant", witnesses, started, caps=V.cap)
-    return OK if rep.fibrant else FAIL
+    return (OK if rep.fibrant else FAIL), ("fibrant" if rep.fibrant else "not-fibrant"), witnesses, V.cap, {}
 
 
-def cmd_extend(args, started):
-    V = _load_object(args.file, getattr(args, 'cap', None))
-    if isinstance(V, SAb):
-        V = underlying_delta(V)
+def cmd_extend(args):
+    V = _load_delta(args.file, args.kinds, args.cap)
     ext = free_degeneracy_extension(V)
-    rep = verify_identities(ext.object)
     extra = {"object": schemas.dsab_to_json(ext.object)} if args.emit else {}
-    _report(
-        "extend",
-        [args.file],
-        "consistent" if rep.ok else "violations",
-        [v.describe() for v in rep.violations],
-        started,
-        extra=extra,
-        caps=V.cap,
-    )
-    return OK if rep.ok else FAIL
+    return _identities(ext.object, V.cap, extra)
 
 
-def cmd_perm(args, started):
+def cmd_perm(args):
     if args.action == "enum":
         k = int(args.arg)
         lattice = build_permutohedron(k)
-        counts = {str(d): n for d, n in lattice.face_counts.items()}
-        _report(
-            "perm-enum",
-            [],
-            "computed",
-            [],
-            started,
-            extra={
-                "k": k,
-                "face_counts": counts,
-                "faces": [[list(b) for b in f.partition] for f in lattice.faces] if k <= 3 else "suppressed",
-            },
-        )
-        return OK
+        return OK, "computed", [], None, {
+            "k": k,
+            "face_counts": {str(d): n for d, n in lattice.face_counts.items()},
+            "faces": [[list(b) for b in f.partition] for f in lattice.faces] if k <= 3 else "suppressed",
+        }
     word = _parse_word(args.arg)
     if args.action == "label":
         lab = label(word)
-        _report(
-            "perm-label",
-            [],
-            "computed",
-            [],
-            started,
-            extra={
-                "delta": word.normal_form().describe(),
-                "vertices": {str(i): w.describe() for i, w in enumerate(sorted(lab.vertex_labels.values(), key=lambda x: x.letters))},
-                "vertex_count": len(lab.vertex_labels),
-            },
-        )
-        return OK
-    if args.action == "schema":
-        sch = compatible_schema(word)
-        _report(
-            "perm-schema",
-            [],
-            "computed",
-            [],
-            started,
-            extra={
-                "delta": sch.delta.describe(),
-                "slots": sorted(w.describe() for w in sch.slots),
-                "unit_constraints": [
-                    {"slot": w.describe(), "pinned_to": f"d_{i}", "level": lvl} for (w, i, lvl) in sch.unit_constraints
-                ],
-                "equations": [eq.describe() for eq in sch.equations],
-                "assembly_facets": len(sch.assembly),
-                "splitting": sch.splitting_note,
-            },
-        )
-        return OK
-    raise StructuralError(f"unknown perm action {args.action!r}")
+        return OK, "computed", [], None, {
+            "delta": word.normal_form().describe(),
+            "vertices": {str(i): w.describe() for i, w in enumerate(sorted(lab.vertex_labels.values(), key=lambda x: x.letters))},
+            "vertex_count": len(lab.vertex_labels),
+        }
+    sch = compatible_schema(word)
+    return OK, "computed", [], None, {
+        "delta": sch.delta.describe(),
+        "slots": sorted(w.describe() for w in sch.slots),
+        "unit_constraints": [
+            {"slot": w.describe(), "pinned_to": f"d_{i}", "level": lvl} for (w, i, lvl) in sch.unit_constraints
+        ],
+        "equations": [eq.describe() for eq in sch.equations],
+        "assembly_facets": len(sch.assembly),
+        "splitting": sch.splitting_note,
+    }
 
 
-def cmd_simplex(args, started):
-    if args.action != "index":
-        raise StructuralError("simplex supports the action 'index'")
+def cmd_simplex(args):
     n = int(args.arg)
     idx = simplex_face_index(n)
     seq = compatible_sequence_schema(n) if n >= 2 else None
+    counts = Counter(len(verts) - 1 for verts in idx.faces.values())
     extra = {
         "n": n,
-        "face_counts": {str(k): len(idx.faces_of_dimension(k)) for k in range(n + 1)},
+        "face_counts": {str(k): counts[k] for k in range(n + 1)},
         "faces": {w.describe(): list(v) for w, v in idx.faces.items()} if n <= 3 else "suppressed",
     }
     if seq:
         extra["gluing_equations"] = [eq.describe() for eq in seq.equations]
-    _report("simplex-index", [], "computed", [], started, extra=extra)
-    return OK
+    return OK, "computed", [], None, extra
 
 
-def cmd_deloop(args, started):
+def cmd_deloop(args):
     table = SphereTable.load(args.table) if args.table else SphereTable.load()
     frag = schemas.fragment_from_json(schemas.load(args.file))
     rep = validate(frag, table)
     if not rep.ok:
-        _report("deloop", [args.file], "invalid-fragment", rep.problems, started)
-        return USAGE
+        return USAGE, "invalid-fragment", rep.problems, None, {}
     try:
         result = deloop(frag, table)
     except NotAbelianError as exc:
-        _report("deloop", [args.file], "input-error", [str(exc)], started)
-        return USAGE
+        return USAGE, "input-error", [str(exc)], None, {}
     if isinstance(result, Obstruction):
-        _report(
-            "deloop",
-            [args.file],
-            "obstruction",
-            [result.describe()],
-            started,
-            extra={
-                "degree": result.degree,
-                "generator": result.generator,
-                "relation": result.relation,
-                "table_row": list(result.table_row),
-            },
-        )
-        return FAIL
-    _report(
-        "deloop",
-        [args.file],
-        "delooped",
-        [],
-        started,
-        extra={"fragment": schemas.fragment_to_json(result.fragment)},
-    )
-    return OK
+        return FAIL, "obstruction", [result.describe()], None, {
+            "degree": result.degree,
+            "generator": result.generator,
+            "relation": result.relation,
+            "table_row": list(result.table_row),
+        }
+    return OK, "delooped", [], None, {"fragment": schemas.fragment_to_json(result.fragment)}
 
 
 def _load_hom(path):
@@ -307,9 +217,7 @@ def _load_hom(path):
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     dst = schemas.sset_from_json(schemas.load(os.path.join(base, data["dst"])))
     F_src, F_dst = milnor_F(src), milnor_F(dst)
-    tables = []
-    for level in data["tables"]:
-        tables.append({g: tuple((str(x), int(e)) for x, e in word) for g, word in level.items()})
+    tables = [{g: tuple((str(x), int(e)) for x, e in word) for g, word in level.items()} for level in data["tables"]]
     hom = GroupHomMap(F_src, F_dst, tables)
     if not hom.is_valid():
         raise StructuralError(f"{path}: tables do not define a simplicial homomorphism")
@@ -330,8 +238,8 @@ def _load_target_map(path, target):
     return tm
 
 
-def cmd_star_check(args, started):
-    target_obj = _load_object(args.target)
+def cmd_star_check(args):
+    target_obj = _load_object(args.target, args.kinds)
     if not isinstance(target_obj, SAb):
         raise StructuralError("star-check target must be a simplicial abelian group file")
     K = AbelianTarget(target_obj)
@@ -339,150 +247,121 @@ def cmd_star_check(args, started):
     g = _load_hom(args.g)
     h = _load_target_map(args.h, K)
     ok, witness = check_condition_star(f, g, h, K)
-    if not ok:
-        n, a, lhs, rhs = witness
-        witness = (n, a, tuple(K.to_generators(n, lhs)), tuple(K.to_generators(n, rhs)))
-    _report(
-        "star-check",
-        [args.f, args.g, args.h, args.target],
-        "holds" if ok else "fails",
-        [] if ok else [str(witness)],
-        started,
-        caps=target_obj.cap,
-    )
-    return OK if ok else FAIL
+    if ok:
+        return OK, "holds", [], target_obj.cap, {}
+    n, a, lhs, rhs = witness
+    witness = (n, a, tuple(K.to_generators(n, lhs)), tuple(K.to_generators(n, rhs)))
+    return FAIL, "fails", [str(witness)], target_obj.cap, {}
 
 
-def cmd_synthesize(args, started):
-    V = _load_object(args.input)
-    if isinstance(V, SAb):
-        V = underlying_delta(V)
+def cmd_synthesize(args):
+    V = _load_delta(args.input, args.kinds)
     hdeg = schemas.hdeg_from_json(schemas.load(args.hdeg), V)
     try:
         result = synthesize(V, hdeg, strict_homotopy_tie=args.strict_tie)
     except FibrancyError as exc:
-        _report("synthesize", [args.input, args.hdeg], "input-error", [str(exc)], started, caps=V.cap)
-        return USAGE
+        return USAGE, "input-error", [str(exc)], V.cap, {}
     except SynthesisFailure as exc:
-        _report(
-            "synthesize",
-            [args.input, args.hdeg],
-            "obstructed",
-            [exc.describe()],
-            started,
-            extra={"stage": exc.stage, "congruence": exc.congruence},
-            caps=V.cap,
-        )
-        return FAIL
-    _report(
-        "synthesize",
-        [args.input, args.hdeg],
-        "synthesized",
-        [],
-        started,
-        extra={"stage_log": result.stage_log, "object": schemas.dsab_to_json(result.object)},
-        caps=V.cap,
-    )
-    return OK
+        return FAIL, "obstructed", [exc.describe()], V.cap, {"stage": exc.stage, "congruence": exc.congruence}
+    return OK, "synthesized", [], V.cap, {"stage_log": result.stage_log, "object": schemas.dsab_to_json(result.object)}
 
 
-def cmd_e2(args, started):
-    B = _load_object(args.file)
+def cmd_e2(args):
+    B = _load_object(args.file, args.kinds)
     smax = tmax = None
     if args.window:
         smax, tmax = (int(x) for x in args.window.split(","))
     try:
         page = e2_page(B, smax, tmax)
     except CollapseMismatch as exc:
-        _report("e2", [args.file], "collapse-mismatch", [str(exc)], started)
-        return FAIL
-    extra = {
+        return FAIL, "collapse-mismatch", [str(exc)], None, {}
+    return OK, "computed", [], None, {
         "window": list(page.window),
         "entries": {f"{s},{t}": list(f) for (s, t), f in page.entries.items()},
         "collapsed": page.collapsed,
+        "collapse_certified": page.collapse_certified,
     }
-    extra["collapse_certified"] = page.collapse_certified
-    _report("e2", [args.file], "computed", [], started, extra=extra)
-    return OK
+
+
+FILE = {"file": {}}
+DSAB = ("dsab",)
+STAR_FILES = ("f", "g", "h", "target")
+
+
+class Command(NamedTuple):
+    handler: Callable  # args -> (exit code, verdict, witnesses, caps, extra report keys); prints nothing
+    help: str
+    kinds: tuple = ()  # object kinds the handler's object file may have
+    arguments: dict = FILE  # flag -> add_argument options
+    inputs: tuple = ("file",)  # dests of the arguments that name input files, in report order
+
+
+# star-check loads a target of any object kind and then requires degeneracies
+COMMANDS = {
+    "verify": Command(cmd_verify, "check all simplicial identities of an object file", ("sset", "dsab")),
+    "moore": Command(cmd_moore, "homotopy groups via the Moore complex", DSAB),
+    "match": Command(cmd_match, "matching object and comparison map at degree n", DSAB,
+                     {**FILE, "-n": {"type": int, "required": True}}),
+    "reedy": Command(cmd_reedy, "surjectivity of every comparison map", DSAB),
+    "extend": Command(cmd_extend, "free degeneracy extension of a face-only object", DSAB,
+                      {**FILE, "--emit": {"action": "store_true",
+                                          "help": "include the extended object in the report"}}),
+    "perm": Command(cmd_perm, "permutohedron lattices, labelings, schemas", (),
+                    {"action": {"choices": ["enum", "label", "schema"]},
+                     "arg": {"help": "k for enum; 'dim:i,j,...' word otherwise"}}, ()),
+    "simplex": Command(cmd_simplex, "simplex face indexing and gluing schemas", (),
+                       {"action": {"choices": ["index"]}, "arg": {"help": "the simplex dimension n"}}, ()),
+    "deloop": Command(cmd_deloop, "attempt the degree shift of a fragment"),
+    "star-check": Command(cmd_star_check, "associativity condition for derived composition", tuple(_LOADERS),
+                          {f"--{name}": {"required": True} for name in STAR_FILES}, STAR_FILES),
+    "synthesize": Command(cmd_synthesize, "strict degeneracies from up-to-homotopy data", DSAB,
+                          {"--input": {"required": True}, "--hdeg": {"required": True},
+                           "--strict-tie": {"action": "store_true", "dest": "strict_tie"}}, ("input", "hdeg")),
+    "e2": Command(cmd_e2, "levelwise-homotopy page of a bisimplicial grid", ("bisab",)),
+}
 
 
 def build_parser():
     p = argparse.ArgumentParser(prog="delooper", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     p.add_argument("--table", help="sphere table JSON path")
-    p.add_argument("--cap", type=int, help="truncate loaded objects to this cap")
+    p.add_argument("--cap", type=_cap, help="truncate loaded objects to this cap")
     p.add_argument("--window", help="degree window lo,hi (moore) or smax,tmax (e2)")
     sub = p.add_subparsers(dest="command")
-
-    sp = sub.add_parser("verify", help="check all simplicial identities of an object file")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("moore", help="homotopy groups via the Moore complex")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_moore)
-
-    sp = sub.add_parser("match", help="matching object and comparison map at degree n")
-    sp.add_argument("file")
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(func=cmd_match)
-
-    sp = sub.add_parser("reedy", help="surjectivity of every comparison map")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_reedy)
-
-    sp = sub.add_parser("extend", help="free degeneracy extension of a face-only object")
-    sp.add_argument("file")
-    sp.add_argument("--emit", action="store_true", help="include the extended object in the report")
-    sp.set_defaults(func=cmd_extend)
-
-    sp = sub.add_parser("perm", help="permutohedron lattices, labelings, schemas")
-    sp.add_argument("action", choices=["enum", "label", "schema"])
-    sp.add_argument("arg", help="k for enum; 'dim:i,j,...' word otherwise")
-    sp.set_defaults(func=cmd_perm)
-
-    sp = sub.add_parser("simplex", help="simplex face indexing and gluing schemas")
-    sp.add_argument("action", choices=["index"])
-    sp.add_argument("arg", help="the simplex dimension n")
-    sp.set_defaults(func=cmd_simplex)
-
-    sp = sub.add_parser("deloop", help="attempt the degree shift of a fragment")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_deloop)
-
-    sp = sub.add_parser("star-check", help="associativity condition for derived composition")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--h", required=True)
-    sp.add_argument("--target", required=True)
-    sp.set_defaults(func=cmd_star_check)
-
-    sp = sub.add_parser("synthesize", help="strict degeneracies from up-to-homotopy data")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--hdeg", required=True)
-    sp.add_argument("--strict-tie", action="store_true", dest="strict_tie")
-    sp.set_defaults(func=cmd_synthesize)
-
-    sp = sub.add_parser("e2", help="levelwise-homotopy page of a bisimplicial grid")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_e2)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag, options in command.arguments.items():
+            sp.add_argument(flag, **options)
+        sp.set_defaults(func=command.handler, inputs=command.inputs, kinds=command.kinds)
     return p
 
 
 def main(argv=None):
-    global _ACTIVE_SEED
     started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
-    _ACTIVE_SEED = getattr(args, "seed", 0)
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_help()
         return USAGE
     try:
-        return args.func(args, started)
+        code, verdict, witnesses, caps, extra = args.func(args)
+        action = getattr(args, "action", None)
+        paths = [getattr(args, name) for name in args.inputs]
+        report = {
+            "command": f"{args.command}-{action}" if action else args.command,
+            "inputs": {os.path.basename(p): _digest(p) for p in paths},
+            "verdict": verdict,
+            "witnesses": witnesses,
+            "caps": caps,
+            "seed": args.seed,
+            "timing_s": round(time.perf_counter() - started, 3),
+            **extra,
+        }
     except (StructuralError, schemas.SchemaError, ResourceError, FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"command": args.command, "verdict": "input-error", "error": str(exc)}))
         return USAGE
+    print(json.dumps(report, indent=1, default=str))
+    return code
 
 
 if __name__ == "__main__":

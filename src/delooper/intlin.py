@@ -36,24 +36,14 @@ class Mat:
         return Mat(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(r, c):
-        return Mat(r, c)
-
-    @staticmethod
     def column(v):
         return Mat(len(v), 1, [[x] for x in v])
 
     def col(self, j):
         return [self.a[i][j] for i in range(self.r)]
 
-    def cols(self):
-        return [self.col(j) for j in range(self.c)]
-
     def copy(self):
         return Mat(self.r, self.c, [row[:] for row in self.a])
-
-    def transpose(self):
-        return Mat(self.c, self.r, [[self.a[i][j] for i in range(self.r)] for j in range(self.c)])
 
     def hstack(self, other):
         if self.r != other.r:
@@ -64,9 +54,6 @@ class Mat:
         if self.c != other.c:
             raise ValueError(f"vstack shape mismatch {self.c} vs {other.c}")
         return Mat(self.r + other.r, self.c, [row[:] for row in self.a] + [row[:] for row in other.a])
-
-    def submatrix(self, rows, cols):
-        return Mat(len(rows), len(cols), [[self.a[i][j] for j in cols] for i in rows])
 
     def __matmul__(self, other):
         if self.c != other.r:

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CORPUS = os.path.join(ROOT, "corpus")
 
 
 def run(*args):
@@ -16,7 +17,7 @@ def run(*args):
         [sys.executable, "-m", "delooper.cli", *args],
         capture_output=True,
         text=True,
-        cwd=os.path.join(os.path.dirname(__file__), ".."),
+        cwd=ROOT,
     )
     return r.returncode, r.stdout
 
@@ -63,6 +64,16 @@ def corpus(name):
         (("perm", "label", "garbage"), 2),
         (("verify", "corpus/does_not_exist.json"), 2),
         (("deloop", "corpus/s1.sset.json"), 2),
+        # a file of a kind the subcommand does not read is an input error
+        (("e2", "corpus/zs1.dsab.json"), 2),
+        (("moore", "corpus/s1.sset.json"), 2),
+        (("extend", "corpus/s1.sset.json"), 2),
+        (("match", "corpus/s1.sset.json", "-n", "1"), 2),
+        (("reedy", "corpus/s1.sset.json"), 2),
+        (("synthesize", "--input", "corpus/s1.sset.json", "--hdeg", "corpus/fibrant.hdeg.json"), 2),
+        (("moore", "corpus/resolution.bisab.json"), 2),
+        (("verify", "corpus/resolution.bisab.json"), 2),
+        (("--cap", "-1", "moore", "corpus/zs1.dsab.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -105,6 +116,67 @@ def test_combinatorial_reports_pinned(argv, digest, capsys):
     rep = json.loads(capsys.readouterr().out)
     rep.pop("timing_s")
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [
+        (("verify", "corpus/zs1.dsab.json"), 0, "5eef5ab5765388c3de4dee920e9c81208354b739b292e870e623f00272483580"),
+        (("moore", "corpus/zs1.dsab.json"), 0, "b92abf97479ca69cd0adbf406ac93677bc77bc7d1611d96fca5d49e80d28ed19"),
+        (
+            ("--window", "0,1", "moore", "corpus/zs1.dsab.json"),
+            0,
+            "375277ea1093916e7ede7156ba500f5759a3fcc73b1032b6bf50729c6f5a1f37",
+        ),
+        (("match", "corpus/zs1.dsab.json", "-n", "1"), 0, "0949d345e8fa0b99aad70b4ae5003fd01ba65ff679e68f96b7b0ccad6ccf7435"),
+        (("reedy", "corpus/fibrant.dsab.json"), 0, "3bbbc10e1bf97f32ff971f54211383645d7dcdda6256d80ecc0afb104d9bfcea"),
+        (("extend", "corpus/zs1.dsab.json"), 0, "b8929bf687dec807560c7d65e6edd408c5d409310b1a95d9b29dbba87e60a3f8"),
+        (("perm", "enum", "2"), 0, "c424b569ae6b34a7b5ff212cbd55077ad7493e55617a2a089ba2c8c24bec4c59"),
+        (("perm", "label", "3:0,0,0"), 0, "429484431ef67d9da84fc30985dd737a613191f8fada94215e803429927c7768"),
+        (("perm", "schema", "3:0,0,0"), 0, "f21ba9a6ddca304c160756a4a7c628943ae0d81e1173209e8e070cb167163170"),
+        (("simplex", "index", "2"), 0, "9b3fd3cde46e57d9e22de1837f7a966e6866b281cf6fa857bf13186a636b534d"),
+        (("deloop", "corpus/eta_chain.pialg.json"), 1, "38bf5144b4b0e9ddea4fab71119ebefbc51947e1c0ea18cffe5fca6b2d480269"),
+        (("deloop", "corpus/loop_s3.pialg.json"), 0, "dca7b26ea591140a1cba962714a295d96c946776806ed2c85c60d06a5542c7da"),
+        (
+            (
+                "star-check",
+                "--f",
+                "corpus/star_f.freehom.json",
+                "--g",
+                "corpus/star_g.freehom.json",
+                "--h",
+                "corpus/star_h.targetmap.json",
+                "--target",
+                "corpus/star_target.dsab.json",
+            ),
+            0,
+            "97f08a6360fb5e49266ad9086fa65f6a4cfaf130a91d9da9036ffb2a6d3eb357",
+        ),
+        (
+            ("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"),
+            0,
+            "0d525a26a3facdb846fe1abd464d630176989a7e34b6e79609a6bbd828ece6ef",
+        ),
+        (("e2", "corpus/resolution.bisab.json"), 0, "396ff9859038d55813b7ec3b848b3b188ac87c00322d324cd5326cd57763282d"),
+        (
+            ("--seed", "7", "moore", "corpus/zs1.dsab.json"),
+            0,
+            "f93b8b384c6f5899e4997eab9531ed43a980fc5911486508c7f64ccd908935b2",
+        ),
+    ],
+)
+def test_corpus_reports_pinned(argv, code, digest, capsys, monkeypatch):
+    """Every README corpus command prints the report pinned here byte for
+    byte apart from its timing_s line (keys in order, values, indentation)
+    and exits with the pinned code."""
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    assert cli.main(list(argv)) == code
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(' "timing_s": ')]
+    assert len(kept) == len(lines) - 1
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
