@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .intlin import Mat, SmithSolver, column_basis, kernel_mod_lattice
+from .intlin import Mat, SmithSolver, block_diagonal, column_basis, kernel_mod_lattice, vstack_all
 
 
 class PresentedGroup:
@@ -71,6 +71,16 @@ class PresentedGroup:
 
     def eq_elts(self, v, w):
         return self.canon(v) == self.canon(w)
+
+    def first_nonzero_column(self, M):
+        """Index of the first column of M that is not zero in this group, or None."""
+        snf = self._snf
+        UM = snf.U @ M
+        for c in range(M.c):
+            col = [row[c] for row in UM.a]
+            if any(col[i] % snf.D.a[i][i] for i in range(snf.rank)) or any(col[snf.rank :]):
+                return c
+        return None
 
     def invariant_factors(self):
         """Nontrivial invariant factors, divisibility-ascending, 0 meaning Z."""
@@ -138,14 +148,7 @@ class Hom:
             )
 
     def is_well_defined(self):
-        if self.src.rels.c == 0:
-            return True
-        image_of_rels = self.mat @ self.src.rels
-        solver = self.dst._snf
-        for j in range(image_of_rels.c):
-            if not solver.contains_column(image_of_rels.col(j)):
-                return False
-        return True
+        return self.dst.first_nonzero_column(self.mat @ self.src.rels) is None
 
     def compose(self, other):
         """self after other."""
@@ -166,6 +169,20 @@ def subgroup(G, gens):
     rels = kernel_mod_lattice(gens, G.rels)
     S = PresentedGroup(gens.c, rels)
     return S, Hom(S, G, gens)
+
+
+def joint_kernel(maps, groups):
+    """Basis of the lattice of x with maps[i] x zero in groups[i] for every i."""
+    return kernel_mod_lattice(vstack_all(maps), block_diagonal([g.rels for g in groups]))
+
+
+def coordinates(lattice, ambient, img):
+    """Coordinates over the columns of lattice of the columns of img, modulo
+    ambient's relations, or None if some column of img leaves the lattice."""
+    sol = SmithSolver(lattice.hstack(ambient.rels)).solve_columns(img)
+    if sol is None:
+        return None
+    return Mat(lattice.c, img.c, sol.a[: lattice.c])
 
 
 def quotient(G, gens):
@@ -235,19 +252,8 @@ def induced_on_homology(h_src, h_dst, f):
 
 def direct_sum(groups):
     """Direct sum with offset bookkeeping: returns (G, offsets)."""
-    total = sum(g.ngens for g in groups)
-    rel_cols = sum(g.rels.c for g in groups)
-    rels = Mat(total, rel_cols)
-    offsets = []
-    go, ro = 0, 0
-    for g in groups:
-        offsets.append(go)
-        for i in range(g.ngens):
-            for j in range(g.rels.c):
-                rels.a[go + i][ro + j] = g.rels.a[i][j]
-        go += g.ngens
-        ro += g.rels.c
-    return PresentedGroup(total, rels), offsets
+    ends = list(itertools.accumulate([0] + [g.ngens for g in groups]))
+    return PresentedGroup(ends[-1], block_diagonal([g.rels for g in groups])), ends[:-1]
 
 
 def kron(A, B):

@@ -60,15 +60,23 @@ def _parse_word(text):
         raise StructuralError(f"malformed face word {text!r}; expected 'dim:i,j,...'") from exc
 
 
-def _cap(text):
-    """argparse type of --cap: a degree, so an integer at least 0."""
+def _degree(text):
+    """argparse type of a degree (--cap, each half of --window): an integer at least 0."""
     try:
-        cap = int(text)
+        degree = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
-    return cap
+    if degree < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {degree}")
+    return degree
+
+
+def _window(text):
+    """argparse type of --window: two degrees 'a,b'."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected two degrees 'a,b', got {text!r}")
+    return tuple(_degree(x) for x in parts)
 
 
 def _load_object(path, kinds, cap=None):
@@ -115,7 +123,9 @@ def cmd_moore(args):
     V = _load_object(args.file, args.kinds, args.cap)
     degrees = None
     if args.window:
-        lo, hi = (int(x) for x in args.window.split(","))
+        lo, hi = args.window
+        if lo > hi:
+            return USAGE, "input-error", [f"empty degree window {lo},{hi}: lo exceeds hi"], V.cap, {}
         degrees = range(lo, hi + 1)
     pis = homotopy_groups(V, degrees)
     return OK, "computed", [], V.cap, {"homotopy": {str(d): list(f) for d, f in pis.factors.items()}}
@@ -268,9 +278,7 @@ def cmd_synthesize(args):
 
 def cmd_e2(args):
     B = _load_object(args.file, args.kinds)
-    smax = tmax = None
-    if args.window:
-        smax, tmax = (int(x) for x in args.window.split(","))
+    smax, tmax = args.window or (None, None)
     try:
         page = e2_page(B, smax, tmax)
     except CollapseMismatch as exc:
@@ -325,8 +333,8 @@ def build_parser():
     p = argparse.ArgumentParser(prog="delooper", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     p.add_argument("--table", help="sphere table JSON path")
-    p.add_argument("--cap", type=_cap, help="truncate loaded objects to this cap")
-    p.add_argument("--window", help="degree window lo,hi (moore) or smax,tmax (e2)")
+    p.add_argument("--cap", type=_degree, help="truncate loaded objects to this cap")
+    p.add_argument("--window", type=_window, help="degree window lo,hi (moore) or smax,tmax (e2)")
     sub = p.add_subparsers(dest="command")
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import Hom, PresentedGroup, direct_sum, quotient, subgroup
-from .intlin import Mat, SmithSolver, kernel_mod_lattice
+from .abelian import Hom, PresentedGroup, coordinates, direct_sum, quotient, subgroup
+from .intlin import Mat, block_diagonal, kernel_mod_lattice, vstack_all
 from .simplicial import BASE, FiniteSimplicialSet, Report, StructuralError, Violation
 from .words import DegeneracyWord, canonical_degeneracy_words
 
@@ -67,15 +67,6 @@ def underlying_delta(W):
     return DeltaSAb(W.levels, W.faces, W.cap)
 
 
-def _hom_eq(A, B, dst):
-    diff = A - B
-    solver = dst._snf
-    for j in range(diff.c):
-        if not solver.contains_column(diff.col(j)):
-            return j
-    return None
-
-
 def verify_identities(X):
     """Exhaustive identity check; works on matrix objects and on finite
     simplicial sets alike."""
@@ -88,7 +79,7 @@ def verify_identities(X):
             for j in range(i + 1, n + 1):
                 lhs = X.face(n - 1, i) @ X.face(n, j)
                 rhs = X.face(n - 1, j - 1) @ X.face(n, i)
-                col = _hom_eq(lhs, rhs, X.levels[n - 2])
+                col = X.levels[n - 2].first_nonzero_column(lhs - rhs)
                 if col is not None:
                     add(Violation("dd", n, (i, j), f"d_{i}d_{j} != d_{j - 1}d_{i} on generator {col}"))
     if not isinstance(X, SAb):
@@ -106,7 +97,7 @@ def verify_identities(X):
                 else:
                     want = X.degeneracy(n - 1, j) @ X.face(n, i - 1)
                     fam = "ds-high"
-                col = _hom_eq(got, want, X.levels[n])
+                col = X.levels[n].first_nonzero_column(got - want)
                 if col is not None:
                     add(Violation(fam, n, (i, j), f"d_{i}s_{j} fails on generator {col}"))
     for n in range(0, X.cap - 1):
@@ -114,7 +105,7 @@ def verify_identities(X):
             for j in range(i, n + 1):
                 lhs = X.degeneracy(n + 1, i) @ X.degeneracy(n, j)
                 rhs = X.degeneracy(n + 1, j + 1) @ X.degeneracy(n, i)
-                col = _hom_eq(lhs, rhs, X.levels[n + 2])
+                col = X.levels[n + 2].first_nonzero_column(lhs - rhs)
                 if col is not None:
                     add(Violation("ss", n, (i, j), f"s_{i}s_{j} != s_{j + 1}s_{i} on generator {col}"))
     return report
@@ -173,24 +164,11 @@ def matching_object(V, n):
                 for c in range(g):
                     rows.a[p * lower.ngens + r][offsets[j] + c] += di.a[r][c]
                     rows.a[p * lower.ngens + r][offsets[i] + c] -= dj1.a[r][c]
-        relblocks = Mat(len(pairs) * lower.ngens, len(pairs) * lower.rels.c)
-        for p in range(len(pairs)):
-            for r in range(lower.ngens):
-                for c in range(lower.rels.c):
-                    relblocks.a[p * lower.ngens + r][p * lower.rels.c + c] = lower.rels.a[r][c]
-        lattice = kernel_mod_lattice(rows, relblocks)
+        lattice = kernel_mod_lattice(rows, block_diagonal([lower.rels] * len(pairs)))
     group, incl = subgroup(ambient, lattice)
-    stacked = Mat(ambient.ngens, V.rank(n))
-    for i in range(n + 1):
-        d = V.face(n, i)
-        for r in range(g):
-            for c in range(V.rank(n)):
-                stacked.a[offsets[i] + r][c] = d.a[r][c]
-    solver = SmithSolver(lattice.hstack(ambient.rels))
-    sol = solver.solve_columns(stacked)
-    if sol is None:
+    delta_mat = coordinates(lattice, ambient, vstack_all(V.faces[n]))
+    if delta_mat is None:
         raise StructuralError("face tuple map does not land in the matching object")
-    delta_mat = Mat(group.ngens, V.rank(n), [row[: V.rank(n)] for row in sol.a[: group.ngens]])
     projections = []
     for i in range(n + 1):
         proj = Mat(g, group.ngens, [incl.mat.a[offsets[i] + r][:] for r in range(g)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .abelian import PresentedGroup
 from .delta_core import SAb
-from .intlin import Mat, SmithSolver
+from .intlin import Mat, invert_unimodular
 from .moore import ChainComplex, dold_kan
 from .synthesis import boundary_matrix
 
@@ -28,13 +28,6 @@ def random_unimodular(n, rng, steps=6):
         for r in range(n):
             A.a[r][j] += c * A.a[r][i]
     return A
-
-
-def invert_unimodular(A):
-    inv = SmithSolver(A).solve_columns(Mat.eye(A.r))
-    if inv is None:
-        raise ValueError("matrix is not invertible over the integers")
-    return inv
 
 
 def random_acyclic_complex(cap, rng, max_rank=2, max_cones=3):

@@ -207,7 +207,7 @@ class SmithSolver:
     def Uinv(self):
         """The inverse of U, computed on first use and kept."""
         if self._uinv is None:
-            self._uinv = SmithSolver(self.U).solve_columns(Mat.eye(self.A.r))
+            self._uinv = invert_unimodular(self.U)
         return self._uinv
 
     def solve_columns(self, B):
@@ -249,6 +249,30 @@ def solve(A, B):
 
 def nullspace(A):
     return SmithSolver(A).nullspace()
+
+
+def invert_unimodular(A):
+    inv = solve(A, Mat.eye(A.r))
+    if inv is None:
+        raise ValueError("matrix is not invertible over the integers")
+    return inv
+
+
+def vstack_all(mats):
+    """The matrices of a nonempty list stacked top to bottom."""
+    return Mat.from_rows([row for M in mats for row in M.a], c=mats[0].c)
+
+
+def block_diagonal(mats):
+    """The block-diagonal matrix with the given blocks, in order."""
+    out = Mat(sum(M.r for M in mats), sum(M.c for M in mats))
+    r0 = c0 = 0
+    for M in mats:
+        for i, row in enumerate(M.a):
+            out.a[r0 + i][c0 : c0 + M.c] = row
+        r0 += M.r
+        c0 += M.c
+    return out
 
 
 def kernel_mod_lattice(A, L):

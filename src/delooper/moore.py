@@ -14,13 +14,16 @@ from dataclasses import dataclass
 from .abelian import (
     Hom,
     PresentedGroup,
+    coordinates,
     direct_sum,
     homology,
+    joint_kernel,
     kron,
+    subgroup,
     tensor,
 )
 from .delta_core import SAb, StructuralError
-from .intlin import Mat, SmithSolver, kernel_mod_lattice
+from .intlin import Mat
 
 
 @dataclass
@@ -59,12 +62,9 @@ class ChainComplex:
     def verify_dd(self):
         bad = []
         for n in range(2, self.cap + 1):
-            comp = self.diffs[n - 1] @ self.diffs[n]
-            solver = self.groups[n - 2]._snf
-            for j in range(comp.c):
-                if not solver.contains_column(comp.col(j)):
-                    bad.append((n, j))
-                    break
+            j = self.groups[n - 2].first_nonzero_column(self.diffs[n - 1] @ self.diffs[n])
+            if j is not None:
+                bad.append((n, j))
         return bad
 
 
@@ -81,34 +81,14 @@ def moore_complex(G):
     lifts = []
     groups = []
     for n in range(cap + 1):
-        if n == 0:
-            K = Mat.eye(G.rank(0))
-        else:
-            rows = None
-            for i in range(1, n + 1):
-                d = G.face(n, i)
-                rows = d if rows is None else rows.vstack(d)
-            low = G.levels[n - 1]
-            relblocks = Mat(rows.r, n * low.rels.c)
-            for b in range(n):
-                for r in range(low.ngens):
-                    for c in range(low.rels.c):
-                        relblocks.a[b * low.ngens + r][b * low.rels.c + c] = low.rels.a[r][c]
-            K = kernel_mod_lattice(rows, relblocks)
+        K = joint_kernel(G.faces[n][1:], [G.levels[n - 1]] * n) if n else Mat.eye(G.rank(0))
         lifts.append(K)
-        from .abelian import subgroup
-
-        Ngrp, _ = subgroup(G.levels[n], K)
-        groups.append(Ngrp)
+        groups.append(subgroup(G.levels[n], K)[0])
     diffs = {}
     for n in range(1, cap + 1):
-        target = lifts[n - 1].hstack(G.levels[n - 1].rels)
-        solver = SmithSolver(target)
-        img = G.face(n, 0) @ lifts[n]
-        sol = solver.solve_columns(img)
-        if sol is None:
+        diffs[n] = coordinates(lifts[n - 1], G.levels[n - 1], G.face(n, 0) @ lifts[n])
+        if diffs[n] is None:
             raise StructuralError(f"d_0 does not preserve the Moore subgroup at degree {n}")
-        diffs[n] = Mat(groups[n - 1].ngens, groups[n].ngens, [row[: groups[n].ngens] for row in sol.a[: groups[n - 1].ngens]])
     cpx = ChainComplex(groups=groups, diffs=diffs)
     bad = cpx.verify_dd()
     if bad:
@@ -196,8 +176,7 @@ def dold_kan(cpx, cap=None):
             parts.append(cpx.groups[k])
             tot += cpx.groups[k].ngens
         offsets.append(offs)
-        glued, _ = direct_sum(parts) if parts else (PresentedGroup.free(0), [])
-        levels.append(glued)
+        levels.append(direct_sum(parts)[0])
 
     def epi_mono(f):
         img = sorted(set(f))
@@ -283,9 +262,7 @@ class BisimplicialAbelianGroup:
             if not rep.ok:
                 problems.append(("column", p, rep.violations[0].describe()))
         def check(kind, p, q, lhs, rhs, target):
-            diff = lhs - rhs
-            solver = target._snf
-            if any(not solver.contains_column(diff.col(c)) for c in range(diff.c)):
+            if target.first_nonzero_column(lhs - rhs) is not None:
                 problems.append((kind, (p, q), "square fails"))
 
         for p in range(self.hcap + 1):
@@ -396,13 +373,9 @@ def vertical_homotopy_object(B, t):
         # the level map restricted to Moore cycles, then classified
         carried = mat @ moores[p_src].lifts[t] @ src.lift
         out = Mat(dst.group.ngens, src.group.ngens)
-        target = moores[p_dst].lifts[t].hstack(cols[p_dst].levels[t].rels)
-        solver = SmithSolver(target)
-        inside = solver.solve_columns(carried)
-        if inside is None:
+        in_moore = coordinates(moores[p_dst].lifts[t], cols[p_dst].levels[t], carried)
+        if in_moore is None:
             raise StructuralError("induced map does not preserve Moore cycles")
-        in_moore = Mat(moores[p_dst].complex.groups[t].ngens, src.group.ngens,
-                       [row[: src.group.ngens] for row in inside.a[: moores[p_dst].complex.groups[t].ngens]])
         for j in range(src.group.ngens):
             cls = dst.classify(in_moore.col(j))
             for i in range(dst.group.ngens):
@@ -494,42 +467,22 @@ def double_moore_total_complex(B):
     for p in range(B.hcap + 1):
         for q in range(B.vcap + 1):
             G = B.levels[p][q]
-            rows = None
-            for i in range(1, p + 1):
-                d = B.h_faces[(p, q)][i]
-                rows = d if rows is None else rows.vstack(d)
-            for j in range(1, q + 1):
-                d = B.v_faces[(p, q)][j]
-                rows = d if rows is None else rows.vstack(d)
-            if rows is None:
-                K = Mat.eye(G.ngens)
-            else:
-                blocks = []
-                if p >= 1:
-                    blocks += [B.levels[p - 1][q]] * p
-                if q >= 1:
-                    blocks += [B.levels[p][q - 1]] * q
-                relcols = sum(g.rels.c for g in blocks)
-                rel = Mat(rows.r, relcols)
-                roff, coff = 0, 0
-                for g in blocks:
-                    for r in range(g.ngens):
-                        for c in range(g.rels.c):
-                            rel.a[roff + r][coff + c] = g.rels.a[r][c]
-                    roff += g.ngens
-                    coff += g.rels.c
-                K = kernel_mod_lattice(rows, rel)
+            maps, targets = [], []
+            if p:
+                maps += B.h_faces[(p, q)][1:]
+                targets += [B.levels[p - 1][q]] * p
+            if q:
+                maps += B.v_faces[(p, q)][1:]
+                targets += [B.levels[p][q - 1]] * q
+            K = joint_kernel(maps, targets) if maps else Mat.eye(G.ngens)
             lattices[(p, q)] = K
-            from .abelian import subgroup
-
             groups[(p, q)], _ = subgroup(G, K)
 
     def express(p, q, img):
-        target = lattices[(p, q)].hstack(B.levels[p][q].rels)
-        sol = SmithSolver(target).solve_columns(img)
-        if sol is None:
+        blk = coordinates(lattices[(p, q)], B.levels[p][q], img)
+        if blk is None:
             raise StructuralError("double Moore boundary leaves the bicomplex")
-        return Mat(groups[(p, q)].ngens, img.c, [row[: img.c] for row in sol.a[: groups[(p, q)].ngens]])
+        return blk
 
     tot_groups = []
     tot_layout = []

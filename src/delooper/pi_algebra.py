@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .abelian import PresentedGroup
-from .intlin import Mat, SmithSolver
+from .abelian import PresentedGroup, kron
+from .intlin import Mat, SmithSolver, block_diagonal
 
 
 class TableError(ValueError):
@@ -45,6 +45,8 @@ class SphereTable:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TableError("a sphere table file must hold a JSON object")
         if data.get("format") != 1:
             raise TableError(f"unsupported sphere table format {data.get('format')}")
         span = (data["span"]["n_min"], data["span"]["n_max"], data["span"]["stem_max"])
@@ -572,34 +574,8 @@ class Obstruction:
         """Re-solve just this congruence from its stored coordinates."""
         if self.coefficients is None:
             return True
-        k, m = self.table_row
-        row = table.group(k, m)
         target = PresentedGroup.from_factors(list(self.target_factors))
-        nunk = row.ngens * target.ngens
-        rows_sys, rhs_sys = [], []
-        for t in range(target.ngens):
-            line = [0] * nunk
-            for i, c in enumerate(self.coefficients):
-                line[i * target.ngens + t] = c
-            rows_sys.append(line)
-            rhs_sys.append(self.forced_value[t])
-        for rc in range(row.rels.c):
-            for t in range(target.ngens):
-                line = [0] * nunk
-                for i in range(row.ngens):
-                    line[i * target.ngens + t] = row.rels.a[i][rc]
-                rows_sys.append(line)
-                rhs_sys.append(0)
-        A = Mat.from_rows(rows_sys, c=nunk)
-        if target.rels.c:
-            ngroups = len(rows_sys) // target.ngens
-            ext = Mat(len(rows_sys), target.rels.c * ngroups)
-            for gidx in range(ngroups):
-                for t in range(target.ngens):
-                    for c in range(target.rels.c):
-                        ext.a[gidx * target.ngens + t][gidx * target.rels.c + c] = target.rels.a[t][c]
-            A = A.hstack(ext)
-        return SmithSolver(A).solve_columns(Mat.column(rhs_sys)) is None
+        return _solve_row_hom(table.group(*self.table_row), target, [(self.coefficients, self.forced_value)]) is None
 
 
 @dataclass
@@ -651,92 +627,42 @@ def deloop(G, table):
                     forced = G.action.get((theta_bar, (k - 1, gen)))
                     if forced is None:
                         continue
-                    coeffs = table.suspensions[theta_bar]
-                    constraints.append((list(coeffs), list(forced), theta_bar))
-                # assemble: unknowns h(gen_i) in target; rows per constraint and
-                # per relation of the row group
-                nunk = row.ngens * target.ngens
-                rows_sys = []
-                rhs_sys = []
-                for coeffs, forced, _ in constraints:
-                    for t in range(target.ngens):
-                        line = [0] * nunk
-                        for i, c in enumerate(coeffs):
-                            line[i * target.ngens + t] = c
-                        rows_sys.append(line)
-                        rhs_sys.append(forced[t])
-                for rc in range(row.rels.c):
-                    for t in range(target.ngens):
-                        line = [0] * nunk
-                        for i in range(row.ngens):
-                            line[i * target.ngens + t] = row.rels.a[i][rc]
-                        rows_sys.append(line)
-                        rhs_sys.append(0)
-                if not rows_sys:
-                    h = Mat(target.ngens, row.ngens)
-                else:
-                    A = Mat.from_rows(rows_sys, c=nunk)
-                    # allow relation slack in the target on every row
-                    slack_cols = target.rels.c
-                    if slack_cols:
-                        blocks = []
-                        for line_idx in range(len(rows_sys)):
-                            t = line_idx % target.ngens
-                            blocks.append([target.rels.a[t][c] for c in range(slack_cols)])
-                        # one slack vector per constraint row-group
-                        ngroups = len(rows_sys) // target.ngens
-                        ext = Mat(len(rows_sys), slack_cols * ngroups)
-                        for gidx in range(ngroups):
-                            for t in range(target.ngens):
-                                r_idx = gidx * target.ngens + t
-                                for c in range(slack_cols):
-                                    ext.a[r_idx][gidx * slack_cols + c] = target.rels.a[t][c]
-                        A = A.hstack(ext)
-                    sol = SmithSolver(A).solve_columns(Mat.column(rhs_sys))
-                    if sol is None:
-                        failing = _describe_failing_congruence(table, G, k, m, gen, constraints, target)
-                        return failing
-                    h = Mat(target.ngens, row.ngens)
-                    for i in range(row.ngens):
-                        for t in range(target.ngens):
-                            h.a[t][i] = sol.a[i * target.ngens + t][0]
+                    constraints.append((table.suspensions[theta_bar], list(forced)))
+                h = _solve_row_hom(row, target, constraints)
+                if h is None:
+                    return _describe_failing_congruence(table, k, m, gen, constraints, target)
                 for i, theta in enumerate(row_gens):
                     out.action[(theta, (k, gen_p))] = h.col(i)
                 solved[(gen_p, (k, m))] = f"{len(constraints)} suspension forcings"
     return DeloopResult(fragment=out, solved=solved)
 
 
-def _describe_failing_congruence(table, G, k, m, gen, constraints, target):
+def _solve_row_hom(row, target, constraints):
+    """A homomorphism h: row -> target as a matrix, with h(coeffs) = forced
+    in target for every (coeffs, forced) in constraints, or None.
+
+    Unknown h(gen_i)_t sits in column i*T + t (T = target.ngens). Each
+    constraint, then each relation of row (forced to 0), is one block of T
+    equations with its own slack over target's relations.
+    """
+    T = target.ngens
+    rows = [coeffs for coeffs, _ in constraints] + [row.rels.col(rc) for rc in range(row.rels.c)]
+    if not rows or not T:
+        return Mat(T, row.ngens)
+    A = kron(Mat.from_rows(rows), Mat.eye(T)).hstack(block_diagonal([target.rels] * len(rows)))
+    rhs = [x for _, forced in constraints for x in forced] + [0] * (T * row.rels.c)
+    sol = SmithSolver(A).solve_columns(Mat.column(rhs))
+    if sol is None:
+        return None
+    return Mat(T, row.ngens, [[sol.a[i * T + t][0] for i in range(row.ngens)] for t in range(T)])
+
+
+def _describe_failing_congruence(table, k, m, gen, constraints, target):
     # find a single unsatisfiable congruence for the witness if one exists
-    for coeffs, forced, theta_bar in constraints:
-        nz = [(i, c) for i, c in enumerate(coeffs) if c]
-        row = table.group(k, m)
-        nunk = row.ngens * target.ngens
-        rows_sys = []
-        rhs_sys = []
-        for t in range(target.ngens):
-            line = [0] * nunk
-            for i, c in enumerate(coeffs):
-                line[i * target.ngens + t] = c
-            rows_sys.append(line)
-            rhs_sys.append(forced[t])
-        for rc in range(row.rels.c):
-            for t in range(target.ngens):
-                line = [0] * nunk
-                for i in range(row.ngens):
-                    line[i * target.ngens + t] = row.rels.a[i][rc]
-                rows_sys.append(line)
-                rhs_sys.append(0)
-        A = Mat.from_rows(rows_sys, c=nunk)
-        if target.rels.c:
-            ngroups = len(rows_sys) // target.ngens
-            ext = Mat(len(rows_sys), target.rels.c * ngroups)
-            for gidx in range(ngroups):
-                for t in range(target.ngens):
-                    for c in range(target.rels.c):
-                        ext.a[gidx * target.ngens + t][gidx * target.rels.c + c] = target.rels.a[t][c]
-            A = A.hstack(ext)
-        if SmithSolver(A).solve_columns(Mat.column(rhs_sys)) is None:
+    row = table.group(k, m)
+    for coeffs, forced in constraints:
+        if _solve_row_hom(row, target, [(coeffs, forced)]) is None:
+            nz = [(i, c) for i, c in enumerate(coeffs) if c]
             names = table.gens[(k, m)]
             combo = " + ".join(f"{c}*{names[i]}" for i, c in nz) if nz else "0"
             return Obstruction(

@@ -239,8 +239,12 @@ def hdeg_from_json(data, V):
 
 
 def load(path):
+    """The JSON object in the file at path; any other top-level value is a SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object at the top level, found {type(data).__name__}")
+    return data
 
 
 def save(path, data):

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import PresentedGroup, quotient, subgroup
+from .abelian import PresentedGroup, joint_kernel, quotient, subgroup
 from .delta_core import SAb, is_reedy_fibrant, matching_object, push_face_through, verify_identities
-from .intlin import Mat, SmithSolver, kernel_mod_lattice
+from .intlin import Mat, SmithSolver, kernel_mod_lattice, vstack_all
 from .simplicial import StructuralError
 from .words import DegeneracyWord, canonical_degeneracy_words
 
@@ -57,17 +57,7 @@ def boundary_matrix(V, m):
 def fiber_lattice(V, m):
     """Basis of the joint kernel of every face at level m (the directions a
     lifting problem cannot see)."""
-    rows = None
-    for i in range(m + 1):
-        d = V.face(m, i)
-        rows = d if rows is None else rows.vstack(d)
-    low = V.levels[m - 1]
-    rel = Mat(rows.r, (m + 1) * low.rels.c)
-    for b in range(m + 1):
-        for r in range(low.ngens):
-            for c in range(low.rels.c):
-                rel.a[b * low.ngens + r][b * low.rels.c + c] = low.rels.a[r][c]
-    return kernel_mod_lattice(rows, rel)
+    return joint_kernel(V.faces[m], [V.levels[m - 1]] * (m + 1))
 
 
 def section_defects(V, hdeg):
@@ -85,42 +75,16 @@ def section_defects(V, hdeg):
 
 def _in_nullhomotopy_span(V, src_level, dst_level, resid):
     """resid : V_src -> V_dst expressible as boundary . A + B . boundary?"""
+    sys_ = _StageSystem()
     terms = []
     if dst_level + 1 <= V.cap:
-        terms.append(("A", boundary_matrix(V, dst_level + 1), None, V.rank(dst_level + 1)))
+        sys_.add_unknown("A", V.rank(dst_level + 1), V.rank(src_level))
+        terms.append((boundary_matrix(V, dst_level + 1), "A", Mat.eye(V.rank(src_level))))
     if src_level >= 1:
-        terms.append(("B", None, boundary_matrix(V, src_level), V.rank(src_level - 1)))
-    cols = []
-    g_dst, g_src = V.rank(dst_level), V.rank(src_level)
-    for (_, left, right, aux) in terms:
-        if left is not None:
-            for u in range(aux):
-                for v in range(g_src):
-                    col = [0] * (g_dst * g_src)
-                    for r in range(g_dst):
-                        if left.a[r][u]:
-                            col[r * g_src + v] = left.a[r][u]
-                    cols.append(col)
-        else:
-            for u in range(g_dst):
-                for v in range(aux):
-                    col = [0] * (g_dst * g_src)
-                    for c in range(g_src):
-                        if right.a[v][c]:
-                            col[u * g_src + c] = right.a[v][c]
-                    cols.append(col)
-    rels = V.levels[dst_level].rels
-    for rc in range(rels.c):
-        for v in range(g_src):
-            col = [0] * (g_dst * g_src)
-            for r in range(g_dst):
-                col[r * g_src + v] = rels.a[r][rc]
-            cols.append(col)
-    target = [resid.a[r][c] for r in range(g_dst) for c in range(g_src)]
-    if not cols:
-        return all(x == 0 for x in target)
-    A = Mat(g_dst * g_src, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(g_dst * g_src)])
-    return SmithSolver(A).solve_columns(Mat.column(target)) is not None
+        sys_.add_unknown("B", V.rank(dst_level), V.rank(src_level - 1))
+        terms.append((Mat.eye(V.rank(dst_level)), "B", boundary_matrix(V, src_level)))
+    sys_.add_equation(terms, resid, target_rels=V.levels[dst_level].rels)
+    return sys_.solve()[0] is not None
 
 
 @dataclass
@@ -162,7 +126,7 @@ def split_complement(V, n, state):
     sys_.add_equation([(IL, "r", incl.mat)], IL, target_rels=L.rels)
     if level.rels.c:
         sys_.add_equation([(IL, "r", level.rels)], Mat(gL, level.rels.c), target_rels=L.rels)
-    sol = sys_.solve()
+    sol, _ = sys_.solve()
     if sol is None:
         coker, _ = quotient(level, incl.mat)
         torsion = tuple(d for d in coker.invariant_factors() if d != 0)
@@ -201,10 +165,7 @@ def rho_map(V, state, n):
     mo = matching_object(V, n + 1)
     solver = SmithSolver(mo.inclusion.hstack(mo.ambient.rels))
     for w, comps in components.items():
-        stacked = None
-        for c in comps:
-            stacked = c if stacked is None else stacked.vstack(c)
-        if solver.solve_columns(stacked) is None:
+        if solver.solve_columns(vstack_all(comps)) is None:
             raise StructuralError(f"face prescription for word {w.describe()} leaves the matching object")
     return components
 
@@ -262,45 +223,25 @@ class _StageSystem:
                 self.rows.append(line)
                 self.rhs.append(rhs.a[a][b])
 
-    def pad(self):
-        width = self.total
-        for i, line in enumerate(self.rows):
-            if len(line) < width:
-                self.rows[i] = line + [0] * (width - len(line))
-
     def solve(self):
-        self.pad()
-        if self.total == 0:
-            if any(x != 0 for x in self.rhs):
-                return None
-            return {name: Mat(xr, xc) for name, (xr, xc, _) in self.unknowns.items()}
-        A = Mat.from_rows(self.rows, c=self.total) if self.rows else Mat(0, self.total, [])
-        sol = SmithSolver(A).solve_columns(Mat.column(self.rhs)) if self.rows else Mat(self.total, 1)
+        """(matrix per unknown, None), or (None, a residue naming the first
+        failing equation of the system's SNF)."""
+        A = Mat(len(self.rows), self.total, [line + [0] * (self.total - len(line)) for line in self.rows])
+        solver = SmithSolver(A)
+        b = Mat.column(self.rhs)
+        sol = solver.solve_columns(b)
         if sol is None:
-            return None
+            UB = solver.U @ b
+            for i in range(solver.rank):
+                d = solver.D.a[i][i]
+                if UB.a[i][0] % d:
+                    return None, f"congruence {UB.a[i][0]} = 0 (mod {d}) fails; residue {UB.a[i][0] % d}"
+            i = next(i for i in range(solver.rank, A.r) if UB.a[i][0])
+            return None, f"equation 0 = {UB.a[i][0]} fails; residue {UB.a[i][0]}"
         out = {}
         for name, (xr, xc, off) in self.unknowns.items():
-            M = Mat(xr, xc)
-            for u in range(xr):
-                for v in range(xc):
-                    M.a[u][v] = sol.a[off + u * xc + v][0]
-            out[name] = M
-        return out
-
-    def first_inconsistency(self):
-        """A human-readable residue for an infeasible system."""
-        self.pad()
-        A = Mat.from_rows(self.rows, c=self.total) if self.rows else Mat(0, max(self.total, 1), [])
-        solver = SmithSolver(A)
-        UB = solver.U @ Mat.column(self.rhs)
-        for i in range(solver.rank):
-            d = solver.D.a[i][i]
-            if UB.a[i][0] % d:
-                return f"congruence {UB.a[i][0]} = 0 (mod {d}) fails; residue {UB.a[i][0] % d}"
-        for i in range(solver.rank, A.r):
-            if UB.a[i][0]:
-                return f"equation 0 = {UB.a[i][0]} fails; residue {UB.a[i][0]}"
-        return "system consistent"
+            out[name] = Mat(xr, xc, [[sol.a[off + u * xc + v][0] for v in range(xc)] for u in range(xr)])
+        return out, None
 
 
 @dataclass
@@ -375,16 +316,12 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
         for w, comps in rho.items():
             mat = _word_matrix(V, state, w, w.source_dim)
             for i in range(n + 2):
-                got = V.face(n + 1, i) @ mat
-                diff = got - comps[i]
-                solver = V.levels[n]._snf
-                for c in range(diff.c):
-                    if not solver.contains_column(diff.col(c)):
-                        raise SynthesisFailure(
-                            stage=n,
-                            congruence=f"face d_{i} of word {w.describe()} disagrees with its prescription",
-                            detail="post-solve verification failed",
-                        )
+                if V.levels[n].first_nonzero_column(V.face(n + 1, i) @ mat - comps[i]) is not None:
+                    raise SynthesisFailure(
+                        stage=n,
+                        congruence=f"face d_{i} of word {w.describe()} disagrees with its prescription",
+                        detail="post-solve verification failed",
+                    )
     W = SAb(V.levels, V.faces, {n: state[n] for n in range(V.cap)}, V.cap)
     report = verify_identities(W)
     if not report.ok:
@@ -393,19 +330,15 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
 
 
 def _stage_strict_ok(V, state, rho, candidates, n):
-    solver = V.levels[n]._snf
-    up_solver = V.levels[n + 1]._snf
     for j in range(n + 1):
-        w = DegeneracyWord(n, (j,))
-        comps = rho[w]
+        comps = rho[DegeneracyWord(n, (j,))]
         for i in range(n + 2):
-            diff = V.face(n + 1, i) @ candidates[j] - comps[i]
-            if any(not solver.contains_column(diff.col(c)) for c in range(diff.c)):
+            if V.levels[n].first_nonzero_column(V.face(n + 1, i) @ candidates[j] - comps[i]) is not None:
                 return False
     for j in range(n + 1):
         for l in range(j, n):
             diff = candidates[j] @ state[n - 1][l] - candidates[l + 1] @ state[n - 1][j]
-            if any(not up_solver.contains_column(diff.col(c)) for c in range(diff.c)):
+            if V.levels[n + 1].first_nonzero_column(diff) is not None:
                 return False
     return True
 
@@ -463,9 +396,9 @@ def _solve_stage(V, state, rho, candidates, n, with_tie):
         for j in range(n + 1):
             terms, const = xterms(j, Irn1, V.levels[n].rels)
             sys_.add_equation(terms, Mat(rn1, V.levels[n].rels.c) - const, target_rels=V.levels[n + 1].rels)
-    sol = sys_.solve()
+    sol, residue = sys_.solve()
     if sol is None:
-        return None, sys_.first_inconsistency()
+        return None, residue
     out = []
     for j in range(n + 1):
         if tie:

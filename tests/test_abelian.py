@@ -10,13 +10,14 @@ from delooper.abelian import (
     homology,
     image,
     induced_on_homology,
+    joint_kernel,
     kernel,
     kron,
     quotient,
     subgroup,
     tensor,
 )
-from delooper.intlin import Mat
+from delooper.intlin import Mat, SmithSolver, kernel_mod_lattice
 
 
 def test_invariant_factors_canonical():
@@ -158,3 +159,50 @@ def test_invariant_factors_divisibility_chain(G):
     for a, b in zip(tors, tors[1:]):
         assert b % a == 0
     assert all(d == 0 for d in facs[len(tors):])
+
+
+@st.composite
+def group_and_matrix(draw):
+    """A group (free when it has no relation columns, possibly on 0
+    generators) and a matrix whose columns are elements of it, some of
+    them forced into the relation lattice."""
+    n = draw(st.integers(0, 3))
+    r = draw(st.integers(0, 3))
+    G = PresentedGroup(n, Mat(n, r, [[draw(st.integers(-4, 4)) for _ in range(r)] for _ in range(n)]))
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        if r and draw(st.booleans()):
+            coeffs = [draw(st.integers(-2, 2)) for _ in range(r)]
+            cols.append([sum(G.rels.a[i][j] * coeffs[j] for j in range(r)) for i in range(n)])
+        else:
+            cols.append([draw(st.integers(-3, 3)) for _ in range(n)])
+    return G, Mat(n, len(cols), [[col[i] for col in cols] for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(group_and_matrix())
+def test_first_nonzero_column_agrees_with_contains_column(case):
+    G, M = case
+    solver = SmithSolver(G.rels)
+    expected = next((j for j in range(M.c) if not solver.contains_column(M.col(j))), None)
+    assert G.first_nonzero_column(M) == expected
+
+
+def test_joint_kernel_matches_kernel_mod_lattice():
+    # x with (x0 + x1) zero in Z/2 and (x1 - x2) zero in Z/3
+    maps = [Mat.from_rows([[1, 1, 0]]), Mat.from_rows([[0, 1, -1]])]
+    groups = [PresentedGroup.cyclic(2), PresentedGroup.cyclic(3)]
+    K = joint_kernel(maps, groups)
+    assert K == kernel_mod_lattice(Mat.from_rows([[1, 1, 0], [0, 1, -1]]), Mat.from_rows([[2, 0], [0, 3]]))
+    solver = SmithSolver(K)
+    assert solver.contains_column([1, 1, 1])
+    assert solver.contains_column([2, 0, 0])
+    assert solver.contains_column([0, 0, 3])
+    assert not solver.contains_column([1, 0, 0])
+    assert not solver.contains_column([0, 0, 1])
+
+
+def test_direct_sum_of_nothing_is_trivial():
+    G, offsets = direct_sum([])
+    assert (G.ngens, G.rels.c, offsets) == (0, 0, [])
+    assert G.is_trivial()

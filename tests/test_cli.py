@@ -74,6 +74,17 @@ def corpus(name):
         (("moore", "corpus/resolution.bisab.json"), 2),
         (("verify", "corpus/resolution.bisab.json"), 2),
         (("--cap", "-1", "moore", "corpus/zs1.dsab.json"), 2),
+        # a JSON file whose top level is not an object is an input error
+        (("verify", "tests/data/top_level_list.json"), 2),
+        (("deloop", "tests/data/top_level_list.json"), 2),
+        (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "tests/data/top_level_list.json"), 2),
+        (("--table", "tests/data/top_level_list.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        # --window takes two degrees; moore's lo must not exceed hi, e2's pair is unordered
+        (("--window", "3,1", "moore", "corpus/zs1.dsab.json"), 2),
+        (("--window=0,-1", "moore", "corpus/zs1.dsab.json"), 2),
+        (("--window=0,-1", "e2", "corpus/resolution.bisab.json"), 2),
+        (("--window", "1", "moore", "corpus/zs1.dsab.json"), 2),
+        (("--window", "1,0", "e2", "corpus/resolution.bisab.json"), 0),
     ],
 )
 def test_exit_code_contract(args, expected):

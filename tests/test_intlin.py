@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from delooper.intlin import (
     Mat,
     SmithSolver,
+    block_diagonal,
     column_basis,
+    invert_unimodular,
     kernel_mod_lattice,
     nullspace,
     smith_normal_form,
@@ -132,3 +134,24 @@ def test_zero_shapes():
     B = Mat(3, 0, [[], [], []])
     D, U, V = smith_normal_form(B)
     assert D.c == 0
+
+
+def test_block_diagonal_places_blocks_in_order():
+    A = Mat.from_rows([[1, 2]])
+    B = Mat.from_rows([[3], [4]])
+    assert block_diagonal([A, B]) == Mat.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+
+
+def test_block_diagonal_of_no_blocks_and_of_empty_blocks():
+    assert block_diagonal([]) == Mat(0, 0, [])
+    # blocks with no columns still contribute their rows
+    E = Mat(2, 0, [[], []])
+    assert block_diagonal([E, Mat.from_rows([[5]]), E]) == Mat.from_rows([[0], [0], [5], [0], [0]])
+    assert block_diagonal([E, E]) == Mat(4, 0, [[], [], [], []])
+
+
+def test_invert_unimodular():
+    A = Mat.from_rows([[2, 1], [1, 1]])
+    assert A @ invert_unimodular(A) == Mat.eye(2)
+    with pytest.raises(ValueError):
+        invert_unimodular(Mat.from_rows([[2, 0], [0, 1]]))
