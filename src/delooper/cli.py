@@ -366,10 +366,22 @@ def main(argv=None):
             **extra,
         }
     except (StructuralError, schemas.SchemaError, ResourceError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(json.dumps({"command": args.command, "verdict": "input-error", "error": str(exc)}))
+        _emit(json.dumps({"command": args.command, "verdict": "input-error", "error": str(exc)}))
         return USAGE
-    print(json.dumps(report, indent=1, default=str))
+    _emit(json.dumps(report, indent=1, default=str))
     return code
+
+
+def _emit(text):
+    """Print a report. If the reader closed stdout early (``... | head``),
+    send the rest to os.devnull, as the ``signal`` module documentation
+    advises, so that neither this write nor the flush at exit prints a
+    traceback; the exit code stays the verdict's."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -302,3 +302,17 @@ def test_star_check_failure_witness_in_generator_coordinates(tmp_path, monkeypat
     G = target.levels[1]
     assert list(lhs) == G.canon_vector([4, 4]) != list(G.canon([4, 4]))
     assert list(rhs) == G.canon_vector([1, 1]) != list(G.canon([1, 1]))
+
+
+@pytest.mark.parametrize("argv", [("perm", "enum", "3"), ("simplex", "index", "3"), ("verify", "corpus/nope.json")])
+def test_closed_stdout_prints_no_traceback(argv):
+    """A reader that stops early (``delooper ... | head -1``) closes the pipe;
+    the report write must then fail quietly."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "delooper.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT
+    )
+    proc.stdout.close()  # the only read end: every write to stdout now fails
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 2)
+    assert stderr == b""

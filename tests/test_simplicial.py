@@ -83,3 +83,16 @@ def test_enumeration_between_models():
     # vertex 1 can go to the basepoint only; the edge then to * or the cell
     # whose faces are both *: one nontrivial map plus the collapse
     assert len(from_d1) == 2
+
+
+def test_pointed_map_search_bound_fails_fast():
+    import time
+
+    from delooper.permutohedron import ResourceError
+
+    # a 7-simplex at cap 1: 8^7 assignments of its non-base vertices
+    D7 = standard_simplex(7, 1)
+    started = time.perf_counter()
+    with pytest.raises(ResourceError):
+        enumerate_pointed_maps(D7, D7)
+    assert time.perf_counter() - started < 1.0

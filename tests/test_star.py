@@ -1,17 +1,22 @@
+import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delooper.abelian import PresentedGroup
 from delooper.intlin import Mat
 from delooper.moore import ChainComplex, dold_kan
+from delooper.permutohedron import ResourceError
 from delooper.simplicial import BASE, enumerate_pointed_maps, sphere, standard_simplex, zero_sphere
 from delooper.star import (
+    PRACTICAL_LEVEL_ORDER,
     AbelianTarget,
+    FiniteGroupLevel,
     TargetMap,
     check_condition_star,
     check_functoriality,
@@ -52,6 +57,17 @@ CRITERION_4_SHAPES = [
     if any(orders)
     and all(math.prod(c ** math.comb(n, m) for m, c in enumerate(orders[: n + 1]) if c) <= 64 for n in range(cap + 1))
 ]
+
+
+@functools.cache
+def s3_target():
+    """The codiscrete target of the symmetric group S_3, cap 2."""
+    elems = ["e", "r", "rr", "s", "sr", "srr"]
+    perm = {"e": (0, 1, 2), "r": (1, 2, 0), "rr": (2, 0, 1), "s": (0, 2, 1), "sr": (2, 1, 0), "srr": (1, 0, 2)}
+    names = {v: k for k, v in perm.items()}
+    mult = {(a, b): names[tuple(perm[a][perm[b][i]] for i in range(3))] for a in elems for b in elems}
+    inv = {a: next(b for b in elems if mult[(a, b)] == "e") for a in elems}
+    return codiscrete_target(elems, mult, inv, "e", 2)
 
 
 def all_target_maps(A, K):
@@ -207,12 +223,7 @@ def test_condition_star_strict_targets():
 
 
 def test_condition_star_nonabelian():
-    elems = ["e", "r", "rr", "s", "sr", "srr"]
-    perm = {"e": (0, 1, 2), "r": (1, 2, 0), "rr": (2, 0, 1), "s": (0, 2, 1), "sr": (2, 1, 0), "srr": (1, 0, 2)}
-    names = {v: k for k, v in perm.items()}
-    mult = {(a, b): names[tuple(perm[a][perm[b][i]] for i in range(3))] for a in elems for b in elems}
-    inv = {a: next(b for b in elems if mult[(a, b)] == "e") for a in elems}
-    K = codiscrete_target(elems, mult, inv, "e", 2)
+    K = s3_target()
     D1 = standard_simplex(1, 2)
     F = milnor_F(D1)
     maps = all_target_maps(D1, K)
@@ -327,3 +338,128 @@ def test_smith_coordinates_agree_with_generator_coordinates(orders, seed):
             for j in range(n + 1 if n < K.cap else 0):
                 degeneracy = K.sab.degeneracy(n, j).apply(va)
                 assert K.to_generators(n + 1, K.degeneracy(n, j, a)) == levels[n + 1].canon_vector(degeneracy)
+
+
+def all_pairs_multiplicative(h, K, L):
+    """The definition: h(ab) = h(a)h(b) for every pair, levelwise."""
+    for n in range(K.cap + 1):
+        elements = K.elements(n)
+        for a in elements:
+            for b in elements:
+                if h(n, K.mul(n, a, b)) != L.mul(n, h(n, a), h(n, b)):
+                    return False
+    return True
+
+
+def power(K, n, x, k):
+    y = K.identity(n)
+    for _ in range(abs(k)):
+        y = K.mul(n, y, x)
+    return y if k >= 0 else K.inv(n, y)
+
+
+MAP_KINDS = ["scale", "scale-one-changed", "translate", "conjugate", "move-identity"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_generator_check_agrees_with_all_pairs(data):
+    """is_strictly_multiplicative, which tests pairs (a, generator), gives
+    the all-pairs verdict, and any witness pair really fails."""
+    kind = data.draw(st.sampled_from(MAP_KINDS))
+    if kind == "move-identity":
+        # only an order-1 level can hide a moved identity from the pairs
+        # (a, g): it has no generators
+        K = cyclic_target(data.draw(st.sampled_from([o for o in CRITERION_4_SHAPES if o[0] == 0])))
+        L = cyclic_target((2,) * (K.cap + 1))
+        tables = [{x: L.identity(n) for x in K.elements(n)} for n in range(K.cap + 1)]
+        tables[0][K.identity(0)] = L.elements(0)[1]
+    else:
+        orders = data.draw(st.sampled_from(CRITERION_4_SHAPES + [None]))
+        K = L = s3_target() if orders is None else cyclic_target(orders)
+        tables = []
+        for n in range(K.cap + 1):
+            elements = K.elements(n)
+            pick = data.draw(st.integers(0, len(elements) - 1))
+            if kind in ("scale", "scale-one-changed"):
+                k = data.draw(st.integers(-1, 3))
+                table = {x: power(K, n, x, k) for x in elements}
+            elif kind == "translate":
+                table = {x: K.mul(n, x, elements[pick]) for x in elements}
+            else:
+                c = elements[pick]
+                table = {x: K.mul(n, K.mul(n, c, x), K.inv(n, c)) for x in elements}
+            tables.append(table)
+        if kind == "scale-one-changed":
+            n = data.draw(st.integers(0, K.cap))
+            elements = K.elements(n)
+            x, y = data.draw(st.lists(st.sampled_from(elements), min_size=2, max_size=2))
+            tables[n][x] = y
+    def h(n, x):
+        return tables[n][x]
+
+    ok, witness = is_strictly_multiplicative(h, K, L)
+    assert ok == all_pairs_multiplicative(h, K, L)
+    if kind == "move-identity":
+        assert witness == (0, K.identity(0), K.identity(0))
+    if not ok:
+        n, a, b = witness
+        assert h(n, K.mul(n, a, b)) != L.mul(n, h(n, a), h(n, b))
+        assert b in K.generators(n) or a == b == K.identity(n)
+
+
+def test_generators_generate_every_level():
+    targets = [cyclic_target(orders) for orders in CRITERION_4_SHAPES] + [s3_target()]
+    for K in targets:
+        for n in range(K.cap + 1):
+            gens = K.generators(n)
+            span = {K.identity(n)}
+            frontier = list(span)
+            while frontier:
+                frontier = [y for y in {K.mul(n, a, g) for a in frontier for g in gens} if y not in span]
+                span.update(frontier)
+            assert span == set(K.elements(n))
+            if isinstance(K, AbelianTarget):
+                assert len(gens) == sum(d != 1 for d in K._moduli[n])
+    assert [len(s3_target().generators(n)) for n in range(3)] == [2, 4, 6]
+
+
+def magma(k, products):
+    """A multiplication on 0..k-1 with identity 0 and the other products
+    from the list; each element gets a right inverse, forced if need be."""
+    mult = {(a, b): a + b if 0 in (a, b) else products[(a - 1) * (k - 1) + b - 1] for a in range(k) for b in range(k)}
+    inverse = {0: 0}
+    for a in range(1, k):
+        inverse[a] = next((b for b in range(k) if mult[(a, b)] == 0), a)
+        mult[(a, inverse[a])] = 0
+    return FiniteGroupLevel(elements=list(range(k)), mult=mult, inverse=inverse, identity=0)
+
+
+def all_triples_group(G):
+    els, m, e = G.elements, G.mult, G.identity
+    if any(m[(a, e)] != a or m[(e, a)] != a or m[(a, G.inverse[a])] != e for a in els):
+        return False
+    return all(m[(m[(a, b)], c)] == m[(a, m[(b, c)])] for a in els for b in els for c in els)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=(k - 1) ** 2, max_size=(k - 1) ** 2))))
+@example((4, [2, 3, 0, 3, 0, 1, 0, 1, 2]))  # Z/4
+@example((4, [0, 3, 2, 3, 0, 1, 2, 1, 0]))  # Klein four-group
+@example((3, [2, 0, 0, 1]))  # Z/3
+@example((3, [0, 1, 2, 0]))  # identity and inverses, (1*1)*2 = 2 != 1*(1*2) = 0
+def test_light_associativity_test_agrees_with_all_triples(case):
+    G = magma(*case)
+    assert G.check() == all_triples_group(G)
+
+
+def test_level_order_bound_fails_fast():
+    started = time.perf_counter()
+    assert len(cyclic_target((PRACTICAL_LEVEL_ORDER,)).elements(0)) == PRACTICAL_LEVEL_ORDER
+    with pytest.raises(ResourceError):
+        cyclic_target((10**12,)).elements(0)
+    with pytest.raises(ResourceError):
+        cyclic_target((64, 0, 64, 2)).elements(3)  # order 64 * 64^3 * 2
+    with pytest.raises(ResourceError):
+        FiniteGroupLevel(elements=list(range(PRACTICAL_LEVEL_ORDER + 1)), mult={}, inverse={}, identity=0).check()
+    assert time.perf_counter() - started < 1.0
