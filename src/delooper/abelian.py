@@ -23,7 +23,6 @@ class PresentedGroup:
             raise ValueError("relation matrix must have one row per generator")
         self.rels = rels
         self._snf = SmithSolver(rels)
-        self._inv = None
 
     @staticmethod
     def free(n):
@@ -52,15 +51,7 @@ class PresentedGroup:
         """Hash-stable canonical representative key of the coset of v."""
         if len(v) != self.ngens:
             raise ValueError("element length mismatch")
-        y = self._snf.U.apply(v)
-        out = []
-        for i in range(self.ngens):
-            if i < self._snf.rank:
-                d = self._snf.D.a[i][i]
-                out.append(y[i] % d)
-            else:
-                out.append(y[i])
-        return tuple(out)
+        return self._snf.reduce(v)
 
     def canon_vector(self, v):
         """Canonical coset representative, expressed back in generator coordinates."""
@@ -74,22 +65,11 @@ class PresentedGroup:
 
     def first_nonzero_column(self, M):
         """Index of the first column of M that is not zero in this group, or None."""
-        snf = self._snf
-        UM = snf.U @ M
-        for c in range(M.c):
-            col = [row[c] for row in UM.a]
-            if any(col[i] % snf.D.a[i][i] for i in range(snf.rank)) or any(col[snf.rank :]):
-                return c
-        return None
+        return next((c for c, y in enumerate(self._snf.reduce_columns(M)) if any(y)), None)
 
     def invariant_factors(self):
         """Nontrivial invariant factors, divisibility-ascending, 0 meaning Z."""
-        if self._inv is None:
-            D = self._snf.D
-            tors = [D.a[i][i] for i in range(self._snf.rank) if D.a[i][i] != 1]
-            free = self.ngens - self._snf.rank
-            self._inv = tuple(tors + [0] * free)
-        return self._inv
+        return tuple(d for d in self._snf.moduli if d != 1)
 
     def is_trivial(self):
         return self.invariant_factors() == ()
@@ -112,13 +92,7 @@ class PresentedGroup:
         if self.order() is None:
             raise ValueError("cannot enumerate an infinite group")
         uinv = self._snf.Uinv
-        ranges = []
-        for i in range(self.ngens):
-            if i < self._snf.rank:
-                ranges.append(range(self._snf.D.a[i][i]))
-            else:
-                ranges.append(range(1))
-        for y in itertools.product(*ranges):
+        for y in itertools.product(*(range(d) for d in self._snf.moduli)):
             yield uinv.apply(list(y))
 
     def describe(self):

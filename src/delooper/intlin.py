@@ -8,6 +8,8 @@ Shapes are carried explicitly so zero-dimensional edges stay well typed.
 
 from __future__ import annotations
 
+import operator
+
 
 class Mat:
     """An r-by-c integer matrix; rows are lists."""
@@ -74,7 +76,7 @@ class Mat:
         """Matrix times a plain integer vector."""
         if self.c != len(v):
             raise ValueError("apply shape mismatch")
-        return [sum(row[j] * v[j] for j in range(self.c)) for row in self.a]
+        return [sum(map(operator.mul, row, v)) for row in self.a]
 
     def __add__(self, other):
         self._same_shape(other)
@@ -192,7 +194,16 @@ def smith_normal_form(A):
 
 
 class SmithSolver:
-    """Caches the SNF of A to answer many A x = b queries."""
+    """The SNF D = U A V of A, kept to answer many questions about the
+    column lattice L of A.
+
+    ``moduli`` has one entry per row of A: d_i for i < rank, 0 beyond.
+    ``reduce(v)`` is the tuple U v with coordinate i reduced mod moduli[i]
+    where that is nonzero; two vectors have the same tuple exactly when
+    their difference lies in L, so it is the key of v's coset modulo L.
+    Callers read the Smith form only through these two (``reduce_columns``
+    is ``reduce`` of every column of a matrix).
+    """
 
     def __init__(self, A):
         self.A = A
@@ -201,6 +212,7 @@ class SmithSolver:
         while r < min(A.r, A.c) and self.D.a[r][r] != 0:
             r += 1
         self.rank = r
+        self.moduli = tuple([self.D.a[i][i] for i in range(r)] + [0] * (A.r - r))
         self._uinv = None
 
     @property
@@ -210,36 +222,39 @@ class SmithSolver:
             self._uinv = invert_unimodular(self.U)
         return self._uinv
 
+    def reduce(self, v):
+        """The Smith coordinates of v, each reduced mod its nonzero modulus."""
+        return self._reduced(self.U.apply(v))
+
+    def reduce_columns(self, M):
+        """reduce of each column of M, from one product U @ M."""
+        UM = self.U @ M
+        return [self._reduced([row[c] for row in UM.a]) for c in range(M.c)]
+
+    def _reduced(self, y):
+        return tuple([x % d if d else x for x, d in zip(y, self.moduli)])
+
     def solve_columns(self, B):
         """Particular solution X with A @ X = B, or None. Free coords set to 0."""
         if self.A.r != B.r:
             raise ValueError("solve shape mismatch")
         UB = self.U @ B
-        X = Mat(self.A.c, B.c)
-        for c in range(B.c):
-            y = [0] * self.A.c
-            for i in range(self.rank):
-                d = self.D.a[i][i]
-                if UB.a[i][c] % d:
-                    return None
-                y[i] = UB.a[i][c] // d
-            for i in range(self.rank, self.A.r):
-                if UB.a[i][c]:
-                    return None
-            for i in range(self.A.c):
-                X.a[i][c] = sum(self.V.a[i][j] * y[j] for j in range(self.rank))
-        return X
+        if any(any(self._reduced(col)) for col in zip(*UB.a)):
+            return None
+        Y = Mat(self.rank, B.c, [[x // d for x in row] for row, d in zip(UB.a, self.moduli[: self.rank])])
+        return _columns(self.V, 0, self.rank) @ Y
 
     def nullspace(self):
         """Basis (columns) of the integer kernel of A."""
-        return Mat(
-            self.A.c,
-            self.A.c - self.rank,
-            [[self.V.a[i][j] for j in range(self.rank, self.A.c)] for i in range(self.A.c)],
-        )
+        return _columns(self.V, self.rank, self.A.c)
 
     def contains_column(self, b):
-        return self.solve_columns(Mat.column(b)) is not None
+        return not any(self.reduce(b))
+
+
+def _columns(M, lo, hi):
+    """The columns lo..hi-1 of M."""
+    return Mat(M.r, hi - lo, [row[lo:hi] for row in M.a])
 
 
 def solve(A, B):
@@ -292,12 +307,8 @@ def kernel_mod_lattice(A, L):
 def column_basis(A):
     """A basis (as columns) for the lattice spanned by the columns of A.
 
-    From D = U A V: the column lattice of A equals that of U^{-1} D, whose
-    nonzero columns d_i * Uinv[:,i] are independent. Deterministic.
+    From D = U A V: A V = U^{-1} D, whose first rank columns d_i * U^{-1}[:, i]
+    are independent and span the column lattice of A. Deterministic.
     """
     snf = SmithSolver(A)
-    r = snf.rank
-    if r == 0:
-        return Mat(A.r, 0, [[] for _ in range(A.r)])
-    D, Uinv = snf.D, snf.Uinv
-    return Mat(A.r, r, [[D.a[j][j] * Uinv.a[i][j] for j in range(r)] for i in range(A.r)])
+    return A @ _columns(snf.V, 0, snf.rank)

@@ -24,6 +24,7 @@ from .abelian import (
 )
 from .delta_core import SAb, StructuralError
 from .intlin import Mat
+from .words import canonical_degeneracy_words
 
 
 @dataclass
@@ -142,31 +143,11 @@ def dold_kan(cpx, cap=None):
     if cap > cpx.cap:
         raise ValueError("cap exceeds the chain complex length")
 
-    def surjections(n, k):
-        out = []
-
-        def rec(prefix, cur):
-            if len(prefix) == n + 1:
-                if cur == k:
-                    out.append(tuple(prefix))
-                return
-            for v in (cur, cur + 1):
-                if v <= k and k - v <= n - len(prefix):
-                    prefix.append(v)
-                    rec(prefix, v)
-                    prefix.pop()
-
-        rec([0], 0)
-        return out
-
     summands = []
     offsets = []
     levels = []
     for n in range(cap + 1):
-        entry = []
-        for k in range(n, -1, -1):
-            for s in surjections(n, k):
-                entry.append((k, s))
+        entry = [(k, w.as_surjection()) for k in range(n, -1, -1) for w in canonical_degeneracy_words(k, n)]
         summands.append(entry)
         offs = {}
         parts = []

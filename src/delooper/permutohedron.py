@@ -143,11 +143,7 @@ def _block_words(delta, partition, deleted, memo):
         if word is None:
             gone = {deleted[b - 1] for b in range(1, len(deleted) + 1) if removed >> b & 1}
             alive = [v for v in range(delta.source_dim + 1) if v not in gone]
-            letters = []
-            for v in sorted(deleted[b - 1] for b in block):
-                letters.append(alive.index(v))
-                alive.remove(v)
-            word = memo[key] = FaceWord(delta.source_dim - len(gone), tuple(letters))
+            word = memo[key] = FaceWord.from_deleted(len(alive) - 1, [alive.index(deleted[b - 1]) for b in block])
         words.append(word)
         for b in block:
             removed |= 1 << b
@@ -208,17 +204,12 @@ def proper_factors(delta):
         rest = [deleted[i] for i in range(total) if not pre_mask >> i & 1]
         if not rest:
             continue
+        alive = [v for v in range(delta.source_dim + 1) if v not in pre]
         for mid_size in range(1, len(rest) + 1):
             for mid in itertools.combinations(rest, mid_size):
                 if not pre and len(mid) == total:
                     continue  # delta itself with identity outer words
-                alive = [v for v in range(delta.source_dim + 1) if v not in pre]
-                letters = []
-                for v in sorted(mid):
-                    letters.append(alive.index(v))
-                    alive.remove(v)
-                word = FaceWord(delta.source_dim - len(pre), tuple(letters)).normal_form()
-                found.add(word)
+                found.add(FaceWord.from_deleted(len(alive) - 1, [alive.index(v) for v in mid]))
     return ProperFactorCollection(delta=delta, factors=frozenset(found))
 
 

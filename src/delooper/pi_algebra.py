@@ -334,7 +334,7 @@ def free_fragment(summands, table, window):
             for idx, theta in enumerate(table.gens[(dim, m)]):
                 label = f"{name}.{theta}"
                 gen_names[m].append(label)
-                factors[m].append(table.group(dim, m).invariant_factors()[idx] if idx < len(table.group(dim, m).invariant_factors()) else 0)
+                factors[m].append(table.declared[(dim, m)][idx])
                 origin[label] = (name, dim, m, theta)
     # symbolic cross-summand Whitehead generators
     whitehead = {}

@@ -31,6 +31,22 @@ def _check_format(data, kind):
         raise SchemaError(f"expected a {kind} file, found kind {declared!r}")
 
 
+def _level(text, cap, step, what):
+    """The level n in the key of a map from level n to level n + step;
+    both levels must lie in 0..cap."""
+    n = int(text)
+    if not (0 <= n <= cap and 0 <= n + step <= cap):
+        raise SchemaError(f"{what}: a map from level {n} to level {n + step} leaves levels 0..{cap}")
+    return n
+
+
+def _per_level(rows, cap, what):
+    """A list with one entry per level 0..cap."""
+    if len(rows) != cap + 1:
+        raise SchemaError(f"{what}: expected {cap + 1} entries for cap {cap}, found {len(rows)}")
+    return rows
+
+
 def mat_to_json(M):
     return [row[:] for row in M.a]
 
@@ -75,16 +91,16 @@ def sset_to_json(K):
 def sset_from_json(data):
     _check_format(data, "sset")
     cap = int(data["cap"])
-    elements = [list(map(str, row)) for row in data["elements"]]
+    elements = [list(map(str, row)) for row in _per_level(data["elements"], cap, "elements")]
     faces = {}
     for n_str, tables in data["faces"].items():
-        n = int(n_str)
+        n = _level(n_str, cap, -1, f"faces key {n_str!r}")
         faces[n] = [
             {x: str(img) for x, img in zip(elements[n], table)} for table in tables
         ]
     degeneracies = {}
     for n_str, tables in data["degeneracies"].items():
-        n = int(n_str)
+        n = _level(n_str, cap, 1, f"degeneracies key {n_str!r}")
         degeneracies[n] = [
             {x: str(img) for x, img in zip(elements[n], table)} for table in tables
         ]
@@ -109,15 +125,15 @@ def dsab_to_json(V):
 def dsab_from_json(data):
     _check_format(data, "dsab")
     cap = int(data["cap"])
-    levels = [group_from_json(g) for g in data["levels"]]
+    levels = [group_from_json(g) for g in _per_level(data["levels"], cap, "levels")]
     faces = {}
     for n_str, mats in data["faces"].items():
-        n = int(n_str)
+        n = _level(n_str, cap, -1, f"faces key {n_str!r}")
         faces[n] = [mat_from_json(m, levels[n - 1].ngens, levels[n].ngens) for m in mats]
     if "degeneracies" in data:
         degs = {}
         for n_str, mats in data["degeneracies"].items():
-            n = int(n_str)
+            n = _level(n_str, cap, 1, f"degeneracies key {n_str!r}")
             degs[n] = [mat_from_json(m, levels[n + 1].ngens, levels[n].ngens) for m in mats]
         return SAb(levels, faces, degs, cap)
     return DeltaSAb(levels, faces, cap)
@@ -140,21 +156,24 @@ def bisab_to_json(B):
 def bisab_from_json(data):
     _check_format(data, "bisab")
     hcap, vcap = int(data["hcap"]), int(data["vcap"])
-    levels = [[group_from_json(data["levels"][p][q]) for q in range(vcap + 1)] for p in range(hcap + 1)]
+    levels = [
+        [group_from_json(g) for g in _per_level(column, vcap, f"levels[{p}]")]
+        for p, column in enumerate(_per_level(data["levels"], hcap, "levels"))
+    ]
 
-    def load_family(key, row_of, col_of):
+    def load_family(key, dp, dq):
         out = {}
         for pq, mats in data[key].items():
-            p, q = (int(x) for x in pq.split(","))
-            out[(p, q)] = [
-                mat_from_json(m, levels[row_of(p, q)][col_of(p, q)].ngens, levels[p][q].ngens) for m in mats
-            ]
+            p_str, q_str = pq.split(",")
+            what = f"{key} key {pq!r}"
+            p, q = _level(p_str, hcap, dp, what), _level(q_str, vcap, dq, what)
+            out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens) for m in mats]
         return out
 
-    h_faces = load_family("h_faces", lambda p, q: p - 1, lambda p, q: q)
-    v_faces = load_family("v_faces", lambda p, q: p, lambda p, q: q - 1)
-    h_degs = load_family("h_degeneracies", lambda p, q: p + 1, lambda p, q: q)
-    v_degs = load_family("v_degeneracies", lambda p, q: p, lambda p, q: q + 1)
+    h_faces = load_family("h_faces", -1, 0)
+    v_faces = load_family("v_faces", 0, -1)
+    h_degs = load_family("h_degeneracies", 1, 0)
+    v_degs = load_family("v_degeneracies", 0, 1)
     return BisimplicialAbelianGroup(levels, h_faces, v_faces, h_degs, v_degs, hcap, vcap)
 
 
@@ -233,7 +252,7 @@ def hdeg_from_json(data, V):
     _check_format(data, "hdeg")
     maps = {}
     for n_str, mats in data["maps"].items():
-        n = int(n_str)
+        n = _level(n_str, V.cap, 1, f"maps key {n_str!r}")
         maps[n] = [mat_from_json(m, V.rank(n + 1), V.rank(n)) for m in mats]
     return HomotopyDegeneracyData(maps=maps)
 

@@ -157,9 +157,7 @@ class AbelianTarget:
         self.sab = sab
         self.cap = sab.cap
         snfs = [G._snf for G in sab.levels]
-        self._moduli = [
-            tuple(snf.D.a[i][i] if i < snf.rank else 0 for i in range(G.ngens)) for G, snf in zip(sab.levels, snfs)
-        ]
+        self._moduli = [snf.moduli for snf in snfs]
         self._faces = {
             n: [snfs[n - 1].U @ d @ snfs[n].Uinv for d in sab.faces[n]] for n in range(1, self.cap + 1)
         }

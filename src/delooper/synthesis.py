@@ -228,16 +228,15 @@ class _StageSystem:
         failing equation of the system's SNF)."""
         A = Mat(len(self.rows), self.total, [line + [0] * (self.total - len(line)) for line in self.rows])
         solver = SmithSolver(A)
-        b = Mat.column(self.rhs)
-        sol = solver.solve_columns(b)
+        sol = solver.solve_columns(Mat.column(self.rhs))
         if sol is None:
-            UB = solver.U @ b
-            for i in range(solver.rank):
-                d = solver.D.a[i][i]
-                if UB.a[i][0] % d:
-                    return None, f"congruence {UB.a[i][0]} = 0 (mod {d}) fails; residue {UB.a[i][0] % d}"
-            i = next(i for i in range(solver.rank, A.r) if UB.a[i][0])
-            return None, f"equation 0 = {UB.a[i][0]} fails; residue {UB.a[i][0]}"
+            residues = solver.reduce(self.rhs)
+            i = next(i for i, x in enumerate(residues) if x)
+            d, x = solver.moduli[i], residues[i]
+            if d:
+                y = sum(u * b for u, b in zip(solver.U.a[i], self.rhs))
+                return None, f"congruence {y} = 0 (mod {d}) fails; residue {x}"
+            return None, f"equation 0 = {x} fails; residue {x}"
         out = {}
         for name, (xr, xc, off) in self.unknowns.items():
             out[name] = Mat(xr, xc, [[sol.a[off + u * xc + v][0] for v in range(xc)] for u in range(xr)])

@@ -85,6 +85,13 @@ def corpus(name):
         (("--window=0,-1", "e2", "corpus/resolution.bisab.json"), 2),
         (("--window", "1", "moore", "corpus/zs1.dsab.json"), 2),
         (("--window", "1,0", "e2", "corpus/resolution.bisab.json"), 0),
+        # a level key or level list outside the file's cap is an input error
+        (("verify", "tests/data/dsab_face_past_cap.json"), 2),
+        (("verify", "tests/data/dsab_degeneracy_past_cap.json"), 2),
+        (("verify", "tests/data/dsab_short_levels.json"), 2),
+        (("verify", "tests/data/sset_face_past_cap.json"), 2),
+        (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "tests/data/hdeg_key_past_cap.json"), 2),
+        (("e2", "tests/data/bisab_key_past_cap.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):

@@ -51,6 +51,13 @@ def test_bundled_s3_fragment_validates(table):
     assert report.ok, report.problems
 
 
+def test_free_fragment_copies_declared_factors_in_generator_order(table):
+    # pi_7 S^4 is declared Z + Z/12 on (nu4, a4); its invariant factors run (12, 0)
+    frag = free_fragment([("s", 4)], table, (4, 8))
+    assert frag.gen_names[7] == ["s.nu4", "s.a4"]
+    assert frag.groups[7].rels == PresentedGroup.from_factors([0, 12]).rels
+
+
 def test_validate_flags_forced_additivity_failure(table):
     frag = free_fragment([("s", 3)], table, (3, 6))
     # eta has order 2 in the table, so 2 * (eta # g) must vanish; force it not to

@@ -1,9 +1,13 @@
 """Smoke runs of the experiment scripts with small arguments.
 
-build_corpus.py is left out: it rewrites corpus/.
+build_corpus.py writes the corpus/ next to its scripts/ directory, so it
+runs from a copy in a temporary tree and its output is compared with the
+committed corpus/.
 """
 
+import filecmp
 import os
+import shutil
 import subprocess
 import sys
 
@@ -30,3 +34,23 @@ def test_script_runs(script, args, last_line):
     assert r.returncode == 0, r.stderr
     assert r.stderr == ""
     assert last_line in r.stdout.strip().splitlines()[-1]
+
+
+def test_build_corpus_reproduces_committed_corpus(tmp_path):
+    os.mkdir(tmp_path / "scripts")
+    shutil.copy(os.path.join(ROOT, "scripts", "build_corpus.py"), tmp_path / "scripts")
+    os.symlink(os.path.abspath(os.path.join(ROOT, "src")), tmp_path / "src")
+    r = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "build_corpus.py")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    committed = os.path.join(ROOT, "corpus")
+    names = sorted(os.listdir(committed))
+    assert len(names) == 13
+    assert sorted(os.listdir(tmp_path / "corpus")) == names
+    match, mismatch, errors = filecmp.cmpfiles(committed, tmp_path / "corpus", names, shallow=False)
+    assert (mismatch, errors) == ([], [])
