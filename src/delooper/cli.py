@@ -8,6 +8,7 @@ usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -187,8 +188,8 @@ def cmd_perm(args):
 
 def cmd_simplex(args):
     n = int(args.arg)
-    idx = simplex_face_index(n)
     seq = compatible_sequence_schema(n) if n >= 2 else None
+    idx = seq.index if seq else simplex_face_index(n)
     counts = Counter(len(verts) - 1 for verts in idx.faces.values())
     extra = {
         "n": n,
@@ -329,7 +330,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call and shared after it: parsing keeps
+    no state in it (each parse returns a fresh Namespace, and every default
+    is an immutable tuple or a function)."""
     p = argparse.ArgumentParser(prog="delooper", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     p.add_argument("--table", help="sphere table JSON path")

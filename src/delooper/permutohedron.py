@@ -12,6 +12,7 @@ evaluated in any track group.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,26 +83,47 @@ class PermutohedronFace:
         return pos == len(mine)
 
 
+def _ordered_partition_counts(n):
+    """[c(n, 0), ..., c(n, n)], c(n, r) the ordered partitions of an n-set
+    into r blocks, by the first-block recursion of ``ordered_partitions``
+    counted instead of listed: c(m, r) = sum over s of C(m, s) c(m - s, r - 1)."""
+    c = [[1] + [0] * n]
+    for m in range(1, n + 1):
+        c.append([0] + [sum(math.comb(m, s) * c[m - s][r - 1] for s in range(1, m + 1)) for r in range(1, n + 1)])
+    return c[n]
+
+
 @dataclass
 class FaceLattice:
-    """Faces of P_k in ``ordered_partitions`` order (see its docstring)."""
+    """Face lattice of P_k. Counts come without listing faces; ``faces``
+    lists them in ``ordered_partitions`` order (see its docstring) on first
+    read and checks the listing against the counts."""
 
     k: int
-    faces: list  # all PermutohedronFace, every dimension
+
+    @cached_property
+    def face_counts(self):
+        """{dimension: number of faces}, ascending; a face of dimension d
+        has k + 1 - d blocks."""
+        per_blocks = _ordered_partition_counts(self.k + 1)
+        return {d: per_blocks[self.k + 1 - d] for d in range(self.k + 1)}
+
+    @cached_property
+    def faces(self):
+        """Every PermutohedronFace, all dimensions, listed once per lattice."""
+        faces = [PermutohedronFace(p) for p in ordered_partitions(range(1, self.k + 2))]
+        listed = [0] * (self.k + 1)
+        for f in faces:
+            listed[self.k + 1 - len(f.partition)] += 1
+        if dict(enumerate(listed)) != self.face_counts:
+            raise RuntimeError(f"P_{self.k} lists faces by dimension {listed}, counts {list(self.face_counts.values())}")
+        return faces
 
     def by_dimension(self):
         out = {}
         for f in self.faces:
             out.setdefault(self.k + 1 - len(f.partition), []).append(f)
         return out
-
-    @cached_property
-    def face_counts(self):
-        """{dimension: number of faces}, ascending; counted once per lattice."""
-        counts = [0] * (self.k + 1)
-        for f in self.faces:
-            counts[self.k + 1 - len(f.partition)] += 1
-        return dict(enumerate(counts))
 
     def vertices(self):
         return [f for f in self.faces if len(f.partition) == self.k + 1]
@@ -112,13 +134,13 @@ class FaceLattice:
 
 
 def build_permutohedron(k):
-    """Full face lattice of P_k; boundary Euler characteristic is checked."""
+    """Face lattice of P_k, its faces listed only when read; the boundary
+    Euler characteristic of the face counts is checked."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > PRACTICAL_K:
         raise ResourceError(f"P_{k} enumeration beyond practical bound {PRACTICAL_K}")
-    faces = [PermutohedronFace(p) for p in ordered_partitions(range(1, k + 2))]
-    lattice = FaceLattice(k=k, faces=faces)
+    lattice = FaceLattice(k=k)
     expected = 1 + (-1) ** (k - 1) if k >= 1 else 0
     got = lattice.boundary_euler_characteristic()
     if k >= 1 and got != expected:
@@ -368,6 +390,7 @@ class CompatibleSequenceSchema:
     slots: list  # levels 0..n-1
     equations: list
     assembly: list  # (facet index i, description) for the boundary map
+    index: SimplexFaceIndex  # the face index the equations glue over
 
     def describe(self):
         lines = [f"slots h_0 .. h_{self.n - 1}"]
@@ -411,4 +434,5 @@ def compatible_sequence_schema(n):
         slots=list(range(n)),
         equations=equations,
         assembly=assembly,
+        index=idx,
     )

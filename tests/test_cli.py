@@ -197,6 +197,54 @@ def test_corpus_reports_pinned(argv, code, digest, capsys, monkeypatch):
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
 
 
+# pairs that differ only in a flag, so a flag left behind by the first call
+# would show in the second; then a usage error followed by a valid call
+PARSER_REUSE_SEQUENCE = [
+    ("--cap", "1", "verify", "corpus/zs1.dsab.json"),
+    ("verify", "corpus/zs1.dsab.json"),
+    ("extend", "--emit", "corpus/zs1.dsab.json"),
+    ("extend", "corpus/zs1.dsab.json"),
+    ("--window", "0,1", "moore", "corpus/zs1.dsab.json"),
+    ("moore", "corpus/zs1.dsab.json"),
+    ("--seed", "7", "perm", "enum", "2"),
+    ("perm", "enum", "2"),
+    ("--cap", "x", "verify", "corpus/zs1.dsab.json"),
+    ("verify", "corpus/zs1.dsab.json"),
+]
+
+
+def _main_outcome(argv, capsys):
+    """(exit code, report without timing_s or None, stderr) of one cli.main call."""
+    from delooper import cli
+
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    report = json.loads(captured.out) if captured.out else None
+    if report:
+        report.pop("timing_s", None)
+    return code, report, captured.err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    """Calls sharing one parser report what each would with a parser of its own."""
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    cli.build_parser.cache_clear()
+    shared = [_main_outcome(argv, capsys) for argv in PARSER_REUSE_SEQUENCE]
+    assert cli.build_parser.cache_info().misses == 1
+    own = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        cli.build_parser.cache_clear()
+        own.append(_main_outcome(argv, capsys))
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+    assert shared[0][1]["caps"] == 1 and shared[6][1]["seed"] == 7 and "object" in shared[2][1]
+    assert shared == own
+
+
 @pytest.mark.parametrize(
     "argv",
     [

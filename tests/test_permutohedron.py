@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from delooper import permutohedron
 from delooper.permutohedron import (
     PRACTICAL_K,
     PRACTICAL_SIMPLEX_N,
@@ -67,6 +68,26 @@ def test_face_counts_are_ordered_set_partitions(k):
 def test_p6_face_counts():
     L = build_permutohedron(6)
     assert L.face_counts == {0: 5040, 1: 15120, 2: 16800, 3: 8400, 4: 1806, 5: 126, 6: 1}
+
+
+@pytest.mark.parametrize("k", range(0, PRACTICAL_K + 1))
+def test_counts_and_euler_characteristic_list_no_faces(k):
+    L = build_permutohedron(k)
+    L.face_counts, L.boundary_euler_characteristic()
+    assert "faces" not in vars(L)
+
+
+def test_p7_face_counts_are_counted():
+    L = build_permutohedron(7)
+    assert L.face_counts == {d: _surjections(8, 8 - d) for d in range(8)}
+
+
+def test_listing_is_checked_against_counts(monkeypatch):
+    complete = permutohedron.ordered_partitions
+    monkeypatch.setattr(permutohedron, "ordered_partitions", lambda elements: complete(elements)[1:])
+    L = build_permutohedron(3)
+    with pytest.raises(RuntimeError):
+        L.faces
 
 
 def test_p0_is_point():
