@@ -88,7 +88,8 @@ class PresentedGroup:
         return n
 
     def elements(self):
-        """All elements as canonical generator-coordinate vectors (finite only)."""
+        """All elements as canonical generator-coordinate vectors (finite only),
+        each coset once, zero first."""
         if self.order() is None:
             raise ValueError("cannot enumerate an infinite group")
         uinv = self._snf.Uinv

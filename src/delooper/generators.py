@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from .abelian import PresentedGroup
 from .delta_core import SAb
-from .intlin import Mat, invert_unimodular
+from .intlin import Mat
 from .moore import ChainComplex, dold_kan
 from .synthesis import boundary_matrix
 
 
 def random_unimodular(n, rng, steps=6):
-    A = Mat.eye(n)
+    """(A, A^-1) for a product A of random elementary column operations;
+    the row operation undoing each one keeps the inverse."""
+    A, Ainv = Mat.eye(n), Mat.eye(n)
     for _ in range(steps):
         if n < 2:
             break
@@ -27,7 +29,8 @@ def random_unimodular(n, rng, steps=6):
         c = rng.choice([-1, 1])
         for r in range(n):
             A.a[r][j] += c * A.a[r][i]
-    return A
+        Ainv.a[i] = [x - c * y for x, y in zip(Ainv.a[i], Ainv.a[j])]
+    return A, Ainv
 
 
 def random_acyclic_complex(cap, rng, max_rank=2, max_cones=3):
@@ -50,15 +53,14 @@ def random_acyclic_complex(cap, rng, max_rank=2, max_cones=3):
         for (cm, r) in cones:
             if cm != m:
                 continue
-            U = random_unimodular(r, rng, steps=3)
+            U, _ = random_unimodular(r, rng, steps=3)
             for a in range(r):
                 for b in range(r):
                     D.a[boff + a][off_used + b] = U.a[a][b]
             off_used += r
             boff += r
         diffs[m] = D
-    P = [random_unimodular(ranks[m], rng, steps=5) for m in range(cap + 1)]
-    Pinv = [invert_unimodular(p) for p in P]
+    P, Pinv = zip(*[random_unimodular(ranks[m], rng, steps=5) for m in range(cap + 1)])
     for m in range(1, cap + 1):
         diffs[m] = (P[m - 1] @ diffs[m]) @ Pinv[m]
     return ChainComplex(groups=[PresentedGroup.free(r) for r in ranks], diffs=diffs)
@@ -79,8 +81,7 @@ def random_finite_complex(cap, rng, orders=(2, 3, 4), max_terms=2):
 
 def conjugate_simplicial(W, rng, steps=5):
     """Conjugate a strict object by levelwise unimodular automorphisms."""
-    T = [random_unimodular(W.rank(n), rng, steps=steps) for n in range(W.cap + 1)]
-    Tinv = [invert_unimodular(t) for t in T]
+    T, Tinv = zip(*[random_unimodular(W.rank(n), rng, steps=steps) for n in range(W.cap + 1)])
     faces = {n: [(T[n - 1] @ W.face(n, i)) @ Tinv[n] for i in range(n + 1)] for n in range(1, W.cap + 1)}
     degs = {n: [(T[n + 1] @ W.degeneracy(n, j)) @ Tinv[n] for j in range(n + 1)] for n in range(0, W.cap)}
     return SAb(W.levels, faces, degs, W.cap)
@@ -155,8 +156,7 @@ def augmented_acyclic_complex(cap, rng, base_rank=1, max_cones=2):
         else:
             diffs[m] = D
     cpx = ChainComplex(groups=groups, diffs=diffs)
-    P = [random_unimodular(g.ngens, rng, steps=4) for g in groups]
-    Pinv = [invert_unimodular(p) for p in P]
+    P, Pinv = zip(*[random_unimodular(g.ngens, rng, steps=4) for g in groups])
     for m in range(1, cap + 1):
         cpx.diffs[m] = (P[m - 1] @ cpx.diffs[m]) @ Pinv[m]
     return cpx

@@ -110,14 +110,17 @@ class Mat:
 
 
 def smith_normal_form(A):
-    """Return (D, U, V) with D = U @ A @ V in Smith normal form.
+    """Return (D, U, V, Uinv) with D = U @ A @ V in Smith normal form.
 
     U, V unimodular; diagonal entries nonnegative with d1 | d2 | ...
-    Smallest-pivot selection keeps intermediate entries modest.
+    Smallest-pivot selection keeps intermediate entries modest. Each row
+    operation on U is undone by a column operation on Uinv, so Uinv is
+    the inverse of U without a second elimination.
     """
     m, n = A.r, A.c
     D = [row[:] for row in A.a]
     U = Mat.eye(m).a
+    Uinv = Mat.eye(m).a
     V = Mat.eye(n).a
     t = 0
     while t < min(m, n):
@@ -139,6 +142,8 @@ def smith_normal_form(A):
         if pi != t:
             D[t], D[pi] = D[pi], D[t]
             U[t], U[pi] = U[pi], U[t]
+            for r in Uinv:
+                r[t], r[pi] = r[pi], r[t]
         if pj != t:
             for r in D:
                 r[t], r[pj] = r[pj], r[t]
@@ -152,9 +157,13 @@ def smith_normal_form(A):
                     if q:
                         D[i] = [x - q * y for x, y in zip(D[i], D[t])]
                         U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                        for r in Uinv:
+                            r[t] += q * r[i]
                     if D[i][t]:
                         D[t], D[i] = D[i], D[t]
                         U[t], U[i] = U[i], U[t]
+                        for r in Uinv:
+                            r[t], r[i] = r[i], r[t]
                         changed = True
             for j in range(t + 1, n):
                 if D[t][j]:
@@ -185,17 +194,21 @@ def smith_normal_form(A):
         if bad is not None:
             D[t] = [x + y for x, y in zip(D[t], D[bad])]
             U[t] = [x + y for x, y in zip(U[t], U[bad])]
+            for r in Uinv:
+                r[bad] -= r[t]
             continue
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
+            for r in Uinv:
+                r[t] = -r[t]
         t += 1
-    return Mat(m, n, D), Mat(m, m, U), Mat(n, n, V)
+    return Mat(m, n, D), Mat(m, m, U), Mat(n, n, V), Mat(m, m, Uinv)
 
 
 class SmithSolver:
-    """The SNF D = U A V of A, kept to answer many questions about the
-    column lattice L of A.
+    """The SNF D = U A V of A, with the inverse Uinv of U, kept to answer
+    many questions about the column lattice L of A.
 
     ``moduli`` has one entry per row of A: d_i for i < rank, 0 beyond.
     ``reduce(v)`` is the tuple U v with coordinate i reduced mod moduli[i]
@@ -207,20 +220,12 @@ class SmithSolver:
 
     def __init__(self, A):
         self.A = A
-        self.D, self.U, self.V = smith_normal_form(A)
+        self.D, self.U, self.V, self.Uinv = smith_normal_form(A)
         r = 0
         while r < min(A.r, A.c) and self.D.a[r][r] != 0:
             r += 1
         self.rank = r
         self.moduli = tuple([self.D.a[i][i] for i in range(r)] + [0] * (A.r - r))
-        self._uinv = None
-
-    @property
-    def Uinv(self):
-        """The inverse of U, computed on first use and kept."""
-        if self._uinv is None:
-            self._uinv = invert_unimodular(self.U)
-        return self._uinv
 
     def reduce(self, v):
         """The Smith coordinates of v, each reduced mod its nonzero modulus."""
@@ -266,13 +271,6 @@ def nullspace(A):
     return SmithSolver(A).nullspace()
 
 
-def invert_unimodular(A):
-    inv = solve(A, Mat.eye(A.r))
-    if inv is None:
-        raise ValueError("matrix is not invertible over the integers")
-    return inv
-
-
 def vstack_all(mats):
     """The matrices of a nonempty list stacked top to bottom."""
     return Mat.from_rows([row for M in mats for row in M.a], c=mats[0].c)
@@ -311,4 +309,5 @@ def column_basis(A):
     are independent and span the column lattice of A. Deterministic.
     """
     snf = SmithSolver(A)
-    return A @ _columns(snf.V, 0, snf.rank)
+    d = snf.moduli[: snf.rank]
+    return Mat(A.r, snf.rank, [[x * y for x, y in zip(row, d)] for row in snf.Uinv.a])

@@ -426,14 +426,8 @@ def comonad_T(G, table, window=None):
         if grp.order() is None:
             enumerated = [(name, G.generator_vector(k, name)) for name in G.gen_names[k]]
         else:
-            enumerated = []
-            seen = set()
-            for idx, v in enumerate(grp.elements()):
-                key = grp.canon(v)
-                if all(x == 0 for x in key) or key in seen:
-                    continue
-                seen.add(key)
-                enumerated.append((f"elt{idx}", list(v)))
+            # elements() lists each coset once, zero first
+            enumerated = [(f"elt{idx}", v) for idx, v in enumerate(grp.elements()) if idx]
         for name, vec in enumerated:
             tag = f"d{k}_{name}"
             summands.append((tag, k))
@@ -537,18 +531,13 @@ def retract_complement(i_map, r_map):
         chosen = []
         span = Qi
         for idx, name in enumerate(dst_summands):
-            e = Mat(len(dst_summands), 1)
-            e.a[idx][0] = 1
-            solver = SmithSolver(span)
-            if solver.solve_columns(e) is None:
+            e = [int(k == idx) for k in range(len(dst_summands))]
+            if not SmithSolver(span).contains_column(e):
                 chosen.append(name)
-                span = span.hstack(e)
-        solver = SmithSolver(span)
-        for k in range(span.r):
-            e = Mat(span.r, 1)
-            e.a[k][0] = 1
-            if solver.solve_columns(e) is None:
-                raise ValueError(f"complement does not span indecomposables in dimension {dim}")
+                span = span.hstack(Mat.column(e))
+        # the span is all of Z^r exactly when every Smith modulus is 1
+        if not all(d == 1 for d in SmithSolver(span).moduli):
+            raise ValueError(f"complement does not span indecomposables in dimension {dim}")
         complement[dim] = chosen
     return complement
 

@@ -206,3 +206,15 @@ def test_direct_sum_of_nothing_is_trivial():
     G, offsets = direct_sum([])
     assert (G.ngens, G.rels.c, offsets) == (0, 0, [])
     assert G.is_trivial()
+
+
+def test_canon_vector_finishes_where_a_second_snf_of_u_did_not():
+    # inverting U by a second SNF never finished for these relations (moduli 1, 3, 0, 0)
+    G = PresentedGroup(4, Mat.from_rows([[55, 297], [1902, 10266], [-5173, -27921], [-772, -4167]]))
+    assert G.invariant_factors() == (3, 0, 0)
+    rng = random.Random(37)
+    for _ in range(20):
+        v = [rng.randint(-9, 9) for _ in range(4)]
+        w = G.canon_vector(v)
+        assert G.canon(w) == G.canon(v)
+        assert G.canon_vector(w) == w

@@ -2,16 +2,15 @@ import hashlib
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delooper.generators import random_unimodular
 from delooper.intlin import (
     Mat,
     SmithSolver,
     block_diagonal,
     column_basis,
-    invert_unimodular,
     kernel_mod_lattice,
     nullspace,
     smith_normal_form,
@@ -26,7 +25,7 @@ def random_matrix(rng, r, c, lo=-4, hi=4):
 
 def test_snf_small_example():
     A = Mat.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    D, U, V = smith_normal_form(A)
+    D, U, V, _ = smith_normal_form(A)
     assert U @ A @ V == D
     assert [D.a[i][i] for i in range(3)] == [2, 6, 12]
 
@@ -35,10 +34,11 @@ def test_snf_transforms_are_unimodular():
     rng = random.Random(1)
     for _ in range(25):
         A = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        D, U, V = smith_normal_form(A)
+        D, U, V, Uinv = smith_normal_form(A)
         assert U @ A @ V == D
+        assert U @ Uinv == Mat.eye(A.r)
         for M in (U, V):
-            DD, _, _ = smith_normal_form(M)
+            DD, _, _, _ = smith_normal_form(M)
             assert all(abs(DD.a[i][i]) == 1 for i in range(M.r))
 
 
@@ -56,7 +56,7 @@ def test_snf_matches_sympy_invariants(r, c, seed):
 
     rng = random.Random(seed)
     A = random_matrix(rng, r, c)
-    D, U, V = smith_normal_form(A)
+    D, U, V, _ = smith_normal_form(A)
     assert U @ A @ V == D
     mine = [D.a[i][i] for i in range(min(r, c)) if D.a[i][i] != 0]
     dm = DomainMatrix.from_list([[int(x) for x in row] for row in A.a], ZZ)
@@ -68,7 +68,7 @@ def test_divisibility_chain():
     rng = random.Random(7)
     for _ in range(30):
         A = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        D, _, _ = smith_normal_form(A)
+        D, _, _, _ = smith_normal_form(A)
         diag = [D.a[i][i] for i in range(min(A.r, A.c)) if D.a[i][i] != 0]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
@@ -109,7 +109,7 @@ def test_column_basis_spans_same_lattice():
             assert solver_a.contains_column(B.col(j))
 
 
-def test_uinv_inverts_u():
+def test_solver_u_inverse_is_two_sided():
     rng = random.Random(5)
     for _ in range(30):
         A = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))
@@ -135,7 +135,7 @@ def test_zero_shapes():
     N = nullspace(A)
     assert N.c == 3
     B = Mat(3, 0, [[], [], []])
-    D, U, V = smith_normal_form(B)
+    D, U, V, _ = smith_normal_form(B)
     assert D.c == 0
 
 
@@ -153,14 +153,15 @@ def test_block_diagonal_of_no_blocks_and_of_empty_blocks():
     assert block_diagonal([E, E]) == Mat(4, 0, [[], [], [], []])
 
 
-def test_invert_unimodular():
-    A = Mat.from_rows([[2, 1], [1, 1]])
-    assert A @ invert_unimodular(A) == Mat.eye(2)
-    with pytest.raises(ValueError):
-        invert_unimodular(Mat.from_rows([[2, 0], [0, 1]]))
+def test_random_unimodular_pairs_multiply_to_identity():
+    rng = random.Random(29)
+    for n in range(6):
+        A, Ainv = random_unimodular(n, rng, steps=8)
+        assert A @ Ainv == Mat.eye(n)
+        assert Ainv @ A == Mat.eye(n)
 
 
-def test_column_basis_is_scaled_columns_of_uinv():
+def test_column_basis_is_scaled_columns_of_u_inverse():
     rng = random.Random(13)
     for _ in range(40):
         A = random_matrix(rng, rng.randint(0, 5), rng.randint(0, 5))

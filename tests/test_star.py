@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from delooper import intlin
 from delooper.abelian import PresentedGroup
+from delooper.delta_core import SAb
+from delooper.generators import random_small_strict_object
 from delooper.intlin import Mat
 from delooper.moore import ChainComplex, dold_kan
 from delooper.permutohedron import ResourceError
@@ -463,3 +466,19 @@ def test_level_order_bound_fails_fast():
     with pytest.raises(ResourceError):
         FiniteGroupLevel(elements=list(range(PRACTICAL_LEVEL_ORDER + 1)), mult={}, inverse={}, identity=0).check()
     assert time.perf_counter() - started < 1.0
+
+
+def test_one_snf_per_group(monkeypatch):
+    W = random_small_strict_object(random.Random(31), 3, torsion=True)
+    calls = []
+    snf = intlin.smith_normal_form
+    monkeypatch.setattr(intlin, "smith_normal_form", lambda A: calls.append(A) or snf(A))
+    G = PresentedGroup(2, Mat.from_rows([[4, 6], [6, 4]]))
+    assert [G.canon_vector(v) for v in G.elements()] == list(G.elements())
+    assert len(calls) == 1
+    calls.clear()
+    K = AbelianTarget(SAb([PresentedGroup(L.ngens, L.rels) for L in W.levels], W.faces, W.degeneracies, W.cap))
+    for n in range(K.cap + 1):
+        for a in K.elements(n):
+            assert K.from_generators(n, K.to_generators(n, a)) == a
+    assert len(calls) == K.cap + 1
