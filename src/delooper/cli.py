@@ -37,7 +37,7 @@ from .permutohedron import (
     simplex_face_index,
 )
 from .pi_algebra import NotAbelianError, Obstruction, SphereTable, deloop, validate
-from .simplicial import FiniteSimplicialSet, StructuralError
+from .simplicial import BASE, FiniteSimplicialSet, StructuralError
 from .star import AbelianTarget, GroupHomMap, TargetMap, check_condition_star, milnor_F
 from .synthesis import FibrancyError, SynthesisFailure, synthesize
 from .words import FaceWord
@@ -228,7 +228,8 @@ def _load_hom(path):
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     dst = schemas.sset_from_json(schemas.load(os.path.join(base, data["dst"])))
     F_src, F_dst = milnor_F(src), milnor_F(dst)
-    tables = [{g: tuple((str(x), int(e)) for x, e in word) for g, word in level.items()} for level in data["tables"]]
+    levels = schemas._per_level(data["tables"], src.cap, f"{path}: tables")
+    tables = [{g: tuple((str(x), int(e)) for x, e in word) for g, word in level.items()} for level in levels]
     hom = GroupHomMap(F_src, F_dst, tables)
     if not hom.is_valid():
         raise StructuralError(f"{path}: tables do not define a simplicial homomorphism")
@@ -240,8 +241,17 @@ def _load_target_map(path, target):
     schemas._check_format(data, "targetmap")
     base = os.path.dirname(os.path.abspath(path))
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
+    if src.cap > target.cap:
+        raise schemas.SchemaError(f"{path}: source cap {src.cap} exceeds the target's cap {target.cap}")
     tables = []
-    for n, level in enumerate(data["tables"]):
+    for n, level in enumerate(schemas._per_level(data["tables"], src.cap, f"{path}: tables")):
+        simplices = set(src.elements[n])
+        for x in level:
+            if x not in simplices:
+                raise schemas.SchemaError(f"{path}: level {n} lists {x!r}, not a simplex of the source")
+        for x in src.elements[n]:
+            if x != BASE and x not in level:
+                raise schemas.SchemaError(f"{path}: level {n} does not list simplex {x!r}")
         tables.append({x: target.from_generators(n, [int(v) for v in vec]) for x, vec in level.items()})
     tm = TargetMap(src=src, target=target, tables=tables)
     if not tm.is_valid():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .permutohedron import ResourceError
@@ -179,10 +180,10 @@ class AbelianTarget:
         return tuple([-x % d if d else -x for x, d in zip(a, self._moduli[n])])
 
     def face(self, n, i, a):
-        return self.canon(n - 1, self._faces[n][i].apply(a))
+        return _reduced_image(self._faces[n][i], self._moduli[n - 1], a)
 
     def degeneracy(self, n, j, a):
-        return self.canon(n + 1, self._degeneracies[n][j].apply(a))
+        return _reduced_image(self._degeneracies[n][j], self._moduli[n + 1], a)
 
     def elements(self, n):
         """Every element of level n, in the order of PresentedGroup.elements."""
@@ -205,6 +206,13 @@ class AbelianTarget:
     def to_generators(self, n, a):
         """A generator-coordinate vector of the element a."""
         return self.sab.levels[n]._snf.Uinv.apply(a)
+
+
+def _reduced_image(M, moduli, a):
+    """canon(M.apply(a)) in one pass over the rows of M: each coordinate is
+    reduced mod its modulus as soon as it is summed."""
+    mul = operator.mul
+    return tuple([sum(map(mul, row, a)) % d if d else sum(map(mul, row, a)) for row, d in zip(M.a, moduli)])
 
 
 @dataclass
@@ -283,23 +291,24 @@ class FiniteGroupTarget:
         return self.levels[n].generators()
 
     def verify(self):
+        """None if every level is a group and every face and degeneracy a
+        homomorphism; else a message naming the first that is not. Each
+        map is tested on the pairs (a, g) over generators g, as in
+        is_strictly_multiplicative."""
         for n, lvl in enumerate(self.levels):
             if not lvl.check():
                 return f"level {n} is not a group"
+        generators = [lvl.generators() for lvl in self.levels]
         for n in range(1, self.cap + 1):
             for i in range(n + 1):
-                t = self.faces[n][i]
-                for a in self.levels[n].elements:
-                    for b in self.levels[n].elements:
-                        if t[self.mul(n, a, b)] != self.mul(n - 1, t[a], t[b]):
-                            return f"d_{i} at level {n} is not a homomorphism"
+                image = {a: self.faces[n][i][a] for a in self.levels[n].elements}
+                if _homomorphism_witness(image, generators[n], self, n, self, n - 1):
+                    return f"d_{i} at level {n} is not a homomorphism"
         for n in range(0, self.cap):
             for j in range(n + 1):
-                t = self.degeneracies[n][j]
-                for a in self.levels[n].elements:
-                    for b in self.levels[n].elements:
-                        if t[self.mul(n, a, b)] != self.mul(n + 1, t[a], t[b]):
-                            return f"s_{j} at level {n} is not a homomorphism"
+                image = {a: self.degeneracies[n][j][a] for a in self.levels[n].elements}
+                if _homomorphism_witness(image, generators[n], self, n, self, n + 1):
+                    return f"s_{j} at level {n} is not a homomorphism"
         return None
 
 
@@ -317,19 +326,30 @@ class TargetMap:
         return self.tables[n][x]
 
     def is_valid(self):
-        K = self.target
-        for n in range(self.src.cap + 1):
+        """The map is pointed and commutes with every face and degeneracy:
+        self(d_i x) = d_i self(x) for each simplex x, likewise for s_j.
+        A target face or degeneracy is evaluated once per distinct value
+        of the map on its level, not once per simplex."""
+        K, src = self.target, self.src
+        for n in range(src.cap + 1):
             if BASE in self.tables[n] and self.tables[n][BASE] != K.identity(n):
                 return False
-        for n in range(1, self.src.cap + 1):
+        levels = [{**self.tables[n], BASE: K.identity(n)} for n in range(src.cap + 1)]
+        values = [[(x, levels[n][x]) for x in src.elements[n]] for n in range(src.cap + 1)]
+        distinct = [dict.fromkeys(v for _, v in pairs) for pairs in values]
+        for n in range(1, src.cap + 1):
             for i in range(n + 1):
-                for x in self.src.elements[n]:
-                    if self(n - 1, self.src.face(n, i, x)) != K.face(n, i, self(n, x)):
+                image = {v: K.face(n, i, v) for v in distinct[n]}
+                face, below = src.faces[n][i], levels[n - 1]
+                for x, v in values[n]:
+                    if below[face[x]] != image[v]:
                         return False
-        for n in range(0, self.src.cap):
+        for n in range(0, src.cap):
             for j in range(n + 1):
-                for x in self.src.elements[n]:
-                    if self(n + 1, self.src.degeneracy(n, j, x)) != K.degeneracy(n, j, self(n, x)):
+                image = {v: K.degeneracy(n, j, v) for v in distinct[n]}
+                degeneracy, above = src.degeneracies[n][j], levels[n + 1]
+                for x, v in values[n]:
+                    if above[degeneracy[x]] != image[v]:
                         return False
         return True
 
@@ -384,26 +404,39 @@ def check_condition_star(f, g, h, K):
     return True, None
 
 
-def is_strictly_multiplicative(h, K, L):
-    """n . (h x h) = h . m on every pair, levelwise.
+def _homomorphism_witness(image, generators, K, n, L, m):
+    """A pair (a, b) of K_n with image[ab] != image[a] image[b], or None.
 
-    A map of groups is a homomorphism once h(e) = e and h(ag) = h(a)h(g)
-    for every element a and every generator g of K_n: by induction on word
-    length, h(ab) = h(a)h(b) then holds for every pair. So the check makes
-    sum_n |K_n| r_n products (r_n = len(K.generators(n))), not
-    sum_n |K_n|^2. Returns (True, None) or (False, (level, a, b)) with a
-    pair that fails; b is a generator, or a = b = e when h(e) != e.
+    image maps every element of the group K_n into the group L_m, and
+    generators generate K_n. A map of groups is a homomorphism once
+    h(e) = e and h(ag) = h(a)h(g) for every element a and every generator
+    g: by induction on word length, h(ab) = h(a)h(b) then holds for every
+    pair. So the check makes |K_n| r products (r = len(generators)), not
+    |K_n|^2. The pair returned has b a generator, or a = b = e when
+    h(e) != e.
+    """
+    e = K.identity(n)
+    if image[e] != L.identity(m):
+        return e, e
+    generator_images = [(g, image[g]) for g in generators]
+    for a, ha in image.items():
+        for g, hg in generator_images:
+            if image[K.mul(n, a, g)] != L.mul(m, ha, hg):
+                return a, g
+    return None
+
+
+def is_strictly_multiplicative(h, K, L):
+    """n . (h x h) = h . m on every pair, levelwise, tested on the pairs
+    (a, generator) of each level (see _homomorphism_witness). Returns
+    (True, None) or (False, (level, a, b)) with a pair that fails; b is a
+    generator, or a = b = e when h(e) != e.
     """
     for n in range(K.cap + 1):
         image = {a: h(n, a) for a in K.elements(n)}
-        e = K.identity(n)
-        if image[e] != L.identity(n):
-            return False, (n, e, e)
-        generators = [(g, image[g]) for g in K.generators(n)]
-        for a, ha in image.items():
-            for g, hg in generators:
-                if image[K.mul(n, a, g)] != L.mul(n, ha, hg):
-                    return False, (n, a, g)
+        witness = _homomorphism_witness(image, K.generators(n), K, n, L, n)
+        if witness:
+            return False, (n, *witness)
     return True, None
 
 

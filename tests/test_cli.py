@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -26,6 +27,18 @@ def corpus(name):
     return os.path.join(CORPUS, name)
 
 
+def star_check(**files):
+    """star-check argv on the corpus files, with some replaced."""
+    paths = {
+        "f": "corpus/star_f.freehom.json",
+        "g": "corpus/star_g.freehom.json",
+        "h": "corpus/star_h.targetmap.json",
+        "target": "corpus/star_target.dsab.json",
+        **files,
+    }
+    return ("star-check", *itertools.chain.from_iterable((f"--{k}", v) for k, v in paths.items()))
+
+
 @pytest.mark.parametrize(
     "args,expected",
     [
@@ -44,20 +57,7 @@ def corpus(name):
         (("simplex", "index", "2"), 0),
         (("deloop", "corpus/eta_chain.pialg.json"), 1),
         (("deloop", "corpus/loop_s3.pialg.json"), 0),
-        (
-            (
-                "star-check",
-                "--f",
-                "corpus/star_f.freehom.json",
-                "--g",
-                "corpus/star_g.freehom.json",
-                "--h",
-                "corpus/star_h.targetmap.json",
-                "--target",
-                "corpus/star_target.dsab.json",
-            ),
-            0,
-        ),
+        (star_check(), 0),
         (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"), 0),
         (("e2", "corpus/resolution.bisab.json"), 0),
         (("perm", "enum", "9"), 2),
@@ -92,11 +92,38 @@ def corpus(name):
         (("verify", "tests/data/sset_face_past_cap.json"), 2),
         (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "tests/data/hdeg_key_past_cap.json"), 2),
         (("e2", "tests/data/bisab_key_past_cap.json"), 2),
+        # a star-check table with too few levels, a missing or an unknown
+        # simplex, or a source past the target's cap is an input error
+        (star_check(f="tests/data/freehom_short_tables.json"), 2),
+        (star_check(h="tests/data/targetmap_short_tables.json"), 2),
+        (star_check(h="tests/data/targetmap_missing_simplex.json"), 2),
+        (star_check(h="tests/data/targetmap_unknown_simplex.json"), 2),
+        (star_check(target="tests/data/star_target_cap2.dsab.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
     rc, out = run(*args)
     assert rc == expected, out
+
+
+@pytest.mark.parametrize(
+    "files,message",
+    [
+        ({"f": "tests/data/freehom_short_tables.json"}, "expected 4 entries for cap 3, found 3"),
+        ({"h": "tests/data/targetmap_short_tables.json"}, "expected 4 entries for cap 3, found 3"),
+        ({"h": "tests/data/targetmap_missing_simplex.json"}, "level 1 does not list simplex 'x01'"),
+        ({"h": "tests/data/targetmap_unknown_simplex.json"}, "level 2 lists 'x012', not a simplex of the source"),
+        ({"target": "tests/data/star_target_cap2.dsab.json"}, "source cap 3 exceeds the target's cap 2"),
+    ],
+)
+def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatch):
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    assert cli.main(list(star_check(**files))) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "input-error"
+    assert message in rep["error"]
 
 
 def test_reports_are_json_with_witnesses():
@@ -155,21 +182,7 @@ def test_combinatorial_reports_pinned(argv, digest, capsys):
         (("simplex", "index", "2"), 0, "9b3fd3cde46e57d9e22de1837f7a966e6866b281cf6fa857bf13186a636b534d"),
         (("deloop", "corpus/eta_chain.pialg.json"), 1, "38bf5144b4b0e9ddea4fab71119ebefbc51947e1c0ea18cffe5fca6b2d480269"),
         (("deloop", "corpus/loop_s3.pialg.json"), 0, "dca7b26ea591140a1cba962714a295d96c946776806ed2c85c60d06a5542c7da"),
-        (
-            (
-                "star-check",
-                "--f",
-                "corpus/star_f.freehom.json",
-                "--g",
-                "corpus/star_g.freehom.json",
-                "--h",
-                "corpus/star_h.targetmap.json",
-                "--target",
-                "corpus/star_target.dsab.json",
-            ),
-            0,
-            "97f08a6360fb5e49266ad9086fa65f6a4cfaf130a91d9da9036ffb2a6d3eb357",
-        ),
+        (star_check(), 0, "97f08a6360fb5e49266ad9086fa65f6a4cfaf130a91d9da9036ffb2a6d3eb357"),
         (
             ("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"),
             0,

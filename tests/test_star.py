@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from delooper.star import (
     PRACTICAL_LEVEL_ORDER,
     AbelianTarget,
     FiniteGroupLevel,
+    FiniteGroupTarget,
     TargetMap,
     check_condition_star,
     check_functoriality,
@@ -482,3 +484,149 @@ def test_one_snf_per_group(monkeypatch):
         for a in K.elements(n):
             assert K.from_generators(n, K.to_generators(n, a)) == a
     assert len(calls) == K.cap + 1
+
+
+def all_simplex_is_valid(tm):
+    """TargetMap.is_valid by its definition: pointed, and each face and
+    degeneracy commutes with the map on every simplex."""
+    K, src = tm.target, tm.src
+    for n in range(src.cap + 1):
+        if BASE in tm.tables[n] and tm.tables[n][BASE] != K.identity(n):
+            return False
+    for n in range(1, src.cap + 1):
+        for i in range(n + 1):
+            for x in src.elements[n]:
+                if tm(n - 1, src.face(n, i, x)) != K.face(n, i, tm(n, x)):
+                    return False
+    for n in range(0, src.cap):
+        for j in range(n + 1):
+            for x in src.elements[n]:
+                if tm(n + 1, src.degeneracy(n, j, x)) != K.degeneracy(n, j, tm(n, x)):
+                    return False
+    return True
+
+
+@functools.cache
+def valid_target_maps(orders, source):
+    """Every pointed map from the circle or the interval into the
+    criterion-4 target of these chain-group orders, or into the S_3
+    target when orders is None."""
+    K = s3_target() if orders is None else cyclic_target(orders)
+    A = sphere(1, K.cap) if source == "S1" else standard_simplex(1, K.cap)
+    return all_target_maps(A, K)
+
+
+def simplices_of_kind(A, n, kind):
+    nondegenerate = A.nondegenerate(n)
+    if kind == "basepoint":
+        return [BASE]
+    if kind == "nondegenerate":
+        return [x for x in nondegenerate if x != BASE]
+    return [x for x in A.elements[n] if x != BASE and x not in nondegenerate]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_valid_agrees_with_all_simplex_loop(data):
+    """is_valid, which evaluates target faces and degeneracies once per
+    distinct value, gives the verdict of the all-simplex loop on valid
+    maps and on maps with one entry changed: at a nondegenerate simplex,
+    at a degenerate one or at the basepoint."""
+    orders = data.draw(st.sampled_from(CRITERION_4_SHAPES + [None]))
+    tm = data.draw(st.sampled_from(valid_target_maps(orders, data.draw(st.sampled_from(["S1", "D1"])))))
+    A, K = tm.src, tm.target
+    tables = [dict(t) for t in tm.tables]
+    kind = data.draw(st.sampled_from(["unchanged", "nondegenerate", "degenerate", "basepoint"]))
+    if kind != "unchanged":
+        n, x = data.draw(st.sampled_from([(n, x) for n in range(A.cap + 1) for x in simplices_of_kind(A, n, kind)]))
+        tables[n][x] = data.draw(st.sampled_from(K.elements(n)))
+    changed = TargetMap(src=A, target=K, tables=tables)
+    assert changed.is_valid() == all_simplex_is_valid(changed)
+    if kind == "unchanged":
+        assert changed.is_valid()
+
+
+def test_is_valid_evaluates_each_target_value_once(monkeypatch):
+    """One is_valid call evaluates a target face or degeneracy at most once
+    per (level, index, value), however many simplices share the value."""
+    cap = 3
+    K = loop_target(4, cap)
+    calls = []
+    for name in ("face", "degeneracy"):
+        method = getattr(K, name)
+        monkeypatch.setattr(K, name, lambda n, i, a, name=name, method=method: calls.append((name, n, i, a)) or method(n, i, a))
+    A = sphere(1, cap)
+    shared = 0
+    for tm in all_target_maps(A, K):
+        calls.clear()
+        assert tm.is_valid()
+        assert len(calls) == len(set(calls))
+        per_simplex = [("face", n, i, tm(n, x)) for n in range(1, cap + 1) for i in range(n + 1) for x in A.elements[n]]
+        per_simplex += [("degeneracy", n, j, tm(n, x)) for n in range(cap) for j in range(n + 1) for x in A.elements[n]]
+        assert set(calls) == set(per_simplex)
+        shared += len(per_simplex) - len(calls)
+    assert shared > 0
+
+
+def test_one_pass_face_maps_on_a_free_level():
+    """Faces and degeneracies of a target with Z levels (modulus 0) equal
+    canon(M.apply(a)): coordinates reduced mod d, left unreduced where
+    d = 0."""
+    groups = [PresentedGroup.cyclic(6), PresentedGroup.free(1), PresentedGroup.free(1)]
+    diffs = {1: Mat.from_rows([[1]]), 2: Mat.from_rows([[6]])}
+    K = AbelianTarget(dold_kan(ChainComplex(groups=groups, diffs=diffs), 2))
+    assert all(0 in K._moduli[n] for n in (1, 2))
+    rng = random.Random(7)
+    for n in range(K.cap + 1):
+        for _ in range(25):
+            a = K.canon(n, [rng.randint(-10**6, 10**6) for _ in K._moduli[n]])
+            for i in range(n + 1 if n else 0):
+                assert K.face(n, i, a) == K.canon(n - 1, K._faces[n][i].apply(a))
+            for j in range(n + 1 if n < K.cap else 0):
+                assert K.degeneracy(n, j, a) == K.canon(n + 1, K._degeneracies[n][j].apply(a))
+
+
+def all_pairs_map_check(K):
+    """The homomorphism half of FiniteGroupTarget.verify by its definition:
+    each face and degeneracy tested on every pair of its level."""
+    for n in range(1, K.cap + 1):
+        for i in range(n + 1):
+            t = K.faces[n][i]
+            for a in K.levels[n].elements:
+                for b in K.levels[n].elements:
+                    if t[K.mul(n, a, b)] != K.mul(n - 1, t[a], t[b]):
+                        return f"d_{i} at level {n} is not a homomorphism"
+    for n in range(0, K.cap):
+        for j in range(n + 1):
+            t = K.degeneracies[n][j]
+            for a in K.levels[n].elements:
+                for b in K.levels[n].elements:
+                    if t[K.mul(n, a, b)] != K.mul(n + 1, t[a], t[b]):
+                        return f"s_{j} at level {n} is not a homomorphism"
+    return None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.data())
+def test_verify_agrees_with_all_pairs(data):
+    """verify, which tests each face and degeneracy on pairs (a, generator),
+    names the same first failing map as the all-pairs test, on the S_3
+    target with one face or degeneracy entry changed."""
+    K = s3_target()
+    faces = {n: [dict(t) for t in tables] for n, tables in K.faces.items()}
+    degeneracies = {n: [dict(t) for t in tables] for n, tables in K.degeneracies.items()}
+    maps, step = data.draw(st.sampled_from([(faces, -1), (degeneracies, 1)]))
+    n = data.draw(st.sampled_from(sorted(maps)))
+    table = data.draw(st.sampled_from(maps[n]))
+    table[data.draw(st.sampled_from(K.elements(n)))] = data.draw(st.sampled_from(K.elements(n + step)))
+    changed = FiniteGroupTarget(K.levels, faces, degeneracies, K.cap)
+    # the levels are those of s3_target, whose level checks pass (see
+    # test_verify_s3_target); skipping them keeps each example fast
+    with mock.patch.object(FiniteGroupLevel, "check", lambda self: True):
+        assert changed.verify() == all_pairs_map_check(changed)
+
+
+def test_verify_s3_target():
+    K = s3_target()
+    assert K.verify() is None
+    assert all_pairs_map_check(K) is None
