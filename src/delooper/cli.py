@@ -221,6 +221,26 @@ def cmd_deloop(args):
     return OK, "delooped", [], None, {"fragment": schemas.fragment_to_json(result.fragment)}
 
 
+def _load_tables(path, data, cap, convert, expected):
+    """The per-level tables of a star-check file, one dict simplex ->
+    convert(entry) per level 0..cap; a level or entry of the wrong JSON type
+    is a SchemaError naming the file, level and simplex."""
+    tables = []
+    for n, level in enumerate(schemas._per_level(data["tables"], cap, f"{path}: tables")):
+        if not isinstance(level, dict):
+            raise schemas.SchemaError(f"{path}: level {n} must be an object keyed by simplex, found {level!r}")
+        table = {}
+        for x, entry in level.items():
+            try:
+                table[x] = convert(entry)
+            except (TypeError, ValueError):
+                raise schemas.SchemaError(
+                    f"{path}: level {n}, simplex {x!r}: expected {expected}, found {entry!r}"
+                ) from None
+        tables.append(table)
+    return tables
+
+
 def _load_hom(path):
     data = schemas.load(path)
     schemas._check_format(data, "freehom")
@@ -228,8 +248,8 @@ def _load_hom(path):
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     dst = schemas.sset_from_json(schemas.load(os.path.join(base, data["dst"])))
     F_src, F_dst = milnor_F(src), milnor_F(dst)
-    levels = schemas._per_level(data["tables"], src.cap, f"{path}: tables")
-    tables = [{g: tuple((str(x), int(e)) for x, e in word) for g, word in level.items()} for level in levels]
+    tables = _load_tables(path, data, src.cap, lambda word: tuple((str(x), int(e)) for x, e in word),
+                          "a list of [generator, exponent] pairs")
     hom = GroupHomMap(F_src, F_dst, tables)
     if not hom.is_valid():
         raise StructuralError(f"{path}: tables do not define a simplicial homomorphism")
@@ -243,8 +263,9 @@ def _load_target_map(path, target):
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     if src.cap > target.cap:
         raise schemas.SchemaError(f"{path}: source cap {src.cap} exceeds the target's cap {target.cap}")
+    vectors = _load_tables(path, data, src.cap, lambda vec: [int(v) for v in vec], "a list of integers")
     tables = []
-    for n, level in enumerate(schemas._per_level(data["tables"], src.cap, f"{path}: tables")):
+    for n, level in enumerate(vectors):
         simplices = set(src.elements[n])
         for x in level:
             if x not in simplices:
@@ -252,7 +273,7 @@ def _load_target_map(path, target):
         for x in src.elements[n]:
             if x != BASE and x not in level:
                 raise schemas.SchemaError(f"{path}: level {n} does not list simplex {x!r}")
-        tables.append({x: target.from_generators(n, [int(v) for v in vec]) for x, vec in level.items()})
+        tables.append({x: target.from_generators(n, vec) for x, vec in level.items()})
     tm = TargetMap(src=src, target=target, tables=tables)
     if not tm.is_valid():
         raise StructuralError(f"{path}: tables do not define a pointed simplicial map")
@@ -305,6 +326,7 @@ def cmd_e2(args):
 FILE = {"file": {}}
 DSAB = ("dsab",)
 STAR_FILES = ("f", "g", "h", "target")
+GLOBAL_FLAGS = ("cap", "window", "table")  # --seed is read by every subcommand
 
 
 class Command(NamedTuple):
@@ -313,30 +335,32 @@ class Command(NamedTuple):
     kinds: tuple = ()  # object kinds the handler's object file may have
     arguments: dict = FILE  # flag -> add_argument options
     inputs: tuple = ("file",)  # dests of the arguments that name input files, in report order
+    flags: tuple = ()  # the GLOBAL_FLAGS the handler reads; setting any other one is a usage error
 
 
 # star-check loads a target of any object kind and then requires degeneracies
 COMMANDS = {
-    "verify": Command(cmd_verify, "check all simplicial identities of an object file", ("sset", "dsab")),
-    "moore": Command(cmd_moore, "homotopy groups via the Moore complex", DSAB),
+    "verify": Command(cmd_verify, "check all simplicial identities of an object file", ("sset", "dsab"),
+                      flags=("cap",)),
+    "moore": Command(cmd_moore, "homotopy groups via the Moore complex", DSAB, flags=("cap", "window")),
     "match": Command(cmd_match, "matching object and comparison map at degree n", DSAB,
-                     {**FILE, "-n": {"type": int, "required": True}}),
-    "reedy": Command(cmd_reedy, "surjectivity of every comparison map", DSAB),
+                     {**FILE, "-n": {"type": int, "required": True}}, flags=("cap",)),
+    "reedy": Command(cmd_reedy, "surjectivity of every comparison map", DSAB, flags=("cap",)),
     "extend": Command(cmd_extend, "free degeneracy extension of a face-only object", DSAB,
                       {**FILE, "--emit": {"action": "store_true",
-                                          "help": "include the extended object in the report"}}),
+                                          "help": "include the extended object in the report"}}, flags=("cap",)),
     "perm": Command(cmd_perm, "permutohedron lattices, labelings, schemas", (),
                     {"action": {"choices": ["enum", "label", "schema"]},
                      "arg": {"help": "k for enum; 'dim:i,j,...' word otherwise"}}, ()),
     "simplex": Command(cmd_simplex, "simplex face indexing and gluing schemas", (),
                        {"action": {"choices": ["index"]}, "arg": {"help": "the simplex dimension n"}}, ()),
-    "deloop": Command(cmd_deloop, "attempt the degree shift of a fragment"),
+    "deloop": Command(cmd_deloop, "attempt the degree shift of a fragment", flags=("table",)),
     "star-check": Command(cmd_star_check, "associativity condition for derived composition", tuple(_LOADERS),
                           {f"--{name}": {"required": True} for name in STAR_FILES}, STAR_FILES),
     "synthesize": Command(cmd_synthesize, "strict degeneracies from up-to-homotopy data", DSAB,
                           {"--input": {"required": True}, "--hdeg": {"required": True},
                            "--strict-tie": {"action": "store_true", "dest": "strict_tie"}}, ("input", "hdeg")),
-    "e2": Command(cmd_e2, "levelwise-homotopy page of a bisimplicial grid", ("bisab",)),
+    "e2": Command(cmd_e2, "levelwise-homotopy page of a bisimplicial grid", ("bisab",), flags=("window",)),
 }
 
 
@@ -366,6 +390,10 @@ def main(argv=None):
     if not args.command:
         parser.print_help()
         return USAGE
+    ignored = [f"--{flag}" for flag in GLOBAL_FLAGS
+               if getattr(args, flag) is not None and flag not in COMMANDS[args.command].flags]
+    if ignored:
+        parser.error(f"{args.command} does not read {', '.join(ignored)}")
     try:
         code, verdict, witnesses, caps, extra = args.func(args)
         action = getattr(args, "action", None)

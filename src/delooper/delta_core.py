@@ -8,6 +8,7 @@ reading of Reedy fibrancy, and the free-degeneracy left adjoint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .abelian import Hom, PresentedGroup, coordinates, direct_sum, quotient, subgroup
@@ -211,6 +212,7 @@ def is_reedy_fibrant(V):
     return ReedyReport(fibrant=not witnesses, cap=V.cap, witnesses=witnesses)
 
 
+@functools.cache
 def push_face_through(word, i):
     """Rewrite d_i . s_word using the simplicial identities.
 
@@ -262,16 +264,12 @@ def free_degeneracy_extension(V):
     """Y_n = V_n (+) D_n with D_n the sum of V_k over canonical degeneracy
     words k -> n; degeneracies are summand bookkeeping, faces are induced."""
     layout = _extension_layout(V)
-    levels = []
-    for n in range(V.cap + 1):
-        entries, total = layout[n]
-        groups = [V.levels[k] for (_, k, _) in entries]
-        glued, _ = direct_sum(groups)
-        levels.append(glued)
+    levels = [direct_sum([V.levels[k] for (_, k, _) in layout[n][0]])[0] for n in range(V.cap + 1)]
     word_offset = [
         {(w.letters if w is not None else None): off for (w, _, off) in layout[n][0]}
         for n in range(V.cap + 1)
     ]
+    eye = [Mat.eye(V.rank(k)) for k in range(V.cap + 1)]
 
     def block_write(target, roff, coff, block):
         for r in range(block.r):
@@ -292,16 +290,11 @@ def free_degeneracy_extension(V):
                     continue
                 result = push_face_through(w, i)
                 if result[0] == "deg":
-                    w2 = result[1]
-                    block_write(out, word_offset[n - 1][w2.letters or None], off, Mat.eye(V.rank(k)))
+                    w2, block = result[1], eye[k]
                 else:
                     _, i2, w2 = result
-                    block_write(
-                        out,
-                        word_offset[n - 1][w2.letters or None],
-                        off,
-                        V.face(k, i2),
-                    )
+                    block = V.face(k, i2)
+                block_write(out, word_offset[n - 1][w2.letters or None], off, block)
             faces[n].append(out)
     degs = {}
     for n in range(0, V.cap):
@@ -309,11 +302,8 @@ def free_degeneracy_extension(V):
         for j in range(n + 1):
             out = Mat(layout[n + 1][1], layout[n][1])
             for (w, k, off) in layout[n][0]:
-                if w is None:
-                    w2 = DegeneracyWord(n, (j,))
-                else:
-                    w2 = w.prefixed_by(j)
-                block_write(out, word_offset[n + 1][w2.letters], off, Mat.eye(V.rank(k)))
+                w2 = DegeneracyWord(n, (j,)) if w is None else w.prefixed_by(j)
+                block_write(out, word_offset[n + 1][w2.letters], off, eye[k])
             degs[n].append(out)
     iota = []
     retraction = []
@@ -330,6 +320,17 @@ def free_degeneracy_extension(V):
     return Extension(object=Y, iota=iota, retraction=retraction, summands=[layout[n][0] for n in range(V.cap + 1)])
 
 
+def degeneracy_word_matrix(V, degeneracies, word):
+    """Composite of degeneracies[dim][j] along the letters of a degeneracy
+    word, from level word.source_dim of V."""
+    out = Mat.eye(V.rank(word.source_dim))
+    dim = word.source_dim
+    for j in word.letters:
+        out = degeneracies[dim][j] @ out
+        dim += 1
+    return out
+
+
 def extension_counit(ext, W):
     """For V = U(W): the counit Y -> W, evaluating each word by W's degeneracies."""
     mats = []
@@ -337,14 +338,7 @@ def extension_counit(ext, W):
         total = sum(W.rank(k) for (_, k, _) in ext.summands[n])
         out = Mat(W.rank(n), total)
         for (w, k, off) in ext.summands[n]:
-            if w is None:
-                block = Mat.eye(W.rank(n))
-            else:
-                block = Mat.eye(W.rank(k))
-                dim = k
-                for j in w.letters:
-                    block = W.degeneracy(dim, j) @ block
-                    dim += 1
+            block = degeneracy_word_matrix(W, W.degeneracies, DegeneracyWord(n, ()) if w is None else w)
             for r in range(block.r):
                 for c in range(block.c):
                     out.a[r][off + c] = block.a[r][c]

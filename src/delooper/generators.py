@@ -9,11 +9,13 @@ Reedy-fibrant inputs the degeneracy synthesis expects.
 
 from __future__ import annotations
 
+import math
+
 from .abelian import PresentedGroup
 from .delta_core import SAb
 from .intlin import Mat
-from .moore import ChainComplex, dold_kan
-from .synthesis import boundary_matrix
+from .moore import ChainComplex, dold_kan, external_product
+from .synthesis import HomotopyDegeneracyData, boundary_matrix
 
 
 def random_unimodular(n, rng, steps=6):
@@ -102,8 +104,6 @@ def random_fibrant_strict_object(rng, cap, rank_limit=6, twist=True):
 
 
 def _gamma_ranks(cpx, cap):
-    import math
-
     out = []
     for n in range(cap + 1):
         out.append(sum(math.comb(n, k) * cpx.groups[k].ngens for k in range(n + 1)))
@@ -134,8 +134,6 @@ def perturb_degeneracies(W, rng, magnitude=1):
                 X = X + B @ boundary_matrix(W, n)
             row.append(X)
         maps[n] = row
-    from .synthesis import HomotopyDegeneracyData
-
     return HomotopyDegeneracyData(maps=maps)
 
 
@@ -167,8 +165,6 @@ def random_resolution_grid(rng, hcap=2, vcap=2, rank_limit=8):
     product of an augmented-acyclic horizontal object with a finite
     vertical object. Its levelwise-homotopy page is concentrated in the
     base column."""
-    from .moore import external_product
-
     while True:
         ch = augmented_acyclic_complex(hcap, rng, base_rank=rng.randint(1, 2))
         if max(_gamma_ranks(ch, hcap)) <= rank_limit // 2:
@@ -201,4 +197,4 @@ def random_small_strict_object(rng, cap, rank_limit=5, torsion=False):
             cpx = ChainComplex(groups=groups, diffs=diffs)
         ranks = _gamma_ranks(cpx, cap)
         if 0 < max(ranks) <= rank_limit:
-            return dold_kan(cpx, cap) if not torsion else dold_kan(cpx, cap)
+            return dold_kan(cpx, cap)

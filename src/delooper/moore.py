@@ -17,14 +17,14 @@ from .abelian import (
     coordinates,
     direct_sum,
     homology,
+    induced_on_homology,
     joint_kernel,
     kron,
     subgroup,
     tensor,
 )
-from .delta_core import SAb, StructuralError
+from .delta_core import DeltaSAb, SAb, StructuralError, free_degeneracy_extension
 from .intlin import Mat
-from .words import canonical_degeneracy_words
 
 
 @dataclass
@@ -132,72 +132,22 @@ def homotopy_groups(G, degrees=None):
 
 
 def dold_kan(cpx, cap=None):
-    """The inverse Dold-Kan construction on a nonnegative chain complex.
+    """The inverse Dold-Kan construction Gamma on a nonnegative chain complex.
 
-    Level n is the sum of C_k over monotone surjections [n] ->> [k]; faces
-    act by the epi-mono factorization, with the differential appearing on
-    the inclusion that misses the top vertex.
+    Gamma(C) is the free degeneracy extension of C read as a face-only
+    object whose top face d_n at level n is the differential and whose
+    other faces are zero: level n is the sum of C_k over the canonical
+    degeneracy words k -> n (the monotone surjections [n] ->> [k]).
     """
     if cap is None:
         cap = cpx.cap
     if cap > cpx.cap:
         raise ValueError("cap exceeds the chain complex length")
-
-    summands = []
-    offsets = []
-    levels = []
-    for n in range(cap + 1):
-        entry = [(k, w.as_surjection()) for k in range(n, -1, -1) for w in canonical_degeneracy_words(k, n)]
-        summands.append(entry)
-        offs = {}
-        parts = []
-        tot = 0
-        for (k, s) in entry:
-            offs[s] = (tot, k)
-            parts.append(cpx.groups[k])
-            tot += cpx.groups[k].ngens
-        offsets.append(offs)
-        levels.append(direct_sum(parts)[0])
-
-    def epi_mono(f):
-        img = sorted(set(f))
-        pos = {v: i for i, v in enumerate(img)}
-        return tuple(pos[v] for v in f), img
-
     faces = {}
     for n in range(1, cap + 1):
-        faces[n] = []
-        for i in range(n + 1):
-            out = Mat(levels[n - 1].ngens, levels[n].ngens)
-            for (k, s) in summands[n]:
-                off_s, _ = offsets[n][s]
-                tau, img = epi_mono(s[:i] + s[i + 1 :])
-                p = len(img) - 1
-                if p == k:
-                    block = Mat.eye(cpx.groups[k].ngens)
-                elif p == k - 1 and img == list(range(k)):
-                    block = cpx.diffs[k]
-                else:
-                    continue
-                off_t, _ = offsets[n - 1][tau]
-                for r in range(block.r):
-                    for c in range(block.c):
-                        if block.a[r][c]:
-                            out.a[off_t + r][off_s + c] = block.a[r][c]
-            faces[n].append(out)
-    degs = {}
-    for n in range(0, cap):
-        degs[n] = []
-        for j in range(n + 1):
-            out = Mat(levels[n + 1].ngens, levels[n].ngens)
-            for (k, s) in summands[n]:
-                off_s, _ = offsets[n][s]
-                target = s[: j + 1] + s[j:]
-                off_t, _ = offsets[n + 1][target]
-                for r in range(cpx.groups[k].ngens):
-                    out.a[off_t + r][off_s + r] = 1
-            degs[n].append(out)
-    return SAb(levels, faces, degs, cap)
+        zero = Mat(cpx.groups[n - 1].ngens, cpx.groups[n].ngens)
+        faces[n] = [zero] * n + [cpx.diffs[n]]
+    return free_degeneracy_extension(DeltaSAb(cpx.groups[: cap + 1], faces, cap)).object
 
 
 class BisimplicialAbelianGroup:
@@ -311,21 +261,9 @@ def external_product(A, B):
 
 def constant_vertical(G, vcap):
     """Bisimplicial grid, vertically constant on the simplicial group G."""
-    hcap = G.cap
-    levels = [[G.levels[p] for _ in range(vcap + 1)] for p in range(hcap + 1)]
-    h_faces, v_faces, h_degs, v_degs = {}, {}, {}, {}
-    for p in range(hcap + 1):
-        I = Mat.eye(G.levels[p].ngens)
-        for q in range(vcap + 1):
-            if p >= 1:
-                h_faces[(p, q)] = [G.face(p, i) for i in range(p + 1)]
-            if q >= 1:
-                v_faces[(p, q)] = [I for _ in range(q + 1)]
-            if p < hcap:
-                h_degs[(p, q)] = [G.degeneracy(p, i) for i in range(p + 1)]
-            if q < vcap:
-                v_degs[(p, q)] = [I for _ in range(q + 1)]
-    return BisimplicialAbelianGroup(levels, h_faces, v_faces, h_degs, v_degs, hcap, vcap)
+    groups = [PresentedGroup.free(1)] + [PresentedGroup.free(0)] * vcap
+    diffs = {q: Mat(groups[q - 1].ngens, 0) for q in range(1, vcap + 1)}
+    return external_product(G, dold_kan(ChainComplex(groups, diffs)))
 
 
 def diagonal(B):
@@ -350,18 +288,11 @@ def vertical_homotopy_object(B, t):
 
     def induce(mat, p_src, p_dst):
         """Induced map pi_t(column p_src) -> pi_t(column p_dst) from a level map."""
-        src, dst = subs[p_src], subs[p_dst]
-        # the level map restricted to Moore cycles, then classified
-        carried = mat @ moores[p_src].lifts[t] @ src.lift
-        out = Mat(dst.group.ngens, src.group.ngens)
-        in_moore = coordinates(moores[p_dst].lifts[t], cols[p_dst].levels[t], carried)
-        if in_moore is None:
+        on_moore = coordinates(moores[p_dst].lifts[t], cols[p_dst].levels[t], mat @ moores[p_src].lifts[t])
+        if on_moore is None:
             raise StructuralError("induced map does not preserve Moore cycles")
-        for j in range(src.group.ngens):
-            cls = dst.classify(in_moore.col(j))
-            for i in range(dst.group.ngens):
-                out.a[i][j] = cls[i]
-        return out
+        f = Hom(subs[p_src].ambient, subs[p_dst].ambient, on_moore)
+        return induced_on_homology(subs[p_src], subs[p_dst], f).mat
 
     faces = {}
     degs = {}

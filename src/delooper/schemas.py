@@ -42,6 +42,8 @@ def _level(text, cap, step, what):
 
 def _per_level(rows, cap, what):
     """A list with one entry per level 0..cap."""
+    if not isinstance(rows, list):
+        raise SchemaError(f"{what}: expected a list of {cap + 1} entries for cap {cap}, found {rows!r}")
     if len(rows) != cap + 1:
         raise SchemaError(f"{what}: expected {cap + 1} entries for cap {cap}, found {len(rows)}")
     return rows

@@ -155,79 +155,45 @@ def _tuple_id(t):
     return "x" + "".join(str(v) for v in t)
 
 
+def _vertex_model(n, cap, name):
+    """The quotient of Delta[n] named by name: the k-simplices are the
+    monotone (k+1)-tuples of vertices 0..n, d_i deletes entry i, s_j repeats
+    entry j, and name sends a tuple to its id or to the basepoint. The
+    tuples named BASE must be closed under faces and degeneracies. Each
+    dimension lists the basepoint first, then ids in first-occurrence order."""
+    elements = []
+    cells = []  # per dimension, (tuple, id) for the tuples not named BASE
+    for k in range(cap + 1):
+        named = [(t, name(t)) for t in itertools.combinations_with_replacement(range(n + 1), k + 1)]
+        cells.append([(t, x) for t, x in named if x != BASE])
+        elements.append(list(dict.fromkeys([BASE] + [x for _, x in cells[k]])))
+    faces = {
+        k: [{BASE: BASE, **{x: name(t[:i] + t[i + 1 :]) for t, x in cells[k]}} for i in range(k + 1)]
+        for k in range(1, cap + 1)
+    }
+    degeneracies = {
+        k: [{BASE: BASE, **{x: name(t[: j + 1] + t[j:]) for t, x in cells[k]}} for j in range(k + 1)]
+        for k in range(0, cap)
+    }
+    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
+
+
 def standard_simplex(n, cap, basepoint="vertex0"):
     """Pointed model of Delta[n].
 
     basepoint="vertex0" identifies vertex 0 (and its degeneracies) with the
     basepoint; "disjoint" adds a free basepoint alongside all simplices.
     """
-    collapse_vertex = basepoint == "vertex0"
-
-    def name(t):
-        if collapse_vertex and set(t) == {0}:
-            return BASE
-        return _tuple_id(t)
-
-    elements = []
-    by_dim = []
-    for k in range(cap + 1):
-        tups = [t for t in itertools.combinations_with_replacement(range(n + 1), k + 1)]
-        by_dim.append(tups)
-        named = [name(t) for t in tups]
-        elements.append(([BASE] if not collapse_vertex else []) + sorted(set(named), key=named.index))
-        if collapse_vertex and BASE not in elements[-1]:
-            elements[-1].insert(0, BASE)
-    faces = {}
-    degeneracies = {}
-    for k in range(1, cap + 1):
-        faces[k] = []
-        for i in range(k + 1):
-            table = {BASE: BASE}
-            for t in by_dim[k]:
-                table[name(t)] = name(t[:i] + t[i + 1 :])
-            faces[k].append(table)
-    for k in range(0, cap):
-        degeneracies[k] = []
-        for j in range(k + 1):
-            table = {BASE: BASE}
-            for t in by_dim[k]:
-                table[name(t)] = name(t[: j + 1] + t[j:])
-            degeneracies[k].append(table)
-    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
+    if basepoint == "vertex0":
+        return _vertex_model(n, cap, lambda t: BASE if t[-1] == 0 else _tuple_id(t))
+    return _vertex_model(n, cap, _tuple_id)
 
 
 def sphere(n, cap):
     """S^n = Delta[n]/boundary: the basepoint plus the degeneracies of the top cell."""
     if cap < n:
         raise ValueError("cap must be at least n")
-    elements = []
-    by_dim = []
-    for k in range(cap + 1):
-        tups = [
-            t
-            for t in itertools.combinations_with_replacement(range(n + 1), k + 1)
-            if set(t) == set(range(n + 1))
-        ]
-        by_dim.append(tups)
-        elements.append([BASE] + [_tuple_id(t) for t in tups])
-    faces = {}
-    degeneracies = {}
-    for k in range(1, cap + 1):
-        faces[k] = []
-        for i in range(k + 1):
-            table = {BASE: BASE}
-            for t in by_dim[k]:
-                ft = t[:i] + t[i + 1 :]
-                table[_tuple_id(t)] = _tuple_id(ft) if set(ft) == set(range(n + 1)) else BASE
-            faces[k].append(table)
-    for k in range(0, cap):
-        degeneracies[k] = []
-        for j in range(k + 1):
-            table = {BASE: BASE}
-            for t in by_dim[k]:
-                table[_tuple_id(t)] = _tuple_id(t[: j + 1] + t[j:])
-            degeneracies[k].append(table)
-    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
+    return _vertex_model(n, cap, lambda t: _tuple_id(t) if len(set(t)) == n + 1 else BASE)
 
 
 def zero_sphere(cap):

@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import PresentedGroup, joint_kernel, quotient, subgroup
-from .delta_core import SAb, is_reedy_fibrant, matching_object, push_face_through, verify_identities
+from .delta_core import (
+    SAb,
+    degeneracy_word_matrix,
+    is_reedy_fibrant,
+    matching_object,
+    push_face_through,
+    verify_identities,
+)
 from .intlin import Mat, SmithSolver, kernel_mod_lattice, vstack_all
 from .simplicial import StructuralError
 from .words import DegeneracyWord, canonical_degeneracy_words
@@ -156,10 +163,10 @@ def rho_map(V, state, n):
             for i in range(n + 2):
                 result = push_face_through(w, i)
                 if result[0] == "deg":
-                    mat = _word_matrix(V, state, result[1], k)
+                    mat = degeneracy_word_matrix(V, state, result[1])
                 else:
                     _, i2, w2 = result
-                    mat = _word_matrix(V, state, w2, k - 1) @ V.face(k, i2)
+                    mat = degeneracy_word_matrix(V, state, w2) @ V.face(k, i2)
                 comps.append(mat)
             components[w] = comps
     mo = matching_object(V, n + 1)
@@ -168,16 +175,6 @@ def rho_map(V, state, n):
         if solver.solve_columns(vstack_all(comps)) is None:
             raise StructuralError(f"face prescription for word {w.describe()} leaves the matching object")
     return components
-
-
-def _word_matrix(V, state, word, k):
-    """Composite of chosen degeneracies along a canonical word from level k."""
-    out = Mat.eye(V.rank(k))
-    dim = k
-    for j in word.letters:
-        out = state[dim][j] @ out
-        dim += 1
-    return out
 
 
 class _StageSystem:
@@ -313,7 +310,7 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
     for n in range(V.cap):
         rho = rho_map(V, state, n)
         for w, comps in rho.items():
-            mat = _word_matrix(V, state, w, w.source_dim)
+            mat = degeneracy_word_matrix(V, state, w)
             for i in range(n + 2):
                 if V.levels[n].first_nonzero_column(V.face(n + 1, i) @ mat - comps[i]) is not None:
                     raise SynthesisFailure(

@@ -99,6 +99,25 @@ def star_check(**files):
         (star_check(h="tests/data/targetmap_missing_simplex.json"), 2),
         (star_check(h="tests/data/targetmap_unknown_simplex.json"), 2),
         (star_check(target="tests/data/star_target_cap2.dsab.json"), 2),
+        # a star-check table, level or entry of the wrong JSON type is an input error
+        (star_check(h="tests/data/targetmap_level_list.json"), 2),
+        (star_check(h="tests/data/targetmap_vector_int.json"), 2),
+        (star_check(f="tests/data/freehom_word_int.json"), 2),
+        (star_check(h="tests/data/targetmap_tables_int.json"), 2),
+        # a global flag the subcommand does not read is a usage error
+        (("--cap", "1", *star_check()), 2),
+        (("--cap", "1", "synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"), 2),
+        (("--window", "0,1", "verify", "corpus/zs1.dsab.json"), 2),
+        (("--cap", "1", "e2", "corpus/resolution.bisab.json"), 2),
+        (("--window", "0,1", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "src/delooper/data/spheres.json", "moore", "corpus/zs1.dsab.json"), 2),
+        (("--cap", "2", "perm", "enum", "2"), 2),
+        (("--cap", "2", "--window", "0,1", "moore", "corpus/zs1.dsab.json"), 0),
+        (("--cap", "1", "extend", "corpus/zs1.dsab.json"), 0),
+        (("--cap", "1", "reedy", "corpus/fibrant.dsab.json"), 0),
+        (("--cap", "1", "match", "corpus/zs1.dsab.json", "-n", "1"), 0),
+        (("--table", "src/delooper/data/spheres.json", "deloop", "corpus/loop_s3.pialg.json"), 0),
+        (("--seed", "3", *star_check()), 0),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -114,6 +133,10 @@ def test_exit_code_contract(args, expected):
         ({"h": "tests/data/targetmap_missing_simplex.json"}, "level 1 does not list simplex 'x01'"),
         ({"h": "tests/data/targetmap_unknown_simplex.json"}, "level 2 lists 'x012', not a simplex of the source"),
         ({"target": "tests/data/star_target_cap2.dsab.json"}, "source cap 3 exceeds the target's cap 2"),
+        ({"h": "tests/data/targetmap_level_list.json"}, "level 0 must be an object keyed by simplex, found []"),
+        ({"h": "tests/data/targetmap_vector_int.json"}, "level 1, simplex 'x01': expected a list of integers, found 1"),
+        ({"f": "tests/data/freehom_word_int.json"}, "level 1, simplex 'x01': expected a list of [generator, exponent]"),
+        ({"h": "tests/data/targetmap_tables_int.json"}, "tables: expected a list of 4 entries for cap 3, found 3"),
     ],
 )
 def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatch):
@@ -124,6 +147,15 @@ def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatc
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "input-error"
     assert message in rep["error"]
+
+
+def test_ignored_global_flag_names_the_subcommand_and_flags(capsys):
+    from delooper import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--cap", "1", "--table", "t.json", "e2", "corpus/resolution.bisab.json"])
+    assert exc.value.code == 2
+    assert "e2 does not read --cap, --table" in capsys.readouterr().err
 
 
 def test_reports_are_json_with_witnesses():

@@ -96,3 +96,101 @@ def test_pointed_map_search_bound_fails_fast():
     with pytest.raises(ResourceError):
         enumerate_pointed_maps(D7, D7)
     assert time.perf_counter() - started < 1.0
+
+
+def _tuple_id(t):
+    return "x" + "".join(str(v) for v in t)
+
+
+def reference_standard_simplex(n, cap, basepoint="vertex0"):
+    """Delta[n] written out on its own, as it was before standard_simplex and
+    sphere shared one vertex-tuple model."""
+    import itertools
+
+    collapse_vertex = basepoint == "vertex0"
+
+    def name(t):
+        if collapse_vertex and set(t) == {0}:
+            return BASE
+        return _tuple_id(t)
+
+    elements, by_dim = [], []
+    for k in range(cap + 1):
+        tups = list(itertools.combinations_with_replacement(range(n + 1), k + 1))
+        by_dim.append(tups)
+        named = [name(t) for t in tups]
+        elements.append(([BASE] if not collapse_vertex else []) + sorted(set(named), key=named.index))
+        if collapse_vertex and BASE not in elements[-1]:
+            elements[-1].insert(0, BASE)
+    faces = {}
+    for k in range(1, cap + 1):
+        faces[k] = []
+        for i in range(k + 1):
+            table = {BASE: BASE}
+            for t in by_dim[k]:
+                table[name(t)] = name(t[:i] + t[i + 1 :])
+            faces[k].append(table)
+    degeneracies = {}
+    for k in range(cap):
+        degeneracies[k] = []
+        for j in range(k + 1):
+            table = {BASE: BASE}
+            for t in by_dim[k]:
+                table[name(t)] = name(t[: j + 1] + t[j:])
+            degeneracies[k].append(table)
+    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
+
+
+def reference_sphere(n, cap):
+    """S^n written out on its own, from the tuples that hit every vertex."""
+    import itertools
+
+    full = set(range(n + 1))
+    elements, by_dim = [], []
+    for k in range(cap + 1):
+        tups = [t for t in itertools.combinations_with_replacement(range(n + 1), k + 1) if set(t) == full]
+        by_dim.append(tups)
+        elements.append([BASE] + [_tuple_id(t) for t in tups])
+    faces = {}
+    for k in range(1, cap + 1):
+        faces[k] = []
+        for i in range(k + 1):
+            table = {BASE: BASE}
+            for t in by_dim[k]:
+                ft = t[:i] + t[i + 1 :]
+                table[_tuple_id(t)] = _tuple_id(ft) if set(ft) == full else BASE
+            faces[k].append(table)
+    degeneracies = {}
+    for k in range(cap):
+        degeneracies[k] = []
+        for j in range(k + 1):
+            table = {BASE: BASE}
+            for t in by_dim[k]:
+                table[_tuple_id(t)] = _tuple_id(t[: j + 1] + t[j:])
+            degeneracies[k].append(table)
+    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
+
+
+def model_tables(K):
+    """Elements and tables, with every dict's key order kept."""
+    return (
+        K.elements,
+        {n: [list(t.items()) for t in K.faces[n]] for n in K.faces},
+        {n: [list(t.items()) for t in K.degeneracies[n]] for n in K.degeneracies},
+    )
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_vertex_models_equal_the_written_out_builders(n):
+    """standard_simplex (both basepoints) and sphere, both quotients of one
+    vertex-tuple model, list the same elements in the same order with the
+    same tables as the builders written out separately, for cap <= 4."""
+    for cap in range(5):
+        for basepoint in ("vertex0", "disjoint"):
+            got = model_tables(standard_simplex(n, cap, basepoint))
+            assert got == model_tables(reference_standard_simplex(n, cap, basepoint)), (cap, basepoint)
+        if cap >= n:
+            assert model_tables(sphere(n, cap)) == model_tables(reference_sphere(n, cap)), cap
+        else:
+            with pytest.raises(ValueError):
+                sphere(n, cap)
