@@ -8,6 +8,7 @@ canonical representative for every coset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -22,7 +23,13 @@ class PresentedGroup:
         if rels.r != ngens:
             raise ValueError("relation matrix must have one row per generator")
         self.rels = rels
-        self._snf = SmithSolver(rels)
+
+    @functools.cached_property
+    def _snf(self):
+        """The Smith form of the relations, taken on first use: many groups
+        built along the way (subgroups, quotients) are never asked about
+        their elements."""
+        return SmithSolver(self.rels)
 
     @staticmethod
     def free(n):

@@ -241,15 +241,34 @@ def _load_tables(path, data, cap, convert, expected):
     return tables
 
 
+def _letter(pair):
+    """A letter [generator, exponent] of a word; the exponent is the JSON integer 1 or -1."""
+    x, e = pair
+    if type(e) is not int or e not in (1, -1):
+        raise ValueError(f"exponent {e!r}")
+    return str(x), e
+
+
 def _load_hom(path):
     data = schemas.load(path)
     schemas._check_format(data, "freehom")
     base = os.path.dirname(os.path.abspath(path))
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     dst = schemas.sset_from_json(schemas.load(os.path.join(base, data["dst"])))
+    if dst.cap < src.cap:
+        raise schemas.SchemaError(f"{path}: target cap {dst.cap} is below the source cap {src.cap}")
     F_src, F_dst = milnor_F(src), milnor_F(dst)
-    tables = _load_tables(path, data, src.cap, lambda word: tuple((str(x), int(e)) for x, e in word),
-                          "a list of [generator, exponent] pairs")
+    tables = _load_tables(path, data, src.cap, lambda word: tuple(map(_letter, word)),
+                          "a list of [generator, exponent] pairs, each exponent 1 or -1")
+    for n, table in enumerate(tables):
+        sources, generators = set(F_src.generators(n)), set(F_dst.generators(n))
+        for x, word in table.items():
+            if x not in sources:
+                raise schemas.SchemaError(f"{path}: level {n} lists {x!r}, not a generator of the source")
+            for g, _ in word:
+                if g not in generators:
+                    raise schemas.SchemaError(f"{path}: level {n}, simplex {x!r}: {g!r} is not a generator "
+                                              f"of level {n} of {data['dst']}")
     hom = GroupHomMap(F_src, F_dst, tables)
     if not hom.is_valid():
         raise StructuralError(f"{path}: tables do not define a simplicial homomorphism")
@@ -263,13 +282,17 @@ def _load_target_map(path, target):
     src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
     if src.cap > target.cap:
         raise schemas.SchemaError(f"{path}: source cap {src.cap} exceeds the target's cap {target.cap}")
-    vectors = _load_tables(path, data, src.cap, lambda vec: [int(v) for v in vec], "a list of integers")
+    vectors = _load_tables(path, data, src.cap, lambda vec: schemas.integers(vec, "vector"), "a list of integers")
     tables = []
     for n, level in enumerate(vectors):
         simplices = set(src.elements[n])
-        for x in level:
+        ngens = target.sab.levels[n].ngens
+        for x, vec in level.items():
             if x not in simplices:
                 raise schemas.SchemaError(f"{path}: level {n} lists {x!r}, not a simplex of the source")
+            if len(vec) != ngens:
+                raise schemas.SchemaError(f"{path}: level {n}, simplex {x!r}: expected a vector of length {ngens}, "
+                                          f"found {vec!r}")
         for x in src.elements[n]:
             if x != BASE and x not in level:
                 raise schemas.SchemaError(f"{path}: level {n} does not list simplex {x!r}")

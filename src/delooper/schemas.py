@@ -49,6 +49,20 @@ def _per_level(rows, cap, what):
     return rows
 
 
+def integer(x, what):
+    """x if it is a JSON integer; a float, a bool or a numeric string is a SchemaError."""
+    if type(x) is not int:
+        raise SchemaError(f"{what}: expected an integer, found {x!r}")
+    return x
+
+
+def integers(values, what):
+    """A copy of values if it is a list of JSON integers; anything else is a SchemaError."""
+    if type(values) is not list or any(type(x) is not int for x in values):
+        raise SchemaError(f"{what}: expected a list of integers, found {values!r}")
+    return list(values)
+
+
 def mat_to_json(M):
     return [row[:] for row in M.a]
 
@@ -56,7 +70,7 @@ def mat_to_json(M):
 def mat_from_json(rows, r, c):
     if len(rows) != r or any(len(row) != c for row in rows):
         raise SchemaError(f"matrix shape mismatch: expected {r}x{c}")
-    return Mat(r, c, [[int(x) for x in row] for row in rows])
+    return Mat(r, c, [integers(row, "matrix row") for row in rows])
 
 
 def group_to_json(G):
@@ -64,7 +78,7 @@ def group_to_json(G):
 
 
 def group_from_json(data):
-    g = int(data["gens"])
+    g = integer(data["gens"], "gens")
     rels = data.get("relations", [])
     if not rels:
         return PresentedGroup(g, Mat(g, 0, [[] for _ in range(g)]))
@@ -92,7 +106,7 @@ def sset_to_json(K):
 
 def sset_from_json(data):
     _check_format(data, "sset")
-    cap = int(data["cap"])
+    cap = integer(data["cap"], "cap")
     elements = [list(map(str, row)) for row in _per_level(data["elements"], cap, "elements")]
     faces = {}
     for n_str, tables in data["faces"].items():
@@ -126,7 +140,7 @@ def dsab_to_json(V):
 
 def dsab_from_json(data):
     _check_format(data, "dsab")
-    cap = int(data["cap"])
+    cap = integer(data["cap"], "cap")
     levels = [group_from_json(g) for g in _per_level(data["levels"], cap, "levels")]
     faces = {}
     for n_str, mats in data["faces"].items():
@@ -157,7 +171,7 @@ def bisab_to_json(B):
 
 def bisab_from_json(data):
     _check_format(data, "bisab")
-    hcap, vcap = int(data["hcap"]), int(data["vcap"])
+    hcap, vcap = integer(data["hcap"], "hcap"), integer(data["vcap"], "vcap")
     levels = [
         [group_from_json(g) for g in _per_level(column, vcap, f"levels[{p}]")]
         for p, column in enumerate(_per_level(data["levels"], hcap, "levels"))
@@ -215,23 +229,24 @@ def _declared_factors(G):
 
 def fragment_from_json(data):
     _check_format(data, "pialg")
-    d_lo, d_hi = (int(x) for x in data["degrees"])
+    d_lo, d_hi = integers(data["degrees"], "degrees")
     groups = {}
     gen_names = {}
     for d_str, spec in data["groups"].items():
         d = int(d_str)
-        groups[d] = PresentedGroup.from_factors([int(x) for x in spec["factors"]])
+        groups[d] = PresentedGroup.from_factors(integers(spec["factors"], f"degree {d} factors"))
         gen_names[d] = list(spec["gens"])
         if len(gen_names[d]) != groups[d].ngens:
             raise SchemaError(f"degree {d}: generator list does not match factor list")
     action = {}
     for entry in data.get("action", []):
-        action[(entry["theta"], (int(entry["degree"]), entry["gen"]))] = [int(x) for x in entry["value"]]
+        degree = integer(entry["degree"], "action degree")
+        action[(entry["theta"], (degree, entry["gen"]))] = integers(entry["value"], "action value")
     whitehead = {}
     for entry in data.get("whitehead", []):
-        d1, g1 = int(entry["left"][0]), entry["left"][1]
-        d2, g2 = int(entry["right"][0]), entry["right"][1]
-        whitehead[((d1, g1), (d2, g2))] = [int(x) for x in entry["value"]]
+        d1, g1 = integer(entry["left"][0], "whitehead degree"), entry["left"][1]
+        d2, g2 = integer(entry["right"][0], "whitehead degree"), entry["right"][1]
+        whitehead[((d1, g1), (d2, g2))] = integers(entry["value"], "whitehead value")
     return PiAlgebraFragment(
         d_lo=d_lo,
         d_hi=d_hi,

@@ -2,7 +2,9 @@
 composition built from its multiplication retraction.
 
 Words are reduced tuples of (generator id, +-1). The retraction evaluates
-a word in a simplicial group target by left-iterated multiplication; the
+a word in a simplicial group target as the product of its letters
+(``product``: Smith coordinates summed once on an abelian target,
+left-iterated multiplication on a finite group target); the
 star of a group homomorphism F(A) -> F(B) against a map B -> K is the
 generator restriction of the evaluated composite, and the associativity
 condition linking two stars is checked exactly, levelwise, up to the cap.
@@ -91,11 +93,15 @@ class GroupHomMap:
     tables: list  # per level, dict generator -> word in dst generators
 
     def apply(self, n, word):
-        out = ()
+        """The image of a word: the letter images concatenated and freely
+        reduced once. Free reduction is confluent, so this is the word that
+        multiplying the images one at a time gives, in linear time."""
+        table = self.tables[n]
+        letters = []
         for g, e in word:
-            img = self.tables[n][g]
-            out = word_mul(out, img if e == 1 else word_inv(img))
-        return out
+            img = table[g]
+            letters.extend(img if e == 1 else word_inv(img))
+        return word_reduce(letters)
 
     def is_valid(self):
         for n in range(self.src.cap + 1):
@@ -178,6 +184,16 @@ class AbelianTarget:
 
     def inv(self, n, a):
         return tuple([-x % d if d else -x for x, d in zip(a, self._moduli[n])])
+
+    def product(self, n, letters):
+        """The product of the letters (element, +-1) in order: their Smith
+        coordinates summed and reduced once, as the group law is
+        componentwise addition. Elements are reduced already, so one
+        letter needs no sum."""
+        terms = [x if e == 1 else self.inv(n, x) for x, e in letters]
+        if len(terms) < 2:
+            return terms[0] if terms else self.identity(n)
+        return self.canon(n, list(map(sum, zip(*terms))))
 
     def face(self, n, i, a):
         return _reduced_image(self._faces[n][i], self._moduli[n - 1], a)
@@ -278,6 +294,10 @@ class FiniteGroupTarget:
     def inv(self, n, a):
         return self.levels[n].inverse[a]
 
+    def product(self, n, letters):
+        """The product of the letters (element, +-1), multiplied from the left."""
+        return retraction_mbar(self, n, letters)
+
     def face(self, n, i, a):
         return self.faces[n][i][a]
 
@@ -365,9 +385,7 @@ def retraction_mbar(K, n, word_in_elements):
 
 def evaluate_hom_into_target(f, g, K, n, word):
     """m-bar . F(g) . f on a word of the source free group at level n."""
-    image = f.apply(n, word)
-    letters = [(g(n, x), e) for x, e in image]
-    return retraction_mbar(K, n, letters)
+    return K.product(n, [(g(n, x), e) for x, e in f.apply(n, word)])
 
 
 def star(f, g, K):
@@ -426,14 +444,70 @@ def _homomorphism_witness(image, generators, K, n, L, m):
     return None
 
 
+def _presentation_holds(values, moduli, L, m):
+    """Whether h is a homomorphism from the finite abelian level
+    K_n = (+) Z/d_i (the Smith coordinates with d_i != 1) into the group
+    L_m, given values = [h(a) for a in AbelianTarget.elements(n)].
+
+    Element t of that list has the mixed-radix digits of t as Smith
+    coordinates, the last coordinate fastest, so e_i is element s_i, the
+    product of the moduli after i. Besides h(e) = e this tests
+    |K_n| - 1 + r + r(r-1)/2 of the pairs (a, g_i) that
+    _homomorphism_witness tests (r generators g_i = e_i):
+
+    - one tree edge into each a != e: (a - e_i, g_i), with i the last
+      nonzero coordinate of a (element t - s_i);
+    - the relators ((d_i - 1) e_i, g_i);
+    - the commutators (e_x, g_y) for x > y.
+
+    Write x_i = h(g_i). From h(e) = e the tree edges give, by induction on
+    t, h(a) = x_1^{a_1} ... x_r^{a_r} for every a (0 <= a_i < d_i). So the
+    relator pair says x_i^{d_i - 1} x_i = e, and the commutator pair says
+    x_y x_x = h(e_x + e_y) = x_x x_y. K_n is presented by the generators
+    g_i with relations g_i^{d_i} and [g_x, g_y], so by von Dyck's theorem
+    g_i -> x_i extends to a homomorphism K_n -> L_m; it sends a to
+    x_1^{a_1} ... x_r^{a_r} = h(a), so h is that homomorphism. Conversely a
+    homomorphism passes every pair. So the answer is the verdict of the
+    pairs (a, generator), in fewer products.
+    """
+    mul, e = L.mul, values[0]
+    if e != L.identity(m):
+        return False
+    gens = []  # (s_i, d_i) for the coordinates with d_i != 1, in order
+    stride = 1
+    for d in reversed(moduli):
+        if d != 1:
+            gens.append((stride, d))
+        stride *= d
+    gens.reverse()
+    for s, d in gens:
+        x = values[s]
+        for t in range(s, len(values), s):
+            if (t // s) % d and values[t] != mul(m, values[t - s], x):
+                return False
+    for s, d in gens:
+        if mul(m, values[(d - 1) * s], values[s]) != e:
+            return False
+    for k, (sx, _) in enumerate(gens):
+        for sy, _ in gens[:k]:
+            if values[sx + sy] != mul(m, values[sx], values[sy]):
+                return False
+    return True
+
+
 def is_strictly_multiplicative(h, K, L):
     """n . (h x h) = h . m on every pair, levelwise, tested on the pairs
-    (a, generator) of each level (see _homomorphism_witness). Returns
-    (True, None) or (False, (level, a, b)) with a pair that fails; b is a
-    generator, or a = b = e when h(e) != e.
+    (a, generator) of each level (see _homomorphism_witness); a level of an
+    AbelianTarget is first tested through its presentation
+    (_presentation_holds), and the pairs are tested only when that fails.
+    Returns (True, None) or (False, (level, a, b)) with a pair that fails;
+    b is a generator, or a = b = e when h(e) != e.
     """
+    abelian = isinstance(K, AbelianTarget)
     for n in range(K.cap + 1):
         image = {a: h(n, a) for a in K.elements(n)}
+        if abelian and _presentation_holds(list(image.values()), K._moduli[n], L, n):
+            continue
         witness = _homomorphism_witness(image, K.generators(n), K, n, L, n)
         if witness:
             return False, (n, *witness)
@@ -458,7 +532,7 @@ def check_functoriality(e, f, g, h, K, L):
     for n in range(C.cap + 1):
         for c in e.src.generators(n):
             word = e.apply(n, ((c, 1),))
-            rhs = retraction_mbar(K, n, [(fg(n, x), ex) for x, ex in word])
+            rhs = K.product(n, [(fg(n, x), ex) for x, ex in word])
             if lhs1(n, c) != rhs:
                 return False
     # f . (g^*h) = (f . g)^*h

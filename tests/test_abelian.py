@@ -218,3 +218,20 @@ def test_canon_vector_finishes_where_a_second_snf_of_u_did_not():
         w = G.canon_vector(v)
         assert G.canon(w) == G.canon(v)
         assert G.canon_vector(w) == w
+
+
+def test_smith_form_is_taken_on_first_use(monkeypatch):
+    """A group takes the Smith form of its relations when first asked about
+    its elements, once, and never when it is only built or passed on."""
+    from delooper import intlin
+
+    calls = []
+    snf = intlin.smith_normal_form
+    monkeypatch.setattr(intlin, "smith_normal_form", lambda A: calls.append(A) or snf(A))
+    G = PresentedGroup(2, Mat.from_rows([[4, 6], [6, 4]]))
+    Q, _ = quotient(G, Mat.column([1, 1]))
+    assert calls == []
+    assert G.invariant_factors() == (2, 10)
+    assert G.canon([1, 1]) != G.canon([0, 0]) and G.is_zero_elt([4, 6])
+    assert len(list(G.elements())) == G.order() == 20
+    assert len(calls) == 1

@@ -118,6 +118,19 @@ def star_check(**files):
         (("--cap", "1", "match", "corpus/zs1.dsab.json", "-n", "1"), 0),
         (("--table", "src/delooper/data/spheres.json", "deloop", "corpus/loop_s3.pialg.json"), 0),
         (("--seed", "3", *star_check()), 0),
+        # a JSON number that is not an integer, a bool or a numeric string
+        # where an integer belongs is an input error, as is an exponent
+        # other than 1 or -1
+        (("moore", "tests/data/dsab_float_entry.json"), 2),
+        (("moore", "tests/data/dsab_string_entry.json"), 2),
+        (("moore", "tests/data/dsab_bool_entry.json"), 2),
+        (star_check(h="tests/data/targetmap_vector_float.json"), 2),
+        (star_check(h="tests/data/targetmap_vector_string.json"), 2),
+        (star_check(f="tests/data/freehom_exponent_two.json"), 2),
+        (star_check(g="tests/data/freehom_exponent_two.json"), 2),
+        (star_check(f="tests/data/freehom_exponent_bool.json"), 2),
+        # a homomorphism table listing a key that is not a generator of its source
+        (star_check(f="tests/data/freehom_unknown_simplex.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -137,6 +150,16 @@ def test_exit_code_contract(args, expected):
         ({"h": "tests/data/targetmap_vector_int.json"}, "level 1, simplex 'x01': expected a list of integers, found 1"),
         ({"f": "tests/data/freehom_word_int.json"}, "level 1, simplex 'x01': expected a list of [generator, exponent]"),
         ({"h": "tests/data/targetmap_tables_int.json"}, "tables: expected a list of 4 entries for cap 3, found 3"),
+        ({"h": "tests/data/targetmap_vector_length.json"},
+         "targetmap_vector_length.json: level 1, simplex 'x01': expected a vector of length 1, found [1, 2]"),
+        ({"h": "tests/data/targetmap_vector_float.json"}, "level 1, simplex 'x01': expected a list of integers, found [1.9]"),
+        ({"h": "tests/data/targetmap_vector_string.json"}, "level 1, simplex 'x01': expected a list of integers"),
+        ({"f": "tests/data/freehom_unknown_generator.json"},
+         "freehom_unknown_generator.json: level 1, simplex 'x01': 'nope' is not a generator of level 1"),
+        ({"f": "tests/data/freehom_exponent_two.json"}, "level 1, simplex 'x01': expected a list of [generator, exponent]"),
+        ({"f": "tests/data/freehom_exponent_bool.json"}, "each exponent 1 or -1, found [['x01', True]]"),
+        ({"f": "tests/data/freehom_dst_cap2.json"}, "freehom_dst_cap2.json: target cap 2 is below the source cap 3"),
+        ({"f": "tests/data/freehom_unknown_simplex.json"}, "level 1 lists 'bogus', not a generator of the source"),
     ],
 )
 def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatch):

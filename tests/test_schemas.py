@@ -78,3 +78,26 @@ def test_format_version_checked(tmp_path):
 def test_matrix_shape_checked():
     with pytest.raises(schemas.SchemaError):
         schemas.mat_from_json([[1, 2]], 2, 2)
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", True, None])
+def test_matrix_entries_must_be_json_integers(entry):
+    with pytest.raises(schemas.SchemaError, match="expected a list of integers"):
+        schemas.mat_from_json([[1, entry]], 1, 2)
+
+
+def test_matrix_rows_are_copied():
+    rows = [[1, -2], [0, 3]]
+    M = schemas.mat_from_json(rows, 2, 2)
+    assert M.a == rows and all(a is not b for a, b in zip(M.a, rows))
+
+
+def test_scalar_fields_must_be_json_integers():
+    data = schemas.sset_to_json(sphere(1, 2))
+    with pytest.raises(schemas.SchemaError, match="cap: expected an integer, found '2'"):
+        schemas.sset_from_json({**data, "cap": "2"})
+    data = schemas.fragment_to_json(eta_chain_fragment())
+    degree = next(iter(data["groups"]))
+    groups = {**data["groups"], degree: {**data["groups"][degree], "factors": [2.0]}}
+    with pytest.raises(schemas.SchemaError, match="factors: expected a list of integers"):
+        schemas.fragment_from_json({**data, "groups": groups})

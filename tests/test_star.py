@@ -22,6 +22,7 @@ from delooper.star import (
     AbelianTarget,
     FiniteGroupLevel,
     FiniteGroupTarget,
+    GroupHomMap,
     TargetMap,
     check_condition_star,
     check_functoriality,
@@ -630,3 +631,171 @@ def test_verify_s3_target():
     K = s3_target()
     assert K.verify() is None
     assert all_pairs_map_check(K) is None
+
+
+def first_failing_pair(h, K, L):
+    """h(e) = e, then every pair (a, generator) in the order of elements
+    and generators: the verdict and witness is_strictly_multiplicative
+    must return."""
+    for n in range(K.cap + 1):
+        e = K.identity(n)
+        if h(n, e) != L.identity(n):
+            return False, (n, e, e)
+        for a in K.elements(n):
+            for g in K.generators(n):
+                if h(n, K.mul(n, a, g)) != L.mul(n, h(n, a), h(n, g)):
+                    return False, (n, a, g)
+    return True, None
+
+
+def generator_image_tables(K, L, images):
+    """Tables of h(a) = x_1^{a_1} ... x_r^{a_r}, with images[n] = [x_1, ..., x_r]
+    the values on K.generators(n); a homomorphism exactly when the x_i
+    commute and x_i^{d_i} = e."""
+    tables = []
+    for n in range(K.cap + 1):
+        coordinates = [g.index(1) for g in K.generators(n)]
+        table = {}
+        for a in K.elements(n):
+            y = L.identity(n)
+            for i, x in zip(coordinates, images[n]):
+                y = L.mul(n, y, power(L, n, x, a[i]))
+            table[a] = y
+        tables.append(table)
+    return tables
+
+
+def homomorphism_images(K, L, choose):
+    """Generator images of a homomorphism K -> L on every level: each x_i
+    has order dividing d_i and commutes with the earlier ones; choose
+    picks one from the list of candidates."""
+    images = []
+    for n in range(K.cap + 1):
+        xs = []
+        for g in K.generators(n):
+            d = K._moduli[n][g.index(1)]
+            candidates = [
+                z for z in L.elements(n)
+                if power(L, n, z, d) == L.identity(n) and all(L.mul(n, z, x) == L.mul(n, x, z) for x in xs)
+            ]
+            xs.append(choose(candidates))
+        images.append(xs)
+    return images
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_presentation_check_agrees_with_the_pairs(data):
+    """On an abelian source, is_strictly_multiplicative returns the verdict
+    and witness of the full (a, generator) loop, and its verdict is the
+    all-pairs definition, into abelian targets and into the codiscrete S_3
+    target, whose free generator images often do not commute."""
+    orders = data.draw(st.sampled_from(CRITERION_4_SHAPES))
+    K = cyclic_target(orders)
+    if len(orders) == 3 and data.draw(st.booleans()):
+        L = s3_target()
+    else:
+        L = cyclic_target(data.draw(st.sampled_from([o for o in CRITERION_4_SHAPES if len(o) >= len(orders)])))
+    kind = data.draw(st.sampled_from(["free images", "homomorphism", "homomorphism, one value changed"]))
+    if kind == "free images":
+        images = [[data.draw(st.sampled_from(L.elements(n))) for _ in K.generators(n)] for n in range(K.cap + 1)]
+    else:
+        images = homomorphism_images(K, L, lambda candidates: data.draw(st.sampled_from(candidates)))
+    tables = generator_image_tables(K, L, images)
+    if kind == "homomorphism, one value changed":
+        n = data.draw(st.integers(0, K.cap))
+        tables[n][data.draw(st.sampled_from(K.elements(n)))] = data.draw(st.sampled_from(L.elements(n)))
+
+    def h(n, x):
+        return tables[n][x]
+
+    result = is_strictly_multiplicative(h, K, L)
+    assert result == first_failing_pair(h, K, L)
+    assert result[0] == all_pairs_multiplicative(h, K, L)
+    if kind == "homomorphism":
+        assert result == (True, None)
+
+
+def test_presentation_check_needs_the_commutators():
+    """The two generators of the (Z/2)^2 level sent to two involutions of
+    S_3 that do not commute: every tree edge and relator pair holds, and
+    only a commutator pair shows that h is not a homomorphism."""
+    K, L = cyclic_target((2, 2, 0)), s3_target()
+    images = [[L.identity(n)] * len(K.generators(n)) for n in range(K.cap + 1)]
+    images[1] = [("s", "s"), ("sr", "sr")]
+    assert len(K.generators(1)) == 2
+    assert all(power(L, 1, x, 2) == L.identity(1) for x in images[1])
+    assert L.mul(1, *images[1]) != L.mul(1, *reversed(images[1]))
+    tables = generator_image_tables(K, L, images)
+
+    def h(n, x):
+        return tables[n][x]
+
+    ok, witness = is_strictly_multiplicative(h, K, L)
+    assert not ok and not all_pairs_multiplicative(h, K, L)
+    assert (ok, witness) == first_failing_pair(h, K, L)
+
+
+def test_presentation_check_products_on_homomorphisms(monkeypatch):
+    """On a homomorphism from an abelian source, level n costs
+    |K_n| - 1 + r + r(r-1)/2 products in L (r generators): one tree edge per
+    element other than e, one relator per generator, one commutator per
+    pair of generators."""
+    cases = [(orders, cyclic_target(orders)) for orders in CRITERION_4_SHAPES]
+    cases += [(orders, s3_target()) for orders in CRITERION_4_SHAPES if len(orders) == 3]
+    for orders, L in cases:
+        K = cyclic_target(orders)
+        tables = generator_image_tables(K, L, homomorphism_images(K, L, lambda candidates: candidates[-1]))
+        calls = []
+        mul = L.mul
+        monkeypatch.setattr(L, "mul", lambda n, a, b: calls.append(n) or mul(n, a, b))
+        assert is_strictly_multiplicative(lambda n, x: tables[n][x], K, L) == (True, None)
+        monkeypatch.undo()
+        expected = []
+        for n in range(K.cap + 1):
+            r = len(K.generators(n))
+            expected += [n] * (len(K.elements(n)) - 1 + r + r * (r - 1) // 2)
+        assert calls == expected, orders
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_apply_equals_iterated_word_mul(data):
+    """GroupHomMap.apply reduces the concatenated letter images once; that
+    is the word multiplying the images one at a time gives, also when a
+    table holds an unreduced word."""
+    letters = st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1)))
+    table = {g: tuple(data.draw(st.lists(letters, max_size=4))) for g in "abc"}
+    word = data.draw(st.lists(letters, max_size=8))
+    expected = ()
+    for g, e in word:
+        expected = word_mul(expected, table[g] if e == 1 else word_inv(table[g]))
+    assert GroupHomMap(None, None, [table]).apply(0, word) == expected
+
+
+def left_iterated_product(K, n, letters):
+    acc = K.identity(n)
+    for x, e in letters:
+        acc = K.mul(n, acc, x if e == 1 else K.inv(n, x))
+    return acc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_product_equals_left_iterated_mul(data):
+    orders = data.draw(st.sampled_from(CRITERION_4_SHAPES + [None]))
+    K = s3_target() if orders is None else cyclic_target(orders)
+    n = data.draw(st.integers(0, K.cap))
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(K.elements(n)), st.sampled_from((1, -1))), max_size=6))
+    assert K.product(n, letters) == left_iterated_product(K, n, letters)
+
+
+def test_product_on_a_free_level():
+    groups = [PresentedGroup.cyclic(6), PresentedGroup.free(1), PresentedGroup.free(1)]
+    diffs = {1: Mat.from_rows([[1]]), 2: Mat.from_rows([[6]])}
+    K = AbelianTarget(dold_kan(ChainComplex(groups=groups, diffs=diffs), 2))
+    rng = random.Random(11)
+    for n in range(K.cap + 1):
+        for size in range(6):
+            letters = [(K.canon(n, [rng.randint(-99, 99) for _ in K._moduli[n]]), rng.choice((1, -1))) for _ in range(size)]
+            assert K.product(n, letters) == left_iterated_product(K, n, letters)
