@@ -228,11 +228,22 @@ class SmithSolver:
         self.moduli = tuple([self.D.a[i][i] for i in range(r)] + [0] * (A.r - r))
 
     def reduce(self, v):
-        """The Smith coordinates of v, each reduced mod its nonzero modulus."""
+        """The Smith coordinates of v, each reduced mod its nonzero modulus.
+        A lattice with no generators (A has no columns) has U = I and every
+        modulus 0, so there they are the entries of v as they stand."""
+        if not self.A.c:
+            if len(v) != self.A.r:
+                raise ValueError("apply shape mismatch")
+            return tuple(v)
         return self._reduced(self.U.apply(v))
 
     def reduce_columns(self, M):
-        """reduce of each column of M, from one product U @ M."""
+        """reduce of each column of M, from one product U @ M (the columns
+        of M themselves when A has no columns, as in reduce)."""
+        if not self.A.c:
+            if M.r != self.A.r:
+                raise ValueError(f"matmul shape mismatch {self.A.r}x{self.A.r} @ {M.r}x{M.c}")
+            return list(zip(*M.a)) if M.r else [()] * M.c
         UM = self.U @ M
         return [self._reduced([row[c] for row in UM.a]) for c in range(M.c)]
 

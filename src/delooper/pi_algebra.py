@@ -47,31 +47,31 @@ class SphereTable:
                 data = json.load(fh)
         if not isinstance(data, dict):
             raise TableError("a sphere table file must hold a JSON object")
-        if data.get("format") != 1:
-            raise TableError(f"unsupported sphere table format {data.get('format')}")
-        span = (data["span"]["n_min"], data["span"]["n_max"], data["span"]["stem_max"])
+        if type(data.get("format")) is not int or data["format"] != 1:
+            raise TableError(f"unsupported sphere table format {data.get('format')!r}")
+        span_data = _entry(data, "span", "an object", "")
+        span = tuple(_entry(span_data, key, "an integer", "span") for key in ("n_min", "n_max", "stem_max"))
         groups, declared, gens, location = {}, {}, {}, {}
-        for n_str, rows in data["groups"].items():
+        for n_str, rows in _entry(data, "groups", "an object", "").items():
             n = int(n_str)
-            for m_str, row in rows.items():
+            for m_str, row in _typed(rows, "an object", f"groups.{n_str}").items():
                 m = int(m_str)
-                G = PresentedGroup.from_factors(list(row["factors"]))
-                groups[(n, m)] = G
-                declared[(n, m)] = list(row["factors"])
-                gens[(n, m)] = list(row["gens"])
-                for idx, name in enumerate(row["gens"]):
+                where = f"groups.{n_str}.{m_str}"
+                row = _typed(row, "an object", where)
+                factors = _entry(row, "factors", "a list of integers", where)
+                names = _entry(row, "gens", "a list of generator names", where)
+                if len(names) != len(factors):
+                    raise TableError(f"sphere table {where}: {len(names)} generator names for {len(factors)} factors")
+                groups[(n, m)] = PresentedGroup.from_factors(factors)
+                declared[(n, m)] = list(factors)
+                gens[(n, m)] = list(names)
+                for idx, name in enumerate(names):
                     if name in location:
                         raise TableError(f"duplicate generator name {name}")
                     location[name] = (n, m, idx)
-        comps = {}
-        for entry in data.get("compositions", []):
-            comps[(entry["left"], entry["right"])] = list(entry["value"])
-        susp = {}
-        for entry in data.get("suspensions", []):
-            susp[entry["gen"]] = list(entry["value"])
-        wh = {}
-        for entry in data.get("whitehead", []):
-            wh[(entry["left"], entry["right"])] = list(entry["value"])
+        comps = {(left, right): value for left, right, value in _entries(data, "compositions", ("left", "right"))}
+        susp = {gen: value for gen, value in _entries(data, "suspensions", ("gen",))}
+        wh = {(left, right): value for left, right, value in _entries(data, "whitehead", ("left", "right"))}
         table = SphereTable(
             span=span,
             groups=groups,
@@ -173,6 +173,43 @@ class SphereTable:
                 for i, v in enumerate(self.compositions[(lname, rname)]):
                     out[i] += lc * rc * v
         return out
+
+
+# The JSON types a sphere table entry may have. Integers follow the rule of
+# schemas.integer: a float, a bool or a numeric string is not one.
+_KINDS = {
+    "an object": lambda x: type(x) is dict,
+    "a list": lambda x: type(x) is list,
+    "an integer": lambda x: type(x) is int,
+    "a list of integers": lambda x: type(x) is list and all(type(y) is int for y in x),
+    "a generator name": lambda x: type(x) is str,
+    "a list of generator names": lambda x: type(x) is list and all(type(y) is str for y in x),
+}
+
+
+def _typed(x, kind, where):
+    """x if it is of the kind named in _KINDS; else a TableError naming where."""
+    if not _KINDS[kind](x):
+        raise TableError(f"sphere table {where}: expected {kind}, found {x!r}")
+    return x
+
+
+def _entry(obj, key, kind, where):
+    """obj[key], which must be present and of the given kind."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        raise TableError(f"sphere table {path}: missing")
+    return _typed(obj[key], kind, path)
+
+
+def _entries(data, section, keys):
+    """The optional list data[section] of objects, each as its generator
+    names under keys followed by its value, a list of integers."""
+    for k, entry in enumerate(_typed(data.get(section, []), "a list", section)):
+        where = f"{section}[{k}]"
+        entry = _typed(entry, "an object", where)
+        names = [_entry(entry, key, "a generator name", where) for key in keys]
+        yield names + [_entry(entry, "value", "a list of integers", where)]
 
 
 def default_table():

@@ -171,6 +171,12 @@ class AbelianTarget:
         self._degeneracies = {
             n: [snfs[n + 1].U @ s @ snfs[n].Uinv for s in sab.degeneracies[n]] for n in range(self.cap)
         }
+        # the same maps as (row, modulus of the row's coordinate) pairs, as
+        # face and degeneracy read them
+        self._face_rows = {n: [list(zip(M.a, self._moduli[n - 1])) for M in Ms] for n, Ms in self._faces.items()}
+        self._degeneracy_rows = {
+            n: [list(zip(M.a, self._moduli[n + 1])) for M in Ms] for n, Ms in self._degeneracies.items()
+        }
 
     def identity(self, n):
         return (0,) * len(self._moduli[n])
@@ -193,13 +199,19 @@ class AbelianTarget:
         terms = [x if e == 1 else self.inv(n, x) for x, e in letters]
         if len(terms) < 2:
             return terms[0] if terms else self.identity(n)
-        return self.canon(n, list(map(sum, zip(*terms))))
+        return tuple([x % d if d else x for x, d in zip(map(sum, zip(*terms)), self._moduli[n])])
 
     def face(self, n, i, a):
-        return _reduced_image(self._faces[n][i], self._moduli[n - 1], a)
+        """d_i a in one pass over the rows of the face map: each coordinate
+        is reduced mod its modulus as soon as it is summed, and left
+        unreduced where the modulus is 0."""
+        mul, rows = operator.mul, self._face_rows[n][i]
+        return tuple([sum(map(mul, row, a)) % d if d else sum(map(mul, row, a)) for row, d in rows])
 
     def degeneracy(self, n, j, a):
-        return _reduced_image(self._degeneracies[n][j], self._moduli[n + 1], a)
+        """s_j a, in one pass as in face."""
+        mul, rows = operator.mul, self._degeneracy_rows[n][j]
+        return tuple([sum(map(mul, row, a)) % d if d else sum(map(mul, row, a)) for row, d in rows])
 
     def elements(self, n):
         """Every element of level n, in the order of PresentedGroup.elements."""
@@ -222,13 +234,6 @@ class AbelianTarget:
     def to_generators(self, n, a):
         """A generator-coordinate vector of the element a."""
         return self.sab.levels[n]._snf.Uinv.apply(a)
-
-
-def _reduced_image(M, moduli, a):
-    """canon(M.apply(a)) in one pass over the rows of M: each coordinate is
-    reduced mod its modulus as soon as it is summed."""
-    mul = operator.mul
-    return tuple([sum(map(mul, row, a)) % d if d else sum(map(mul, row, a)) for row, d in zip(M.a, moduli)])
 
 
 @dataclass
@@ -348,28 +353,24 @@ class TargetMap:
     def is_valid(self):
         """The map is pointed and commutes with every face and degeneracy:
         self(d_i x) = d_i self(x) for each simplex x, likewise for s_j.
-        A target face or degeneracy is evaluated once per distinct value
-        of the map on its level, not once per simplex."""
-        K, src = self.target, self.src
-        for n in range(src.cap + 1):
+        Each level's (simplex, value) pairs are built once; a target face or
+        degeneracy is evaluated once per distinct value of the map on its
+        level, when a simplex first needs it, not once per simplex."""
+        K, src, cap = self.target, self.src, self.src.cap
+        for n in range(cap + 1):
             if BASE in self.tables[n] and self.tables[n][BASE] != K.identity(n):
                 return False
-        levels = [{**self.tables[n], BASE: K.identity(n)} for n in range(src.cap + 1)]
-        values = [[(x, levels[n][x]) for x in src.elements[n]] for n in range(src.cap + 1)]
-        distinct = [dict.fromkeys(v for _, v in pairs) for pairs in values]
-        for n in range(1, src.cap + 1):
-            for i in range(n + 1):
-                image = {v: K.face(n, i, v) for v in distinct[n]}
-                face, below = src.faces[n][i], levels[n - 1]
-                for x, v in values[n]:
-                    if below[face[x]] != image[v]:
-                        return False
-        for n in range(0, src.cap):
-            for j in range(n + 1):
-                image = {v: K.degeneracy(n, j, v) for v in distinct[n]}
-                degeneracy, above = src.degeneracies[n][j], levels[n + 1]
-                for x, v in values[n]:
-                    if above[degeneracy[x]] != image[v]:
+        levels = [{**self.tables[n], BASE: K.identity(n)} for n in range(cap + 1)]
+        pairs = [[(x, level[x]) for x in src.elements[n]] for n, level in enumerate(levels)]
+        checks = [(n, K.face, src.faces[n], levels[n - 1]) for n in range(1, cap + 1)]
+        checks += [(n, K.degeneracy, src.degeneracies[n], levels[n + 1]) for n in range(cap)]
+        for n, target_move, moves, other in checks:
+            for i, move in enumerate(moves):
+                image = {}
+                for x, v in pairs[n]:
+                    if v not in image:
+                        image[v] = target_move(n, i, v)
+                    if other[move[x]] != image[v]:
                         return False
         return True
 
@@ -383,21 +384,16 @@ def retraction_mbar(K, n, word_in_elements):
     return acc
 
 
-def evaluate_hom_into_target(f, g, K, n, word):
-    """m-bar . F(g) . f on a word of the source free group at level n."""
-    return K.product(n, [(g(n, x), e) for x, e in f.apply(n, word)])
-
-
 def star(f, g, K):
     """The derived-composition map on generators: A -> K from f: FA -> FB
-    and g: B -> K."""
+    and g: B -> K. The value at a generator a is the product in K of g on
+    the letters of f's table word for a, as it stands: free reduction only
+    cancels pairs x x^-1, whose product is e in any group."""
     A = f.src.base
     tables = []
     for n in range(A.cap + 1):
-        table = {}
-        for a in f.src.generators(n):
-            table[a] = evaluate_hom_into_target(f, g, K, n, ((a, 1),))
-        tables.append(table)
+        words = f.tables[n]
+        tables.append({a: K.product(n, [(g(n, x), e) for x, e in words[a]]) for a in f.src.generators(n)})
     out = TargetMap(src=A, target=K, tables=tables)
     if not out.is_valid():
         raise RuntimeError("star evaluation produced a non-simplicial map")
@@ -505,10 +501,11 @@ def is_strictly_multiplicative(h, K, L):
     """
     abelian = isinstance(K, AbelianTarget)
     for n in range(K.cap + 1):
-        image = {a: h(n, a) for a in K.elements(n)}
-        if abelian and _presentation_holds(list(image.values()), K._moduli[n], L, n):
+        elements = K.elements(n)
+        values = [h(n, a) for a in elements]
+        if abelian and _presentation_holds(values, K._moduli[n], L, n):
             continue
-        witness = _homomorphism_witness(image, K.generators(n), K, n, L, n)
+        witness = _homomorphism_witness(dict(zip(elements, values)), K.generators(n), K, n, L, n)
         if witness:
             return False, (n, *witness)
     return True, None
@@ -531,8 +528,7 @@ def check_functoriality(e, f, g, h, K, L):
     C = e.src.base
     for n in range(C.cap + 1):
         for c in e.src.generators(n):
-            word = e.apply(n, ((c, 1),))
-            rhs = K.product(n, [(fg(n, x), ex) for x, ex in word])
+            rhs = K.product(n, [(fg(n, x), ex) for x, ex in e.tables[n][c]])
             if lhs1(n, c) != rhs:
                 return False
     # f . (g^*h) = (f . g)^*h

@@ -1,13 +1,21 @@
 import ast
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CORPUS = os.path.join(ROOT, "corpus")
@@ -131,6 +139,14 @@ def star_check(**files):
         (star_check(f="tests/data/freehom_exponent_bool.json"), 2),
         # a homomorphism table listing a key that is not a generator of its source
         (star_check(f="tests/data/freehom_unknown_simplex.json"), 2),
+        # a sphere table entry of the wrong JSON type is an input error
+        (("--table", "tests/data/table_factors_float.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_factors_int.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_gens_int.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_suspension_float.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_suspension_int.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_row_list.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_span_string.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -170,6 +186,76 @@ def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatc
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == "input-error"
     assert message in rep["error"]
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("table_factors_float", "groups.2.2.factors: expected a list of integers, found [0.0]"),
+        ("table_factors_int", "groups.2.2.factors: expected a list of integers, found 5"),
+        ("table_gens_int", "groups.2.2.gens: expected a list of generator names, found 7"),
+        ("table_suspension_float", "suspensions[0].value: expected a list of integers, found [1.0]"),
+        ("table_suspension_int", "suspensions[0].value: expected a list of integers, found 3"),
+        ("table_row_list", "groups.2.2: expected an object, found [[0], ['i2']]"),
+        ("table_span_string", "span.n_min: expected an integer, found '1'"),
+    ],
+)
+def test_sphere_table_names_the_bad_entry(name, message, capsys, monkeypatch):
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["--table", f"tests/data/{name}.json", "deloop", "corpus/loop_s3.pialg.json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "input-error"
+    assert message in rep["error"]
+
+
+def _json_slots(x, path=()):
+    """The path of every integer and every list in a JSON value."""
+    if type(x) is dict:
+        for key, value in x.items():
+            yield from _json_slots(value, (*path, key))
+    elif type(x) is list:
+        yield path
+        for i, value in enumerate(x):
+            yield from _json_slots(value, (*path, i))
+    elif type(x) is int:
+        yield path
+
+
+with open(os.path.join(ROOT, "src", "delooper", "data", "spheres.json"), encoding="utf-8") as fh:
+    DEFAULT_TABLE = json.load(fh)
+TABLE_SLOTS = list(_json_slots(DEFAULT_TABLE))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
+    """One integer of the bundled sphere table swapped for a float, a string,
+    a bool, null or a list, or one list swapped for an integer or an object:
+    deloop with that --table exits 2 with an input-error report, and no
+    exception leaves main."""
+    from delooper import cli
+
+    path = data.draw(st.sampled_from(TABLE_SLOTS))
+    table = copy.deepcopy(DEFAULT_TABLE)
+    *parents, last = path
+    holder = functools.reduce(operator.getitem, parents, table)
+    old = holder[last]
+    if type(old) is int:
+        wrong = data.draw(st.sampled_from([old + 0.5, float(old), str(old), old != 0, None, [old]]))
+    else:
+        wrong = data.draw(st.sampled_from([len(old), {}, {"0": old}]))
+    holder[last] = wrong
+    with tempfile.TemporaryDirectory() as tmp:
+        table_path = os.path.join(tmp, "table.json")
+        with open(table_path, "w", encoding="utf-8") as fh:
+            json.dump(table, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--table", table_path, "deloop", corpus("loop_s3.pialg.json")])
+    assert code == 2, (path, wrong, out.getvalue())
+    assert json.loads(out.getvalue())["verdict"] == "input-error"
 
 
 def test_ignored_global_flag_names_the_subcommand_and_flags(capsys):

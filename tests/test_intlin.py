@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,24 @@ def test_reduce_is_constant_on_cosets():
         assert all(0 <= x < d for x, d in zip(solver.reduce(v), solver.moduli) if d)
         M = random_matrix(rng, A.r, rng.randint(0, 3), -9, 9)
         assert solver.reduce_columns(M) == [solver.reduce(M.col(c)) for c in range(M.c)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(0, 5), st.integers(0, 10**6))
+def test_free_lattice_reduce_is_the_u_product(r, c, seed):
+    """With no relations (A is r x 0) reduce and reduce_columns skip the
+    product by U = I, and give what the product gives, shape errors included."""
+    rng = random.Random(seed)
+    solver = SmithSolver(Mat(r, 0, [[] for _ in range(r)]))
+    M = random_matrix(rng, r, c, -10**6, 10**6)
+    assert solver.reduce_columns(M) == [solver._reduced([row[k] for row in (solver.U @ M).a]) for k in range(c)]
+    v = M.col(0) if c else [0] * r
+    assert solver.reduce(v) == solver._reduced(solver.U.apply(v))
+    for bad in (random_matrix(rng, r + 1, c), Mat(r + 1, 0, [[] for _ in range(r + 1)])):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solver.reduce_columns(bad)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            solver.reduce(bad.col(0) if bad.c else [0] * bad.r)
 
 
 def test_kernel_mod_lattice_runs_no_second_snf():

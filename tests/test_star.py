@@ -799,3 +799,80 @@ def test_product_on_a_free_level():
         for size in range(6):
             letters = [(K.canon(n, [rng.randint(-99, 99) for _ in K._moduli[n]]), rng.choice((1, -1))) for _ in range(size)]
             assert K.product(n, letters) == left_iterated_product(K, n, letters)
+
+
+@functools.cache
+def maps_by_definition(orders, source):
+    """valid_target_maps with the all-simplex definition, not is_valid,
+    choosing which maps are valid."""
+    with mock.patch.object(TargetMap, "is_valid", all_simplex_is_valid):
+        K = s3_target() if orders is None else cyclic_target(orders)
+        return all_target_maps(sphere(1, K.cap) if source == "S1" else standard_simplex(1, K.cap), K)
+
+
+@functools.cache
+def endomorphisms(A):
+    """Self-maps of F(A) as in criterion 4: the identity, powers, the maps
+    induced by pointed self-maps of A, and composites of the first few."""
+    F = milnor_F(A)
+    pool = [identity_hom(F), power_hom(F, 2), power_hom(F, -1), power_hom(F, 3)]
+    pool += [induced_hom(F, F, e) for e in enumerate_pointed_maps(A, A)]
+    return pool + [a.compose(b) for a in pool[:3] for b in pool[:2]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_valid_equals_the_definition_on_star_results(data):
+    """is_valid, which builds each level's pairs once and evaluates a target
+    face or degeneracy on first need, gives the verdict of the all-simplex
+    definition on the valid maps star returns and on those maps with one
+    entry, at any simplex, changed to any element, or to one with the same
+    faces (which only a degeneracy check can tell apart)."""
+    orders = data.draw(st.one_of(st.none(), st.sampled_from(CRITERION_4_SHAPES)))  # None: the S_3 target
+    g = data.draw(st.sampled_from(maps_by_definition(orders, data.draw(st.sampled_from(["S1", "D1"])))))
+    tm = star(data.draw(st.sampled_from(endomorphisms(g.src))), g, g.target)
+    assert all_simplex_is_valid(tm)
+    A, K = tm.src, tm.target
+    tables = [dict(t) for t in tm.tables]
+    n = data.draw(st.integers(0, A.cap))
+    x = data.draw(st.sampled_from(A.elements[n]))
+    options = K.elements(n)
+    if data.draw(st.booleans()):
+        faces = [K.face(n, i, tm(n, x)) for i in range(n + 1 if n else 0)]
+        options = [y for y in options if [K.face(n, i, y) for i in range(len(faces))] == faces]
+    tables[n][x] = data.draw(st.sampled_from(options))
+    changed = TargetMap(src=A, target=K, tables=tables)
+    assert changed.is_valid() == all_simplex_is_valid(changed)
+
+
+def padded(f, rng):
+    """f with cancelling pairs (y, e)(y, -e) of random generators y put into
+    its table words at random places: the same homomorphism, unreduced."""
+    tables = []
+    for n, table in enumerate(f.tables):
+        gens = f.dst.generators(n)
+        out = {}
+        for a, word in table.items():
+            word = list(word)
+            for _ in range(rng.randint(1, 3) if gens else 0):
+                y, e = rng.choice(gens), rng.choice((1, -1))
+                k = rng.randint(0, len(word))
+                word[k:k] = [(y, e), (y, -e)]
+            out[a] = tuple(word)
+        tables.append(out)
+    return GroupHomMap(f.src, f.dst, tables)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_star_of_unreduced_table_words(data):
+    """star multiplies out each table word as it stands; on an abelian and
+    on the nonabelian S_3 target that gives the star of the reduced words."""
+    orders = data.draw(st.one_of(st.none(), st.sampled_from(CRITERION_4_SHAPES)))  # None: the S_3 target
+    g = data.draw(st.sampled_from(maps_by_definition(orders, data.draw(st.sampled_from(["S1", "D1"])))))
+    f = data.draw(st.sampled_from(endomorphisms(g.src)))
+    pf = padded(f, random.Random(data.draw(st.integers(0, 10**6))))
+    assert pf.tables != f.tables or not any(f.dst.generators(n) for n in range(f.dst.cap + 1))
+    generators = [(n, a) for n in range(f.src.cap + 1) for a in f.src.generators(n)]
+    assert all(pf.apply(n, ((a, 1),)) == f.apply(n, ((a, 1),)) for n, a in generators)
+    assert star(pf, g, g.target).tables == star(f, g, g.target).tables
