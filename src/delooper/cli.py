@@ -86,8 +86,17 @@ def _load_object(path, kinds, cap=None):
     kind = data.get("kind")
     if kind not in kinds:
         raise schemas.SchemaError(f"cannot load object of kind {kind!r} from {path}")
-    obj = _LOADERS[kind](data)
+    obj = _parsed(path, _LOADERS[kind], data)
     return obj if cap is None else _truncate(obj, cap)
+
+
+def _parsed(path, loader, data, *args):
+    """loader(data, *args), where data was read from the file at path; a
+    SchemaError names the file."""
+    try:
+        return loader(data, *args)
+    except schemas.SchemaError as exc:
+        raise schemas.SchemaError(f"{path}: {exc}") from None
 
 
 def _load_delta(path, kinds, cap=None):
@@ -203,7 +212,7 @@ def cmd_simplex(args):
 
 def cmd_deloop(args):
     table = SphereTable.load(args.table) if args.table else SphereTable.load()
-    frag = schemas.fragment_from_json(schemas.load(args.file))
+    frag = _parsed(args.file, schemas.fragment_from_json, schemas.load(args.file))
     rep = validate(frag, table)
     if not rep.ok:
         return USAGE, "invalid-fragment", rep.problems, None, {}
@@ -249,12 +258,20 @@ def _letter(pair):
     return str(x), e
 
 
+def _load_source(path, data, key):
+    """The simplicial set in the file named by data[key], a path relative to
+    the file at path."""
+    name = data[key]
+    if type(name) is not str:
+        raise schemas.SchemaError(f"{path}: {key}: expected a file name, found {name!r}")
+    source = os.path.join(os.path.dirname(os.path.abspath(path)), name)
+    return _parsed(source, schemas.sset_from_json, schemas.load(source))
+
+
 def _load_hom(path):
     data = schemas.load(path)
     schemas._check_format(data, "freehom")
-    base = os.path.dirname(os.path.abspath(path))
-    src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
-    dst = schemas.sset_from_json(schemas.load(os.path.join(base, data["dst"])))
+    src, dst = _load_source(path, data, "src"), _load_source(path, data, "dst")
     if dst.cap < src.cap:
         raise schemas.SchemaError(f"{path}: target cap {dst.cap} is below the source cap {src.cap}")
     F_src, F_dst = milnor_F(src), milnor_F(dst)
@@ -278,8 +295,7 @@ def _load_hom(path):
 def _load_target_map(path, target):
     data = schemas.load(path)
     schemas._check_format(data, "targetmap")
-    base = os.path.dirname(os.path.abspath(path))
-    src = schemas.sset_from_json(schemas.load(os.path.join(base, data["src"])))
+    src = _load_source(path, data, "src")
     if src.cap > target.cap:
         raise schemas.SchemaError(f"{path}: source cap {src.cap} exceeds the target's cap {target.cap}")
     vectors = _load_tables(path, data, src.cap, lambda vec: schemas.integers(vec, "vector"), "a list of integers")
@@ -321,7 +337,7 @@ def cmd_star_check(args):
 
 def cmd_synthesize(args):
     V = _load_delta(args.input, args.kinds)
-    hdeg = schemas.hdeg_from_json(schemas.load(args.hdeg), V)
+    hdeg = _parsed(args.hdeg, schemas.hdeg_from_json, schemas.load(args.hdeg), V)
     try:
         result = synthesize(V, hdeg, strict_homotopy_tie=args.strict_tie)
     except FibrancyError as exc:
@@ -431,7 +447,7 @@ def main(argv=None):
             "timing_s": round(time.perf_counter() - started, 3),
             **extra,
         }
-    except (StructuralError, schemas.SchemaError, ResourceError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (StructuralError, schemas.SchemaError, ResourceError, OSError, KeyError, ValueError) as exc:
         _emit(json.dumps({"command": args.command, "verdict": "input-error", "error": str(exc)}))
         return USAGE
     _emit(json.dumps(report, indent=1, default=str))

@@ -49,6 +49,34 @@ def _per_level(rows, cap, what):
     return rows
 
 
+def _object(x, what):
+    """x if it is a JSON object; anything else is a SchemaError."""
+    if type(x) is not dict:
+        raise SchemaError(f"{what}: expected an object, found {x!r}")
+    return x
+
+
+def _list(x, what):
+    """x if it is a JSON list; anything else is a SchemaError."""
+    if type(x) is not list:
+        raise SchemaError(f"{what}: expected a list, found {x!r}")
+    return x
+
+
+def _rows(x, what):
+    """x if it is a JSON list of lists; anything else is a SchemaError."""
+    if type(x) is not list or any(type(row) is not list for row in x):
+        raise SchemaError(f"{what}: expected a list of rows, found {x!r}")
+    return x
+
+
+def _name(x, what):
+    """x if it is a JSON string; anything else is a SchemaError."""
+    if type(x) is not str:
+        raise SchemaError(f"{what}: expected a name, found {x!r}")
+    return x
+
+
 def integer(x, what):
     """x if it is a JSON integer; a float, a bool or a numeric string is a SchemaError."""
     if type(x) is not int:
@@ -67,9 +95,9 @@ def mat_to_json(M):
     return [row[:] for row in M.a]
 
 
-def mat_from_json(rows, r, c):
-    if len(rows) != r or any(len(row) != c for row in rows):
-        raise SchemaError(f"matrix shape mismatch: expected {r}x{c}")
+def mat_from_json(rows, r, c, what="matrix"):
+    if len(_rows(rows, what)) != r or any(len(row) != c for row in rows):
+        raise SchemaError(f"{what}: matrix shape mismatch: expected {r}x{c}")
     return Mat(r, c, [integers(row, "matrix row") for row in rows])
 
 
@@ -77,12 +105,14 @@ def group_to_json(G):
     return {"gens": G.ngens, "relations": mat_to_json(G.rels)}
 
 
-def group_from_json(data):
-    g = integer(data["gens"], "gens")
-    rels = data.get("relations", [])
+def group_from_json(data, what="group"):
+    g = integer(_object(data, what)["gens"], f"{what}: gens")
+    if g < 0:
+        raise SchemaError(f"{what}: gens: expected a generator count, found {g}")
+    rels = _rows(data.get("relations", []), f"{what}: relations")
     if not rels:
         return PresentedGroup(g, Mat(g, 0, [[] for _ in range(g)]))
-    return PresentedGroup(g, mat_from_json(rels, g, len(rels[0])))
+    return PresentedGroup(g, mat_from_json(rels, g, len(rels[0]), f"{what}: relations"))
 
 
 def sset_to_json(K):
@@ -107,20 +137,18 @@ def sset_to_json(K):
 def sset_from_json(data):
     _check_format(data, "sset")
     cap = integer(data["cap"], "cap")
-    elements = [list(map(str, row)) for row in _per_level(data["elements"], cap, "elements")]
-    faces = {}
-    for n_str, tables in data["faces"].items():
-        n = _level(n_str, cap, -1, f"faces key {n_str!r}")
-        faces[n] = [
-            {x: str(img) for x, img in zip(elements[n], table)} for table in tables
-        ]
-    degeneracies = {}
-    for n_str, tables in data["degeneracies"].items():
-        n = _level(n_str, cap, 1, f"degeneracies key {n_str!r}")
-        degeneracies[n] = [
-            {x: str(img) for x, img in zip(elements[n], table)} for table in tables
-        ]
-    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
+    rows = _per_level(data["elements"], cap, "elements")
+    elements = [[_name(x, f"elements[{n}]") for x in _list(row, f"elements[{n}]")] for n, row in enumerate(rows)]
+
+    def load_family(key, step):
+        out = {}
+        for n_str, tables in _object(data[key], key).items():
+            what = f"{key} key {n_str!r}"
+            n = _level(n_str, cap, step, what)
+            out[n] = [{x: _name(img, what) for x, img in zip(elements[n], table)} for table in _rows(tables, what)]
+        return out
+
+    return FiniteSimplicialSet(cap, elements, load_family("faces", -1), load_family("degeneracies", 1))
 
 
 def dsab_to_json(V):
@@ -141,18 +169,20 @@ def dsab_to_json(V):
 def dsab_from_json(data):
     _check_format(data, "dsab")
     cap = integer(data["cap"], "cap")
-    levels = [group_from_json(g) for g in _per_level(data["levels"], cap, "levels")]
-    faces = {}
-    for n_str, mats in data["faces"].items():
-        n = _level(n_str, cap, -1, f"faces key {n_str!r}")
-        faces[n] = [mat_from_json(m, levels[n - 1].ngens, levels[n].ngens) for m in mats]
+    levels = [group_from_json(g, f"levels[{n}]") for n, g in enumerate(_per_level(data["levels"], cap, "levels"))]
+
+    def load_family(key, step):
+        out = {}
+        for n_str, mats in _object(data[key], key).items():
+            what = f"{key} key {n_str!r}"
+            n = _level(n_str, cap, step, what)
+            out[n] = [mat_from_json(m, levels[n + step].ngens, levels[n].ngens, f"{what}[{i}]")
+                      for i, m in enumerate(_list(mats, what))]
+        return out
+
     if "degeneracies" in data:
-        degs = {}
-        for n_str, mats in data["degeneracies"].items():
-            n = _level(n_str, cap, 1, f"degeneracies key {n_str!r}")
-            degs[n] = [mat_from_json(m, levels[n + 1].ngens, levels[n].ngens) for m in mats]
-        return SAb(levels, faces, degs, cap)
-    return DeltaSAb(levels, faces, cap)
+        return SAb(levels, load_family("faces", -1), load_family("degeneracies", 1), cap)
+    return DeltaSAb(levels, load_family("faces", -1), cap)
 
 
 def bisab_to_json(B):
@@ -173,17 +203,18 @@ def bisab_from_json(data):
     _check_format(data, "bisab")
     hcap, vcap = integer(data["hcap"], "hcap"), integer(data["vcap"], "vcap")
     levels = [
-        [group_from_json(g) for g in _per_level(column, vcap, f"levels[{p}]")]
+        [group_from_json(g, f"levels[{p}][{q}]") for q, g in enumerate(_per_level(column, vcap, f"levels[{p}]"))]
         for p, column in enumerate(_per_level(data["levels"], hcap, "levels"))
     ]
 
     def load_family(key, dp, dq):
         out = {}
-        for pq, mats in data[key].items():
+        for pq, mats in _object(data[key], key).items():
             p_str, q_str = pq.split(",")
             what = f"{key} key {pq!r}"
             p, q = _level(p_str, hcap, dp, what), _level(q_str, vcap, dq, what)
-            out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens) for m in mats]
+            out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens, f"{what}[{i}]")
+                           for i, m in enumerate(_list(mats, what))]
         return out
 
     h_faces = load_family("h_faces", -1, 0)
@@ -227,26 +258,37 @@ def _declared_factors(G):
     return [G.rels.a[i][i] for i in range(G.ngens)]
 
 
+def _generator(x, what):
+    """The (degree, name) of a JSON pair [degree, name]."""
+    if type(x) is not list or len(x) != 2:
+        raise SchemaError(f"{what}: expected [degree, generator], found {x!r}")
+    return integer(x[0], f"{what} degree"), _name(x[1], f"{what} generator")
+
+
 def fragment_from_json(data):
     _check_format(data, "pialg")
     d_lo, d_hi = integers(data["degrees"], "degrees")
     groups = {}
     gen_names = {}
-    for d_str, spec in data["groups"].items():
+    for d_str, spec in _object(data["groups"], "groups").items():
         d = int(d_str)
+        spec = _object(spec, f"groups key {d_str!r}")
         groups[d] = PresentedGroup.from_factors(integers(spec["factors"], f"degree {d} factors"))
-        gen_names[d] = list(spec["gens"])
+        gen_names[d] = [_name(x, f"degree {d} gens") for x in _list(spec["gens"], f"degree {d} gens")]
         if len(gen_names[d]) != groups[d].ngens:
             raise SchemaError(f"degree {d}: generator list does not match factor list")
     action = {}
-    for entry in data.get("action", []):
-        degree = integer(entry["degree"], "action degree")
-        action[(entry["theta"], (degree, entry["gen"]))] = integers(entry["value"], "action value")
+    for i, entry in enumerate(_list(data.get("action", []), "action")):
+        what = f"action[{i}]"
+        degree = integer(_object(entry, what)["degree"], "action degree")
+        key = (_name(entry["theta"], f"{what}: theta"), (degree, _name(entry["gen"], f"{what}: gen")))
+        action[key] = integers(entry["value"], "action value")
     whitehead = {}
-    for entry in data.get("whitehead", []):
-        d1, g1 = integer(entry["left"][0], "whitehead degree"), entry["left"][1]
-        d2, g2 = integer(entry["right"][0], "whitehead degree"), entry["right"][1]
-        whitehead[((d1, g1), (d2, g2))] = integers(entry["value"], "whitehead value")
+    for i, entry in enumerate(_list(data.get("whitehead", []), "whitehead")):
+        what = f"whitehead[{i}]"
+        left = _generator(_object(entry, what)["left"], f"{what}: left")
+        right = _generator(entry["right"], f"{what}: right")
+        whitehead[(left, right)] = integers(entry["value"], "whitehead value")
     return PiAlgebraFragment(
         d_lo=d_lo,
         d_hi=d_hi,
@@ -268,9 +310,10 @@ def hdeg_to_json(H, V):
 def hdeg_from_json(data, V):
     _check_format(data, "hdeg")
     maps = {}
-    for n_str, mats in data["maps"].items():
-        n = _level(n_str, V.cap, 1, f"maps key {n_str!r}")
-        maps[n] = [mat_from_json(m, V.rank(n + 1), V.rank(n)) for m in mats]
+    for n_str, mats in _object(data["maps"], "maps").items():
+        what = f"maps key {n_str!r}"
+        n = _level(n_str, V.cap, 1, what)
+        maps[n] = [mat_from_json(m, V.rank(n + 1), V.rank(n), f"{what}[{i}]") for i, m in enumerate(_list(mats, what))]
     return HomotopyDegeneracyData(maps=maps)
 
 

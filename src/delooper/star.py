@@ -59,9 +59,11 @@ class FreeSimplicialGroup:
     def __init__(self, base):
         self.base = base
         self.cap = base.cap
+        self._generators = [tuple([x for x in base.elements[n] if x != BASE]) for n in range(base.cap + 1)]
 
     def generators(self, n):
-        return [x for x in self.base.elements[n] if x != BASE]
+        """The generators of level n, a tuple built once."""
+        return self._generators[n]
 
     def face_word(self, n, i, word):
         out = []
@@ -165,6 +167,7 @@ class AbelianTarget:
         self.cap = sab.cap
         snfs = [G._snf for G in sab.levels]
         self._moduli = [snf.moduli for snf in snfs]
+        self._identities = [(0,) * len(moduli) for moduli in self._moduli]
         self._faces = {
             n: [snfs[n - 1].U @ d @ snfs[n].Uinv for d in sab.faces[n]] for n in range(1, self.cap + 1)
         }
@@ -179,7 +182,7 @@ class AbelianTarget:
         }
 
     def identity(self, n):
-        return (0,) * len(self._moduli[n])
+        return self._identities[n]
 
     def canon(self, n, v):
         """The element with Smith coordinates v, reduced."""
@@ -204,13 +207,18 @@ class AbelianTarget:
     def face(self, n, i, a):
         """d_i a in one pass over the rows of the face map: each coordinate
         is reduced mod its modulus as soon as it is summed, and left
-        unreduced where the modulus is 0."""
+        unreduced where the modulus is 0. A face map is an integer matrix,
+        so the zero tuple goes to the identity without a row sum."""
         mul, rows = operator.mul, self._face_rows[n][i]
+        if not any(a):
+            return self._identities[n - 1]
         return tuple([sum(map(mul, row, a)) % d if d else sum(map(mul, row, a)) for row, d in rows])
 
     def degeneracy(self, n, j, a):
         """s_j a, in one pass as in face."""
         mul, rows = operator.mul, self._degeneracy_rows[n][j]
+        if not any(a):
+            return self._identities[n + 1]
         return tuple([sum(map(mul, row, a)) % d if d else sum(map(mul, row, a)) for row, d in rows])
 
     def elements(self, n):
@@ -353,24 +361,40 @@ class TargetMap:
     def is_valid(self):
         """The map is pointed and commutes with every face and degeneracy:
         self(d_i x) = d_i self(x) for each simplex x, likewise for s_j.
-        Each level's (simplex, value) pairs are built once; a target face or
-        degeneracy is evaluated once per distinct value of the map on its
-        level, when a simplex first needs it, not once per simplex."""
+        The distinct values of each level are numbered once, by first
+        appearance in src.elements[n]; a target face or degeneracy is
+        evaluated once per distinct value, when a simplex first needs it,
+        and each simplex then compares through its value's number."""
         K, src, cap = self.target, self.src, self.src.cap
         for n in range(cap + 1):
             if BASE in self.tables[n] and self.tables[n][BASE] != K.identity(n):
                 return False
         levels = [{**self.tables[n], BASE: K.identity(n)} for n in range(cap + 1)]
-        pairs = [[(x, level[x]) for x in src.elements[n]] for n, level in enumerate(levels)]
+        # per level: the distinct values, and (simplex, value number, first
+        # appearance) per simplex; first appearance is a flag, not a
+        # sentinel value, as a target element may be any object
+        distinct, slots = [], []
+        for n, level in enumerate(levels):
+            numbers, values, level_slots = {}, [], []
+            for x in src.elements[n]:
+                v = level[x]
+                k = numbers.setdefault(v, len(values))
+                first = k == len(values)
+                if first:
+                    values.append(v)
+                level_slots.append((x, k, first))
+            distinct.append(values)
+            slots.append(level_slots)
         checks = [(n, K.face, src.faces[n], levels[n - 1]) for n in range(1, cap + 1)]
         checks += [(n, K.degeneracy, src.degeneracies[n], levels[n + 1]) for n in range(cap)]
         for n, target_move, moves, other in checks:
+            values = distinct[n]
             for i, move in enumerate(moves):
-                image = {}
-                for x, v in pairs[n]:
-                    if v not in image:
-                        image[v] = target_move(n, i, v)
-                    if other[move[x]] != image[v]:
+                image = []
+                for x, k, first in slots[n]:
+                    if first:
+                        image.append(target_move(n, i, values[k]))
+                    if other[move[x]] != image[k]:
                         return False
         return True
 
@@ -389,12 +413,20 @@ def star(f, g, K):
     and g: B -> K. The value at a generator a is the product in K of g on
     the letters of f's table word for a, as it stands: free reduction only
     cancels pairs x x^-1, whose product is e in any group."""
+    return _checked(_star_map(f, g, K))
+
+
+def _star_map(f, g, K):
+    """The map star(f, g, K) returns, not yet checked to be simplicial."""
     A = f.src.base
     tables = []
     for n in range(A.cap + 1):
         words = f.tables[n]
         tables.append({a: K.product(n, [(g(n, x), e) for x, e in words[a]]) for a in f.src.generators(n)})
-    out = TargetMap(src=A, target=K, tables=tables)
+    return TargetMap(src=A, target=K, tables=tables)
+
+
+def _checked(out):
     if not out.is_valid():
         raise RuntimeError("star evaluation produced a non-simplicial map")
     return out
@@ -405,11 +437,17 @@ def check_condition_star(f, g, h, K):
 
     f: FA -> FB and g: FB -> FC homomorphisms, h: C -> K a pointed map.
     Returns (True, None) or (False, (level, generator, lhs, rhs)).
+    Raises RuntimeError as star does when a star is not simplicial. The
+    right side has lhs's source and target, so it is checked only when its
+    tables differ from lhs's, which star has checked.
     """
     gh = star(g, h, K)  # B -> K
     lhs = star(f, gh, K)  # A -> K
     fg = g.compose(f)  # FA -> FC
-    rhs = star(fg, h, K)
+    rhs = _star_map(fg, h, K)
+    if rhs.tables == lhs.tables:
+        return True, None
+    _checked(rhs)
     A = f.src.base
     for n in range(A.cap + 1):
         for a in f.src.generators(n):

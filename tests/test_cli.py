@@ -8,6 +8,7 @@ import itertools
 import json
 import operator
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -147,6 +148,21 @@ def star_check(**files):
         (("--table", "tests/data/table_suspension_int.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
         (("--table", "tests/data/table_row_list.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
         (("--table", "tests/data/table_span_string.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        # an object file, a fragment file or a star-check source of the
+        # wrong JSON type is an input error, as are a directory given as an
+        # input file, a simplex named by anything but a string and a
+        # negative generator count
+        (("verify", "tests/data/sset_faces_list.json"), 2),
+        (("verify", "tests/data/sset_degeneracies_int.json"), 2),
+        (("verify", "tests/data/dsab_faces_null.json"), 2),
+        (star_check(f="tests/data/freehom_src_list.json"), 2),
+        (star_check(h="tests/data/targetmap_src_bool.json"), 2),
+        (("deloop", "tests/data/pialg_groups_list.json"), 2),
+        (("deloop", "tests/data/pialg_whitehead_int.json"), 2),
+        (("deloop", "tests/data/pialg_theta_list.json"), 2),
+        (("verify", "corpus"), 2),
+        (("verify", "tests/data/sset_element_null.json"), 2),
+        (("moore", "tests/data/dsab_negative_gens.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -256,6 +272,154 @@ def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
             code = cli.main(["--table", table_path, "deloop", corpus("loop_s3.pialg.json")])
     assert code == 2, (path, wrong, out.getvalue())
     assert json.loads(out.getvalue())["verdict"] == "input-error"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify", "tests/data/sset_faces_list.json"), "sset_faces_list.json: faces: expected an object, found []"),
+        (("verify", "tests/data/sset_degeneracies_int.json"),
+         "sset_degeneracies_int.json: degeneracies key '1': expected a list of rows, found 7"),
+        (("verify", "tests/data/dsab_faces_null.json"), "dsab_faces_null.json: faces: expected an object, found None"),
+        (("verify", "tests/data/sset_element_null.json"), "sset_element_null.json: elements[1]: expected a name, found None"),
+        (("moore", "tests/data/dsab_negative_gens.json"),
+         "dsab_negative_gens.json: levels[0]: gens: expected a generator count, found -1"),
+        (star_check(f="tests/data/freehom_src_list.json"), "freehom_src_list.json: src: expected a file name, found ["),
+        (star_check(h="tests/data/targetmap_src_bool.json"), "targetmap_src_bool.json: src: expected a file name, found True"),
+        (("deloop", "tests/data/pialg_groups_list.json"), "pialg_groups_list.json: groups: expected an object, found []"),
+        (("deloop", "tests/data/pialg_whitehead_int.json"),
+         "pialg_whitehead_int.json: whitehead[0]: left: expected [degree, generator], found 2"),
+        (("deloop", "tests/data/pialg_theta_list.json"), "pialg_theta_list.json: action[1]: theta: expected a name, found ['e3']"),
+    ],
+)
+def test_wrongly_typed_object_file_names_the_file_and_key(argv, message, capsys, monkeypatch):
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    assert cli.main(list(argv)) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "input-error"
+    assert message in rep["error"]
+
+
+def _json_type(x):
+    return {bool: "bool", int: "int", float: "float", type(None): "null", str: "string", list: "list", dict: "object"}[type(x)]
+
+
+def _json_nodes(x, path=()):
+    """The path of every node of a JSON value, the root included."""
+    yield path
+    if type(x) is dict:
+        for key, value in x.items():
+            yield from _json_nodes(value, (*path, key))
+    elif type(x) is list:
+        for i, value in enumerate(x):
+            yield from _json_nodes(value, (*path, i))
+
+
+# a few values of each JSON type, some of them the shapes the star files use
+JSON_VALUES = {
+    "int": st.integers(-2, 4),
+    "float": st.sampled_from([0.5, 1.0, -2.0]),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "string": st.sampled_from(["", "*", "x01", "s1.sset.json"]),
+    "list": st.sampled_from([[], [0], [1, 0], [["x01", 1]], [[0]], [{}]]),
+    "object": st.sampled_from([{}, {"0": []}, {"1": [[0]]}, {"x01": [0]}]),
+}
+STAR_FILES = ("star_f.freehom.json", "star_g.freehom.json", "star_h.targetmap.json", "star_target.dsab.json",
+              "s1.sset.json")
+# the verdicts each command may report with each exit code
+VERDICTS = {
+    "star-check": {0: ("holds",), 1: ("fails",), 2: ("input-error",)},
+    "verify": {0: ("consistent",), 1: ("violations",), 2: ("input-error",)},
+    "deloop": {0: ("delooped",), 1: ("obstruction",), 2: ("input-error", "invalid-fragment")},
+    "e2": {0: ("computed",), 2: ("input-error",)},
+    "synthesize": {0: ("synthesized",), 1: ("obstructed",), 2: ("input-error",)},
+    "moore": {0: ("computed",), 2: ("input-error",)},
+}
+
+
+@functools.cache
+def _corpus_json(name):
+    with open(corpus(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _mutated(data, name):
+    """The corpus file name with one node, drawn from data, swapped for a
+    value of another JSON type; returns the document, the path of the node
+    and the new value."""
+    doc = copy.deepcopy(_corpus_json(name))
+    path = data.draw(st.sampled_from(list(_json_nodes(doc))))
+    old = functools.reduce(operator.getitem, path, doc)
+    wrong = data.draw(st.sampled_from([t for t in JSON_VALUES if t != _json_type(old)]).flatmap(JSON_VALUES.get))
+    if not path:
+        return wrong, path, wrong
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, doc)[last] = wrong
+    return doc, path, wrong
+
+
+def _check_runs(runs, path, wrong):
+    """Each argv exits 0, 1 or 2 through cli.main, with a JSON report whose
+    verdict is one its command gives with that code."""
+    from delooper import cli
+
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        verdicts = VERDICTS[argv[0]]
+        assert code in verdicts, (path, wrong, argv[0], code)
+        assert json.loads(out.getvalue())["verdict"] in verdicts[code], (path, wrong, argv[0], out.getvalue())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_star_check_and_object_files_of_a_wrong_type(data):
+    """One node of a star-check file or of its source or target object file
+    swapped for a value of another JSON type: star-check, and verify on an
+    object file, exit 0, 1 or 2 with a report whose verdict matches the
+    code, and no exception leaves main."""
+    name = data.draw(st.sampled_from(["star_h.targetmap.json", "star_f.freehom.json", "s1.sset.json",
+                                      "star_target.dsab.json"]))
+    doc, path, wrong = _mutated(data, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        for other in STAR_FILES:
+            shutil.copy(corpus(other), tmp)
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        files = {key: os.path.join(tmp, other) for key, other in zip(("f", "g", "h", "target"), STAR_FILES)}
+        runs = [star_check(**files)]
+        if name.endswith((".sset.json", ".dsab.json")):
+            runs.append(("verify", os.path.join(tmp, name)))
+        _check_runs(runs, path, wrong)
+
+
+# the other loaders, each with a command that reads its file
+LOADER_COMMANDS = {
+    "loop_s3.pialg.json": lambda p: ("deloop", p),
+    "resolution.bisab.json": lambda p: ("e2", p),
+    "fibrant.hdeg.json": lambda p: ("synthesize", "--input", corpus("fibrant.dsab.json"), "--hdeg", p),
+    "zs1.dsab.json": lambda p: ("moore", p),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_fragment_grid_and_hdeg_files_of_a_wrong_type(data):
+    """The same swap on a fragment, a bisimplicial grid, a degeneracy
+    candidate file or a dsab file, run through deloop, e2, synthesize or
+    moore: exit 0, 1 or 2 with a matching verdict, and no exception leaves
+    main."""
+    name = data.draw(st.sampled_from(sorted(LOADER_COMMANDS)))
+    doc, path, wrong = _mutated(data, name)
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, name)
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        _check_runs([LOADER_COMMANDS[name](file)], path, wrong)
 
 
 def test_ignored_global_flag_names_the_subcommand_and_flags(capsys):

@@ -1,7 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
+from delooper import delta_core
 from delooper.abelian import PresentedGroup
 from delooper.delta_core import (
     DeltaSAb,
@@ -208,3 +210,26 @@ def test_matching_rank_against_independent_oracle():
             rows.append(row)
     constraint_rank = sympy.Matrix(rows).rank()
     assert mo.group.free_rank() == 3 * g - constraint_rank
+
+
+def test_identity_violations_equal_the_reduced_differences():
+    """verify_identities, which reduces a difference of products only when
+    the exact products differ, reports the violations and witnesses that
+    reducing every difference gives, on strict objects with free and with
+    torsion levels and one face or degeneracy entry changed."""
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(80):
+        W = random_small_strict_object(rng, rng.choice((2, 3)), torsion=rng.random() < 0.5)
+        faces = {n: [m.copy() for m in W.faces[n]] for n in W.faces}
+        degs = {n: [m.copy() for m in W.degeneracies[n]] for n in W.degeneracies}
+        family = rng.choice([faces, degs])
+        M = rng.choice([m for ms in family.values() for m in ms])
+        if M.r and M.c:
+            M.a[rng.randrange(M.r)][rng.randrange(M.c)] += rng.choice((-2, -1, 1, 2, 4, 6))
+        X = SAb(W.levels, faces, degs, W.cap)
+        got = [v.describe() for v in verify_identities(X).violations]
+        with mock.patch.object(delta_core, "_first_difference", lambda G, lhs, rhs: G.first_nonzero_column(lhs - rhs)):
+            assert got == [v.describe() for v in verify_identities(X).violations]
+        seen.add(bool(got))
+    assert seen == {True, False}

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from unittest import mock
@@ -876,3 +877,123 @@ def test_star_of_unreduced_table_words(data):
     generators = [(n, a) for n in range(f.src.cap + 1) for a in f.src.generators(n)]
     assert all(pf.apply(n, ((a, 1),)) == f.apply(n, ((a, 1),)) for n, a in generators)
     assert star(pf, g, g.target).tables == star(f, g, g.target).tables
+
+
+def row_images(rows, a):
+    """A face or degeneracy image by its rows, each coordinate summed and
+    reduced mod its modulus, left unreduced where the modulus is 0."""
+    return tuple([sum(map(operator.mul, row, a)) % d if d else sum(map(operator.mul, row, a)) for row, d in rows])
+
+
+def test_identity_images_equal_the_row_computation():
+    """A face or degeneracy of the identity, or of a zero tuple of any
+    length, is the identity of the next level, which is also what the row
+    sums give, on criterion 4's targets and on a target with Z levels."""
+    groups = [PresentedGroup.cyclic(6), PresentedGroup.free(1), PresentedGroup.free(1)]
+    diffs = {1: Mat.from_rows([[1]]), 2: Mat.from_rows([[6]])}
+    targets = [cyclic_target(orders) for orders in CRITERION_4_SHAPES]
+    targets.append(AbelianTarget(dold_kan(ChainComplex(groups=groups, diffs=diffs), 2)))
+    for K in targets:
+        for n in range(K.cap + 1):
+            e = K.identity(n)
+            assert e == (0,) * len(K._moduli[n])
+            zeros = [(0,) * k for k in range(len(e) + 2)]
+            for i in range(n + 1 if n else 0):
+                assert K.face(n, i, e) == K.identity(n - 1) == K.canon(n - 1, K._faces[n][i].apply(list(e)))
+                assert all(K.face(n, i, a) == row_images(K._face_rows[n][i], a) for a in zeros)
+            for j in range(n + 1 if n < K.cap else 0):
+                assert K.degeneracy(n, j, e) == K.identity(n + 1) == K.canon(n + 1, K._degeneracies[n][j].apply(list(e)))
+                assert all(K.degeneracy(n, j, a) == row_images(K._degeneracy_rows[n][j], a) for a in zeros)
+
+
+def condition_star_by_definition(f, g, h, K):
+    """check_condition_star with each of the three stars built and checked
+    by star."""
+    lhs = star(f, star(g, h, K), K)
+    rhs = star(g.compose(f), h, K)
+    for n in range(f.src.cap + 1):
+        for a in f.src.generators(n):
+            if lhs(n, a) != rhs(n, a):
+                return False, (n, a, lhs(n, a), rhs(n, a))
+    return True, None
+
+
+def outcome(check, *args):
+    """What check returns, or the type and message of the RuntimeError it raises."""
+    try:
+        return check(*args)
+    except RuntimeError as exc:
+        return RuntimeError, str(exc)
+
+
+def scrambled(rng, f):
+    """f with up to three table words replaced by random words in the
+    generators of the same level: most often not a simplicial
+    homomorphism."""
+    tables = [dict(table) for table in f.tables]
+    for _ in range(rng.randint(0, 3)):
+        n = rng.randint(0, f.src.cap)
+        generators = f.dst.generators(n)
+        if tables[n] and generators:
+            a = rng.choice(sorted(tables[n]))
+            tables[n][a] = word_reduce([(rng.choice(generators), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))])
+    return GroupHomMap(f.src, f.dst, tables)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_condition_star_equals_three_checked_stars(data):
+    """check_condition_star, which checks the right-hand star only when its
+    tables differ from the left-hand one's, returns what three stars built
+    and checked by star give, or raises the same RuntimeError, on
+    homomorphism tables that are simplicial or not."""
+    orders = data.draw(st.one_of(st.none(), st.sampled_from(CRITERION_4_SHAPES)))  # None: the S_3 target
+    h = data.draw(st.sampled_from(maps_by_definition(orders, data.draw(st.sampled_from(["S1", "D1"])))))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    pool = endomorphisms(h.src)
+    f, g = scrambled(rng, rng.choice(pool)), scrambled(rng, rng.choice(pool))
+    assert outcome(check_condition_star, f, g, h, h.target) == outcome(condition_star_by_definition, f, g, h, h.target)
+
+
+@functools.cache
+def magma_target_maps():
+    """The pointed maps, by the all-simplex definition, from Delta^1 into
+    the codiscrete cap-2 target of a magma that is not associative."""
+    G = magma(3, [2, 0, 0, 0])  # (1*1)*1 = 0 != 1*(1*1) = 1
+    K = codiscrete_target(G.elements, G.mult, G.inverse, G.identity, 2)
+    with mock.patch.object(TargetMap, "is_valid", all_simplex_is_valid):
+        return all_target_maps(standard_simplex(1, 2), K)
+
+
+def test_condition_star_on_a_target_that_is_not_associative():
+    """On a group target the two sides of condition (*) have equal tables,
+    so only a target that is not associative reaches the check of the
+    right-hand star. There, on every map h and every pair of criterion 4's
+    endomorphisms, as they are and scrambled, check_condition_star agrees
+    with three checked stars, both when the right-hand star fails is_valid
+    and when it holds and the sides differ."""
+    rng = random.Random(0)
+    seen = set()
+    for h in magma_target_maps():
+        pool = endomorphisms(h.src)
+        for f0, g0 in itertools.product(pool, repeat=2):
+            variants = [(f0, g0), (scrambled(rng, f0), g0), (f0, scrambled(rng, g0))]
+            for f, g in variants + [(scrambled(rng, f0), scrambled(rng, g0))]:
+                got = outcome(check_condition_star, f, g, h, h.target)
+                assert got == outcome(condition_star_by_definition, f, g, h, h.target)
+                try:
+                    star(f, star(g, h, h.target), h.target)
+                except RuntimeError:
+                    continue
+                seen.add("right-hand star fails" if got[0] is RuntimeError else got[0])
+    assert seen == {True, False, "right-hand star fails"}
+
+
+def test_free_group_generators_are_built_once():
+    """generators(n) is the list of non-basepoint simplices of level n, held
+    as one tuple per level."""
+    for base in (sphere(1, 3), sphere(2, 3), standard_simplex(1, 3), standard_simplex(2, 3), zero_sphere(2)):
+        F = milnor_F(base)
+        for n in range(base.cap + 1):
+            assert list(F.generators(n)) == [x for x in base.elements[n] if x != BASE]
+            assert type(F.generators(n)) is tuple and F.generators(n) is F.generators(n)
