@@ -35,7 +35,10 @@ class Mat:
 
     @staticmethod
     def eye(n):
-        return Mat(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return Mat(n, n, rows)
 
     @staticmethod
     def column(v):
@@ -116,8 +119,13 @@ def smith_normal_form(A):
     Smallest-pivot selection keeps intermediate entries modest. Each row
     operation on U is undone by a column operation on Uinv, so Uinv is
     the inverse of U without a second elimination.
+
+    A matrix with no nonzero entry (an empty side included) is returned as
+    it stands, with identity transforms: the elimination finds no pivot.
     """
     m, n = A.r, A.c
+    if not any(map(any, A.a)):
+        return A.copy(), Mat.eye(m), Mat.eye(n), Mat.eye(m)
     D = [row[:] for row in A.a]
     U = Mat.eye(m).a
     Uinv = Mat.eye(m).a

@@ -150,28 +150,53 @@ def build_permutohedron(k):
     return lattice
 
 
-def _block_words(delta, partition, deleted, memo):
-    """The block decomposition of delta along an ordered partition.
+class _BlockCells(dict):
+    """One call's table of block cells for the faces of P_k(delta).
 
-    Block t removes the t-th batch of deleted vertices; batches are indexed
-    through the ascending enumeration m_1 < m_2 < ... of delta's deleted set,
-    passed in as the sorted list ``deleted``. A block's word depends only on
-    the batches removed before it, so ``memo`` (local to one caller) keys
-    each word by (bitmask of those batch indices, block).
+    Block t of an ordered partition removes the t-th batch of deleted
+    vertices; batch b is the b-th smallest vertex deleted[b - 1] of delta's
+    deleted set. A block's word depends only on the batches removed before
+    it, so a cell is keyed by (bitmask of those batch indices, block) and
+    holds (word, mask after the block, factor dimension, "P_d(word)" text).
+    With the batches below b gone, batch b sits at deleted[b - 1] minus
+    their count. Each cell is computed once. Given the schema's ``slots``,
+    a cell's word is checked to lie in them and its text is written;
+    without them (labels) the dimension and text are None.
     """
-    words = []
-    removed = 0
-    for block in partition:
-        key = (removed, block)
-        word = memo.get(key)
-        if word is None:
-            gone = {deleted[b - 1] for b in range(1, len(deleted) + 1) if removed >> b & 1}
-            alive = [v for v in range(delta.source_dim + 1) if v not in gone]
-            word = memo[key] = FaceWord.from_deleted(len(alive) - 1, [alive.index(deleted[b - 1]) for b in block])
-        words.append(word)
+
+    def __init__(self, delta, slots=None):
+        self.deleted = sorted(delta.deleted_vertices())
+        self.source_dim = delta.source_dim
+        self.slots = slots
+
+    def __missing__(self, key):
+        removed, block = key
+        word = FaceWord.from_deleted(
+            self.source_dim - removed.bit_count(),
+            [self.deleted[b - 1] - (removed & ((1 << b) - 1)).bit_count() for b in block],
+        )
+        after = removed
         for b in block:
-            removed |= 1 << b
-    return tuple(words)
+            after |= 1 << b
+        if self.slots is None:
+            cell = self[key] = (word, after, None, None)
+            return cell
+        # from_deleted words are in normal form, the slots' keys
+        if word not in self.slots:
+            raise RuntimeError("block word escapes the proper-factor collection")
+        dim = len(word) - 1
+        cell = self[key] = (word, after, dim, f"P_{dim}({word.describe()})")
+        return cell
+
+    def row(self, partition):
+        """The cells of a partition's blocks, in block order."""
+        cells = []
+        removed = 0
+        for block in partition:
+            cell = self[removed, block]
+            cells.append(cell)
+            removed = cell[1]
+        return cells
 
 
 @dataclass
@@ -189,18 +214,13 @@ def label(delta):
     if k < 1:
         raise ValueError("labeling needs a word of length at least 2")
     lattice = build_permutohedron(k)
-    deleted = sorted(delta.deleted_vertices())
-    memo = {}
+    cells = _BlockCells(delta)
     vertex_labels = {}
     face_labels = {}
     for face in lattice.faces:
-        words = _block_words(delta, face.partition, deleted, memo)
-        face_labels[face] = words
+        words = face_labels[face] = tuple([cell[0] for cell in cells.row(face.partition)])
         if len(face.partition) == k + 1:
-            flat = []
-            for w in words:
-                flat.extend(w.letters)
-            vertex_labels[face] = FaceWord(delta.source_dim, tuple(flat))
+            vertex_labels[face] = FaceWord(delta.source_dim, tuple([w.letters[0] for w in words]))
     facts = {w.letters for w in delta.factorizations()}
     labeled = {w.letters for w in vertex_labels.values()}
     if labeled != facts:
@@ -244,13 +264,17 @@ class SlotSpec:
 
 @dataclass
 class FaceEquation:
+    """The constraint on one face: its restriction equals the composite of
+    the block factors. ``factors`` holds each factor's "P_d(word)" text,
+    computed once per block cell and shared by every face that has it."""
+
     partition: tuple  # ordered partition of the letter batch indices
     blocks: tuple  # FaceWords, one per partition block
     factor_dims: tuple  # polytope dimension of each factor
+    factors: tuple  # "P_d(word)" text of each factor
 
     def describe(self):
-        prods = " x ".join(f"P_{d}({w.describe()})" for d, w in zip(self.factor_dims, self.blocks))
-        return f"restriction to {self.partition} equals composite over {prods}"
+        return f"restriction to {self.partition} equals composite over {' x '.join(self.factors)}"
 
 
 @dataclass
@@ -272,6 +296,9 @@ def compatible_schema(delta):
     One equation per face of P_k(delta) of positive codimension that is not
     a vertex; unit constraints pin the single-letter slots to their face
     maps; the facet list is the boundary assembly of the induced map.
+    Faces are walked in ``ordered_partitions`` order, and each block word,
+    its factor dimension and its text are computed and checked against the
+    slots once per (removed batches, block) cell, not once per face.
     """
     delta = delta.normal_form()
     k = len(delta) - 1
@@ -285,29 +312,23 @@ def compatible_schema(delta):
     for w in collection.factors:
         if len(w) == 1:
             unit_constraints.append((w, w.letters[0], w.source_dim))
-    deleted = sorted(delta.deleted_vertices())
-    memo = {}
+    cells = _BlockCells(delta, slots)
     equations = []
     assembly = []
     for partition in ordered_partitions(range(1, k + 2)):
         r = len(partition)
-        if r == 1:
-            continue  # the whole polytope: no slot for delta itself
-        blocks = _block_words(delta, partition, deleted, memo)
+        # r = 1 is delta itself, which has no slot. Vertices (r = k + 1) are
+        # forced composites of pinned units, walked only to check their
+        # cells: at k = 1 they are the facets, and at k = 2 a vertex's middle
+        # cell lies on no other face; from k = 3 on, merging two neighbouring
+        # blocks puts each vertex cell on a larger face.
+        if r == 1 or (r == k + 1 and k >= 3):
+            continue
+        blocks, _, factor_dims, factors = zip(*cells.row(partition))
         if r == 2:
             assembly.append((partition, blocks))
-        if r <= k:  # vertices (r = k+1) are forced composites of pinned units
-            equations.append(
-                FaceEquation(
-                    partition=partition,
-                    blocks=blocks,
-                    factor_dims=tuple(len(b) - 1 for b in blocks),
-                )
-            )
-    # memo holds every distinct block word of every partition
-    for b in memo.values():
-        if b.normal_form() not in slots:
-            raise RuntimeError("block word escapes the proper-factor collection")
+        if r <= k:
+            equations.append(FaceEquation(partition, blocks, factor_dims, factors))
     note = (
         "boundary sphere of P_k splits the half-smash as wedge of the smash "
         "and the base; the operation class is the image of the assembled "
@@ -385,7 +406,8 @@ def compatible_sequence_schema(n):
 
     One equation per face of dimension at most n-2, linking its slot to the
     parent face obtained by undoing the last-applied letter of its index
-    word; the assembly recipe restricts the top slot along each facet.
+    word (a prefix of a normal-form word is the parent's normal form); the
+    assembly recipe restricts the top slot along each facet.
     """
     if n < 2:
         raise ValueError("compatible sequences start at n = 2")
@@ -395,19 +417,19 @@ def compatible_sequence_schema(n):
         dim = len(verts) - 1
         if dim > n - 2:
             continue
-        parent_word = FaceWord(n, word.letters[:-1])
-        parent_norm = parent_word.normal_form()
+        # a normal-form word deletes its vertices in ascending order, so
+        # dropping its last letter leaves the parent's normal-form word, and
+        # that letter removes the largest deleted vertex m; the vertices
+        # deleted before it lie below m, so m's rank among the parent's
+        # vertices is the letter itself
         connecting = word.letters[-1]
-        parent_verts = idx.faces[parent_norm]
-        # the inclusion inside the parent's own standard simplex deletes the one missing vertex
-        (missing,) = set(parent_verts) - set(verts)
         equations.append(
             GluingEquation(
                 level=dim,
                 subface=word,
-                parent=parent_norm,
+                parent=FaceWord(n, word.letters[:-1]),
                 connecting_letter=connecting,
-                inclusion=FaceWord.from_deleted(len(parent_verts) - 1, (parent_verts.index(missing),)),
+                inclusion=FaceWord(dim + 1, (connecting,)),
             )
         )
     assembly = [(i, f"facet opposite vertex {i}") for i in range(n + 1)]

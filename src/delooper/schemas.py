@@ -31,10 +31,22 @@ def _check_format(data, kind):
         raise SchemaError(f"expected a {kind} file, found kind {declared!r}")
 
 
+def _key_int(text, what):
+    """The integer n a key names; the key must be exactly str(n), so
+    "01", "+1", " 1" and "0_1" are SchemaErrors rather than aliases of 1."""
+    try:
+        n = int(text)
+        if str(n) == text:
+            return n
+    except ValueError:
+        pass
+    raise SchemaError(f"{what}: a key must be the decimal digits of the integer it names")
+
+
 def _level(text, cap, step, what):
     """The level n in the key of a map from level n to level n + step;
     both levels must lie in 0..cap."""
-    n = int(text)
+    n = _key_int(text, what)
     if not (0 <= n <= cap and 0 <= n + step <= cap):
         raise SchemaError(f"{what}: a map from level {n} to level {n + step} leaves levels 0..{cap}")
     return n
@@ -210,8 +222,10 @@ def bisab_from_json(data):
     def load_family(key, dp, dq):
         out = {}
         for pq, mats in _object(data[key], key).items():
-            p_str, q_str = pq.split(",")
             what = f"{key} key {pq!r}"
+            if pq.count(",") != 1:
+                raise SchemaError(f"{what}: expected a key \"p,q\" of two levels")
+            p_str, q_str = pq.split(",")
             p, q = _level(p_str, hcap, dp, what), _level(q_str, vcap, dq, what)
             out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens, f"{what}[{i}]")
                            for i, m in enumerate(_list(mats, what))]
@@ -271,7 +285,7 @@ def fragment_from_json(data):
     groups = {}
     gen_names = {}
     for d_str, spec in _object(data["groups"], "groups").items():
-        d = int(d_str)
+        d = _key_int(d_str, f"groups key {d_str!r}")
         spec = _object(spec, f"groups key {d_str!r}")
         groups[d] = PresentedGroup.from_factors(integers(spec["factors"], f"degree {d} factors"))
         gen_names[d] = [_name(x, f"degree {d} gens") for x in _list(spec["gens"], f"degree {d} gens")]

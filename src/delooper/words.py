@@ -90,13 +90,17 @@ class FaceWord:
 
     @staticmethod
     def from_deleted(source_dim, deleted):
-        """Normal-form word from the set of deleted vertices."""
-        letters = []
-        alive = list(range(source_dim + 1))
-        for v in sorted(deleted):
-            letters.append(alive.index(v))
-            alive.remove(v)
-        return FaceWord(source_dim, tuple(letters))
+        """Normal-form word from the set of deleted vertices.
+
+        Deleting in ascending order, the t-th smallest vertex v (from t = 0)
+        sits at position v - t once the t vertices below it are gone, so the
+        letters are v - t over the sorted vertices. A repeated vertex is a
+        ValueError; so is one outside 0..source_dim, through the letter check.
+        """
+        verts = sorted(deleted)
+        if len(set(verts)) != len(verts):
+            raise ValueError(f"vertex deleted twice in {verts}")
+        return FaceWord(source_dim, tuple([v - t for t, v in enumerate(verts)]))
 
     def describe(self):
         if not self.letters:

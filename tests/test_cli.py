@@ -163,11 +163,43 @@ def star_check(**files):
         (("verify", "corpus"), 2),
         (("verify", "tests/data/sset_element_null.json"), 2),
         (("moore", "tests/data/dsab_negative_gens.json"), 2),
+        # a level or degree key other than the decimal digits of its
+        # integer, or a "p,q" key without exactly one comma
+        (("verify", "tests/data/dsab_key_underscore.json"), 2),
+        (("verify", "tests/data/dsab_key_plus.json"), 2),
+        (("verify", "tests/data/sset_key_space.json"), 2),
+        (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "tests/data/hdeg_key_leading_zero.json"), 2),
+        (("e2", "tests/data/bisab_key_plus.json"), 2),
+        (("e2", "tests/data/bisab_key_three_levels.json"), 2),
+        (("deloop", "tests/data/pialg_degree_key_plus.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
     rc, out = run(*args)
     assert rc == expected, out
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("verify", "tests/data/dsab_key_underscore.json"), "faces key '0_1': a key must be the decimal digits"),
+        (("verify", "tests/data/dsab_key_plus.json"), "faces key '+1': a key must be the decimal digits"),
+        (("verify", "tests/data/sset_key_space.json"), "degeneracies key ' 0': a key must be the decimal digits"),
+        (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "tests/data/hdeg_key_leading_zero.json"),
+         "maps key '00': a key must be the decimal digits"),
+        (("e2", "tests/data/bisab_key_plus.json"), "h_faces key '1,+0': a key must be the decimal digits"),
+        (("e2", "tests/data/bisab_key_three_levels.json"), "h_faces key '1,0,0': expected a key \"p,q\" of two levels"),
+        (("deloop", "tests/data/pialg_degree_key_plus.json"), "groups key '+2': a key must be the decimal digits"),
+    ],
+)
+def test_level_key_must_be_its_digits(args, message, capsys, monkeypatch):
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    assert cli.main(list(args)) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "input-error"
+    assert message in rep["error"]
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,29 @@ def test_zero_shapes():
     assert D.c == 0
 
 
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(5) for n in range(5)])
+def test_snf_of_a_zero_matrix_is_the_identity_transform_result(m, n):
+    """With no pivot the elimination returns A's copy and identities; the
+    shortcut must return the same, in fresh objects nothing else holds."""
+    A = Mat(m, n)
+    D, U, V, Uinv = smith_normal_form(A)
+    eye = lambda k: Mat(k, k, [[int(i == j) for j in range(k)] for i in range(k)])
+    assert (D, U, V, Uinv) == (Mat(m, n), eye(m), eye(n), eye(m))
+    assert D is not A and D.a is not A.a and not any(r is s for r in D.a for s in A.a)
+    assert U is not Uinv and U.a is not Uinv.a and not any(r is s for r in U.a for s in Uinv.a)
+    if m:
+        U.a[0][0] = 7
+        D.a[0][:] = [5] * n
+        assert Uinv == eye(m) and A == Mat(m, n)
+
+
+def test_eye_rows_are_distinct_lists():
+    for k in range(6):
+        rows = Mat.eye(k).a
+        assert rows == [[int(i == j) for j in range(k)] for i in range(k)]
+        assert len({id(r) for r in rows}) == k
+
+
 def test_block_diagonal_places_blocks_in_order():
     A = Mat.from_rows([[1, 2]])
     B = Mat.from_rows([[3], [4]])

@@ -290,3 +290,158 @@ def test_sequence_schema_counts():
 def test_sequence_schema_range():
     with pytest.raises(ValueError):
         compatible_sequence_schema(1)
+
+
+# Reference implementations: the deletion-order face words, the per-partition
+# block walk and the gluing-parent rewrite that the one-cell-per-block schema
+# and the prefix parents replaced. The outputs must agree exactly.
+
+
+def _alive_word(source_dim, deleted):
+    letters = []
+    alive = list(range(source_dim + 1))
+    for v in sorted(deleted):
+        letters.append(alive.index(v))
+        alive.remove(v)
+    return FaceWord(source_dim, tuple(letters))
+
+
+def _reference_block_words(delta, partition, deleted, memo):
+    words = []
+    removed = 0
+    for block in partition:
+        key = (removed, block)
+        word = memo.get(key)
+        if word is None:
+            gone = {deleted[b - 1] for b in range(1, len(deleted) + 1) if removed >> b & 1}
+            alive = [v for v in range(delta.source_dim + 1) if v not in gone]
+            word = memo[key] = _alive_word(len(alive) - 1, [alive.index(deleted[b - 1]) for b in block])
+        words.append(word)
+        for b in block:
+            removed |= 1 << b
+    return tuple(words)
+
+
+def _reference_proper_factors(delta):
+    deleted = sorted(delta.deleted_vertices())
+    total = len(deleted)
+    found = set()
+    for pre_mask in range(1 << total):
+        pre = [deleted[i] for i in range(total) if pre_mask >> i & 1]
+        rest = [deleted[i] for i in range(total) if not pre_mask >> i & 1]
+        alive = [v for v in range(delta.source_dim + 1) if v not in pre]
+        for mid_size in range(1, len(rest) + 1):
+            for mid in itertools.combinations(rest, mid_size):
+                if not pre and len(mid) == total:
+                    continue
+                found.add(_alive_word(len(alive) - 1, [alive.index(v) for v in mid]))
+    return found
+
+
+def _reference_schema(delta):
+    """(equations, assembly, slots, unit constraints), each equation as
+    (partition, blocks, factor dims, description)."""
+    delta = delta.normal_form()
+    k = len(delta) - 1
+    slots = _reference_proper_factors(delta)
+    units = sorted((w.letters, w.source_dim) for w in slots if len(w) == 1)
+    deleted = sorted(delta.deleted_vertices())
+    memo = {}
+    equations = []
+    assembly = []
+    for partition in ordered_partitions(range(1, k + 2)):
+        r = len(partition)
+        if r == 1:
+            continue
+        blocks = _reference_block_words(delta, partition, deleted, memo)
+        if r == 2:
+            assembly.append((partition, blocks))
+        if r <= k:
+            dims = tuple(len(b) - 1 for b in blocks)
+            prods = " x ".join(f"P_{d}({w.describe()})" for d, w in zip(dims, blocks))
+            equations.append((partition, blocks, dims, f"restriction to {partition} equals composite over {prods}"))
+    assert all(b.normal_form() in slots for b in memo.values())
+    return equations, assembly, slots, units
+
+
+def _normal_words(length):
+    """Every normal-form word of the given length with source dimension
+    length - 1 .. length + 2."""
+    for n in range(length - 1, length + 3):
+        for deleted in itertools.combinations(range(n + 1), length):
+            yield _alive_word(n, deleted)
+
+
+@pytest.mark.parametrize("length", range(2, 6))
+def test_schema_matches_block_walk_reference(length):
+    for delta in _normal_words(length):
+        sch = compatible_schema(delta)
+        equations, assembly, slots, units = _reference_schema(delta)
+        assert [(eq.partition, eq.blocks, eq.factor_dims, eq.describe()) for eq in sch.equations] == equations
+        assert sch.assembly == assembly
+        assert set(sch.slots) == slots
+        assert all(spec.word == w for w, spec in sch.slots.items())
+        assert sorted((w.letters, w.source_dim) for w, i, lvl in sch.unit_constraints) == units
+        assert all(i == w.letters[0] and lvl == w.source_dim for w, i, lvl in sch.unit_constraints)
+
+
+@pytest.mark.parametrize("length", range(2, 6))
+def test_label_matches_block_walk_reference(length):
+    for delta in _normal_words(length):
+        lab = label(delta)
+        deleted = sorted(delta.deleted_vertices())
+        memo = {}
+        faces = {f: _reference_block_words(delta, f.partition, deleted, memo) for f in lab.lattice.faces}
+        assert lab.face_labels == faces
+        assert list(lab.face_labels) == list(faces)
+        vertices = {
+            f: FaceWord(delta.source_dim, tuple(x for w in words for x in w.letters))
+            for f, words in faces.items()
+            if len(f.partition) == length
+        }
+        assert lab.vertex_labels == vertices
+
+
+def _reference_gluing(n):
+    faces = {}
+    for size in range(1, n + 2):
+        for verts in itertools.combinations(range(n + 1), size):
+            faces[_alive_word(n, [v for v in range(n + 1) if v not in verts])] = verts
+    equations = []
+    for word, verts in faces.items():
+        if len(verts) - 1 > n - 2:
+            continue
+        parent = FaceWord(n, word.letters[:-1]).normal_form()
+        parent_verts = faces[parent]
+        (missing,) = set(parent_verts) - set(verts)
+        inclusion = _alive_word(len(parent_verts) - 1, (parent_verts.index(missing),))
+        equations.append((len(verts) - 1, word, parent, word.letters[-1], inclusion))
+    return faces, equations
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gluing_parents_match_rewrite_reference(n):
+    seq = compatible_sequence_schema(n)
+    faces, equations = _reference_gluing(n)
+    assert list(seq.index.faces.items()) == list(faces.items())
+    assert [(eq.level, eq.subface, eq.parent, eq.connecting_letter, eq.inclusion) for eq in seq.equations] == equations
+    for eq, (level, word, parent, letter, inclusion) in zip(seq.equations, equations):
+        assert eq.describe() == (
+            f"h_{level} . (id x d_{letter}) = h_{level + 1} . (iota[{word.describe()} -> {parent.describe()}] x id)"
+        )
+
+
+@pytest.mark.parametrize("letters", [(0, 0), (0, 1), (0, 0, 0), (0, 1, 3), (0, 0, 0, 0), (1, 1, 2, 3)])
+def test_block_word_escape_is_caught(letters, monkeypatch):
+    """Dropping any one factor from the proper-factor collection leaves a
+    block word outside the slots, and the schema says so."""
+    delta = FaceWord(len(letters) + 2, letters)
+    complete = permutohedron.proper_factors
+    for dropped in sorted(complete(delta).factors, key=lambda w: (w.source_dim, w.letters)):
+        def partial(d, dropped=dropped):
+            pf = complete(d)
+            return permutohedron.ProperFactorCollection(delta=pf.delta, factors=pf.factors - {dropped})
+
+        monkeypatch.setattr(permutohedron, "proper_factors", partial)
+        with pytest.raises(RuntimeError, match="escapes the proper-factor collection"):
+            compatible_schema(delta)

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delooper.words import (
     DegeneracyWord,
@@ -62,6 +64,48 @@ def test_from_deleted_roundtrip():
                 w = FaceWord.from_deleted(n, deleted)
                 assert w.is_normal()
                 assert w.deleted_vertices() == frozenset(deleted)
+
+
+def _reference_from_deleted(source_dim, deleted):
+    """The deletion-order algorithm: each sorted vertex's position among
+    the vertices still alive is its letter."""
+    letters = []
+    alive = list(range(source_dim + 1))
+    for v in sorted(deleted):
+        letters.append(alive.index(v))
+        alive.remove(v)
+    return FaceWord(source_dim, tuple(letters))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+@given(
+    st.integers(min_value=-1, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(min_value=-2, max_value=n + 2), max_size=n + 3))
+    ),
+    st.booleans(),
+)
+def test_from_deleted_matches_reference(case, presort):
+    """Closed-form letters equal the deletion-order algorithm's, and both
+    reject a repeated, negative or out-of-range vertex with ValueError."""
+    n, verts = case
+    if presort:
+        verts = sorted(verts)
+    assert _outcome(FaceWord.from_deleted, n, verts) == _outcome(_reference_from_deleted, n, verts)
+
+
+def test_from_deleted_rejects_repeats_and_range():
+    with pytest.raises(ValueError):
+        FaceWord.from_deleted(3, [2, 2])
+    with pytest.raises(ValueError):
+        FaceWord.from_deleted(3, [4])
+    with pytest.raises(ValueError):
+        FaceWord.from_deleted(3, [-1, 0])
 
 
 def test_face_word_validation():
