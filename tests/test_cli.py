@@ -172,6 +172,16 @@ def star_check(**files):
         (("e2", "tests/data/bisab_key_plus.json"), 2),
         (("e2", "tests/data/bisab_key_three_levels.json"), 2),
         (("deloop", "tests/data/pialg_degree_key_plus.json"), 2),
+        # an action value longer than its target group has generators
+        (("deloop", "tests/data/pialg_action_long.json"), 2),
+        # a sphere table degree key other than str(n), a Whitehead value of
+        # the wrong length or one in a row the table does not carry
+        (("--table", "tests/data/table_degree_key_plus.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_degree_key_word.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_row_key_leading_zero.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_whitehead_long.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_whitehead_empty.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_whitehead_off_table.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -246,6 +256,12 @@ def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatc
         ("table_suspension_int", "suspensions[0].value: expected a list of integers, found 3"),
         ("table_row_list", "groups.2.2: expected an object, found [[0], ['i2']]"),
         ("table_span_string", "span.n_min: expected an integer, found '1'"),
+        ("table_degree_key_plus", "groups.+2: a key must be the decimal digits of the integer it names"),
+        ("table_degree_key_word", "groups.two: a key must be the decimal digits of the integer it names"),
+        ("table_row_key_leading_zero", "groups.2.04: a key must be the decimal digits of the integer it names"),
+        ("table_whitehead_long", "Whitehead product (i2, i2) value has wrong length"),
+        ("table_whitehead_empty", "Whitehead product (i2, i2) value has wrong length"),
+        ("table_whitehead_off_table", "Whitehead product (i7, i7) lands in pi_13 S^7, outside the table"),
     ],
 )
 def test_sphere_table_names_the_bad_entry(name, message, capsys, monkeypatch):
@@ -427,6 +443,41 @@ def test_star_check_and_object_files_of_a_wrong_type(data):
         if name.endswith((".sset.json", ".dsab.json")):
             runs.append(("verify", os.path.join(tmp, name)))
         _check_runs(runs, path, wrong)
+
+
+# (file, section, index) of every action and Whitehead value of the corpus fragments
+FRAGMENT_VALUES = [
+    (name, section, i)
+    for name in ("eta_chain.pialg.json", "loop_s3.pialg.json")
+    for section in ("action", "whitehead")
+    for i in range(len(_corpus_json(name)[section]))
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_fragment_value_of_a_wrong_length_is_invalid(data):
+    """One action or Whitehead value of a corpus fragment lengthened or
+    shortened: deloop exits 2 with an invalid-fragment report, and no
+    exception leaves main."""
+    from delooper import cli
+
+    name, section, i = data.draw(st.sampled_from(FRAGMENT_VALUES))
+    doc = copy.deepcopy(_corpus_json(name))
+    value = doc[section][i]["value"]
+    if value and data.draw(st.booleans()):
+        del value[data.draw(st.integers(0, len(value) - 1))]
+    else:
+        value += data.draw(st.lists(st.integers(-2, 13), min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["deloop", path])
+    assert code == 2, (name, section, i, value, out.getvalue())
+    assert json.loads(out.getvalue())["verdict"] == "invalid-fragment"
 
 
 # the other loaders, each with a command that reads its file

@@ -1,8 +1,15 @@
+import copy
 import itertools
+import json
+import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delooper.abelian import PresentedGroup
+from delooper.intlin import Mat
 from delooper.pi_algebra import (
     DeloopResult,
     FragmentMap,
@@ -326,3 +333,320 @@ def test_deloop_multiple_generators_per_degree(table):
     out = result.fragment
     assert out.action[("e3", (3, "x'"))] == [1, 0]
     assert out.action[("e3", (3, "y'"))] == [0, 1]
+
+
+# Every note validate writes, each from one edit of the loop-space fragment:
+# actions and Whitehead values to record, and degrees to give a new group.
+@pytest.mark.parametrize(
+    "action,whitehead,groups,note",
+    [
+        ({("zz", (2, "x")): [1]}, {}, {}, "unknown sphere table generator zz"),
+        ({("e3", (2, "x")): [1]}, {}, {}, "action of e3 recorded on a degree-2 generator, expected degree 3"),
+        ({("e2", (2, "y")): [1]}, {}, {}, "action on unknown fragment generator y in degree 2"),
+        ({("e2", (2, "x")): [1, 0]}, {}, {}, "action value of (e2, x) has wrong length"),
+        ({("e2", (2, "x")): []}, {}, {}, "action value of (e2, x) has wrong length"),
+        ({}, {}, {4: [0]}, "additivity violation: 2 * (ee2^# x) != 0 though 2 * ee2 = 0 in the table"),
+        ({("ee2", (2, "x")): [0]}, {}, {}, "composition coherence fails for (e2 . e3) on x"),
+        ({}, {((2, "x"), (2, "x")): [0, 0]}, {}, "Whitehead value [x,x] has wrong length"),
+        ({}, {((2, "x"), (3, "hx")): []}, {}, "Whitehead value [x,hx] has wrong length"),
+    ],
+)
+def test_validate_writes_each_note(table, action, whitehead, groups, note):
+    G = loop_space_s3_fragment()
+    assert validate(G, table).ok
+    G.action.update(action)
+    G.whitehead.update(whitehead)
+    G.groups.update({d: PresentedGroup.from_factors(f) for d, f in groups.items()})
+    assert note in validate(G, table).problems
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data", "spheres.json"), encoding="utf-8") as fh:
+    SPHERES = json.load(fh)
+
+
+# Every TableError of the table's own audit, each from one entry appended to
+# a section of the bundled table (a later entry replaces an earlier one).
+@pytest.mark.parametrize(
+    "section,entry,message",
+    [
+        ("compositions", {"left": "zz", "right": "e3", "value": [1]}, "unknown sphere table generator zz"),
+        ("compositions", {"left": "e2", "right": "zz", "value": [1]}, "unknown sphere table generator zz"),
+        ("compositions", {"left": "e2", "right": "e4", "value": [1]}, "composition (e2, e4) has mismatched middle sphere"),
+        ("compositions", {"left": "e2", "right": "e3", "value": [1, 0]}, "composition (e2, e3) value has wrong length"),
+        ("compositions", {"left": "e2", "right": "e3", "value": []}, "composition (e2, e3) value has wrong length"),
+        ("suspensions", {"gen": "zz", "value": [1]}, "unknown sphere table generator zz"),
+        ("suspensions", {"gen": "i7", "value": [1]}, "suspension of i7 leaves the table span"),
+        ("suspensions", {"gen": "e2", "value": [1, 0]}, "suspension of e2 has wrong value length"),
+        ("suspensions", {"gen": "ee2", "value": [0]}, "suspension is not multiplicative on (e2, e3)"),
+        ("whitehead", {"left": "zz", "right": "i2", "value": [0]}, "unknown sphere table generator zz"),
+        ("whitehead", {"left": "i2", "right": "zz", "value": [0]}, "unknown sphere table generator zz"),
+        ("whitehead", {"left": "i2", "right": "i3", "value": [0]}, "Whitehead pair (i2, i3) on different spheres"),
+        ("whitehead", {"left": "i2", "right": "i2", "value": [1]}, "Whitehead product (i2, i2) survives suspension"),
+    ],
+)
+def test_table_audit_raises_each_error(tmp_path, section, entry, message):
+    data = copy.deepcopy(SPHERES)
+    data[section].append(entry)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(TableError) as info:
+        SphereTable.load(str(path))
+    assert message in str(info.value)
+
+
+# References: free_fragment, comonad_T and q_matrix as they stood when the
+# fragment rows were recovered by parsing generator labels. They fix the
+# outputs, and the insertion order of every dict, of the rewritten versions.
+def _ref_apply_action_to_vector(G, table, theta, src_degree, vector):
+    n, m, _ = table.location[theta]
+    if src_degree != n:
+        return None
+    out = [0] * G.group(m).ngens
+    for coeff, gen in zip(vector, G.gen_names.get(src_degree, [])):
+        if coeff == 0:
+            continue
+        rec = G.action.get((theta, (src_degree, gen)))
+        if rec is None:
+            return None
+        for i, v in enumerate(rec):
+            out[i] += coeff * v
+    return out
+
+
+def _ref_free_fragment(summands, table, window):
+    d_lo, d_hi = window
+    n_min, n_max, stem_max = table.span
+    gen_names = {d: [] for d in range(d_lo, d_hi + 1)}
+    factors = {d: [] for d in range(d_lo, d_hi + 1)}
+    origin = {}
+    for (name, dim) in summands:
+        if not (n_min <= dim <= n_max):
+            raise TableError(f"sphere dimension {dim} outside table span")
+        for m in table.rows_for(dim, min(d_hi, dim + stem_max)):
+            if m < d_lo:
+                continue
+            for idx, theta in enumerate(table.gens[(dim, m)]):
+                label = f"{name}.{theta}"
+                gen_names[m].append(label)
+                factors[m].append(table.declared[(dim, m)][idx])
+                origin[label] = (name, dim, m, theta)
+    whitehead = {}
+    for a, (name_a, dim_a) in enumerate(summands):
+        for b, (name_b, dim_b) in enumerate(summands):
+            if b <= a:
+                continue
+            d = dim_a + dim_b - 1
+            if d_lo <= d <= d_hi:
+                label = f"w[{name_a},{name_b}]"
+                gen_names[d].append(label)
+                factors[d].append(0)
+                origin[label] = ("whitehead", name_a, name_b, d)
+    groups = {d: PresentedGroup.from_factors(factors[d]) for d in factors}
+    frag = PiAlgebraFragment(
+        d_lo=d_lo,
+        d_hi=d_hi,
+        groups=groups,
+        gen_names=gen_names,
+        action={},
+        whitehead=whitehead,
+        free_summands=list(summands),
+    )
+    for (name, dim) in summands:
+        iota = f"{name}.i{dim}"
+        if iota not in origin:
+            continue
+        for m in table.rows_for(dim, min(d_hi, dim + stem_max)):
+            if m < d_lo or m == dim:
+                continue
+            for theta in table.gens[(dim, m)]:
+                label = f"{name}.{theta}"
+                frag.action[(theta, (dim, iota))] = frag.generator_vector(m, label)
+    for label, info in origin.items():
+        if info[0] == "whitehead":
+            continue
+        name, dim, m, theta = info
+        if m == dim:
+            continue
+        for (left, right), value in table.compositions.items():
+            if left != theta:
+                continue
+            _, r, _ = table.location[right]
+            if not (d_lo <= r <= d_hi):
+                continue
+            out = [0] * frag.group(r).ngens
+            for coeff, tgt_gen in zip(value, table.gens[(dim, r)]):
+                if coeff:
+                    out[frag.gen_index(r, f"{name}.{tgt_gen}")] += coeff
+            frag.action[(right, (m, label))] = out
+    for (name, dim) in summands:
+        iota = f"{name}.i{dim}"
+        key = (f"i{dim}", f"i{dim}")
+        if key in table.whitehead:
+            d = 2 * dim - 1
+            if d_lo <= d <= d_hi:
+                value = table.whitehead[key]
+                out = [0] * frag.group(d).ngens
+                for coeff, tgt_gen in zip(value, table.gens[(dim, d)]):
+                    if coeff:
+                        out[frag.gen_index(d, f"{name}.{tgt_gen}")] += coeff
+                frag.whitehead[((dim, iota), (dim, iota))] = out
+    for a, (name_a, dim_a) in enumerate(summands):
+        for b, (name_b, dim_b) in enumerate(summands):
+            if b <= a:
+                continue
+            d = dim_a + dim_b - 1
+            if d_lo <= d <= d_hi:
+                label = f"w[{name_a},{name_b}]"
+                frag.whitehead[((dim_a, f"{name_a}.i{dim_a}"), (dim_b, f"{name_b}.i{dim_b}"))] = frag.generator_vector(d, label)
+    return frag
+
+
+def _ref_comonad_T(G, table, window=None):
+    if window is None:
+        window = (G.d_lo, G.d_hi)
+    d_lo, d_hi = window
+    summands = []
+    counit_targets = {}
+    for k in range(d_lo, d_hi + 1):
+        grp = G.group(k)
+        if grp.ngens == 0:
+            continue
+        if grp.order() is None:
+            enumerated = [(name, G.generator_vector(k, name)) for name in G.gen_names[k]]
+        else:
+            enumerated = [(f"elt{idx}", v) for idx, v in enumerate(grp.elements()) if idx]
+        for name, vec in enumerated:
+            tag = f"d{k}_{name}"
+            summands.append((tag, k))
+            counit_targets[tag] = (k, vec)
+    T = _ref_free_fragment(summands, table, window)
+    counit = {}
+    for (tag, k) in summands:
+        counit[(k, f"{tag}.i{k}")] = counit_targets[tag]
+    for label_degree, names in T.gen_names.items():
+        for label in names:
+            parts = label.split(".")
+            if len(parts) != 2 or label.startswith("w["):
+                continue
+            tag, theta = parts
+            if theta.startswith("i") and (label_degree, label) in counit:
+                continue
+            if tag not in counit_targets:
+                continue
+            k, vec = counit_targets[tag]
+            stepped = _ref_apply_action_to_vector(G, table, theta, k, vec) if theta in table.location else None
+            if stepped is not None:
+                counit[(label_degree, label)] = (label_degree, stepped)
+    return T, counit
+
+
+def _ref_q_matrix(fmap, dim):
+    src_summands = [name for (name, d) in fmap.src.free_summands if d == dim]
+    dst_summands = [name for (name, d) in fmap.dst.free_summands if d == dim]
+    dst_index = {name: i for i, name in enumerate(dst_summands)}
+    out = Mat(len(dst_summands), len(src_summands))
+    for j, name in enumerate(src_summands):
+        vec = fmap.images.get((dim, name))
+        if vec is None:
+            continue
+        for gen_name, coeff in zip(fmap.dst.gen_names.get(dim, []), vec):
+            parts = gen_name.split(".")
+            if len(parts) == 2 and parts[1] == f"i{dim}" and parts[0] in dst_index and coeff:
+                out.a[dst_index[parts[0]]][j] = coeff
+    return out
+
+
+def _same_fragment(F, R):
+    """Equal fields, with every dict in the same insertion order."""
+    assert (F.d_lo, F.d_hi, F.free_summands) == (R.d_lo, R.d_hi, R.free_summands)
+    assert list(F.gen_names.items()) == list(R.gen_names.items())
+    assert list(F.action.items()) == list(R.action.items())
+    assert list(F.whitehead.items()) == list(R.whitehead.items())
+    assert list(F.groups) == list(R.groups)
+    assert all(F.groups[d].rels == R.groups[d].rels for d in F.groups)
+
+
+# dotted summand names are fine for free_fragment, which never parses labels
+SUMMAND_NAMES = st.sampled_from(["a", "b", "s", "w", "a.b", "x.y"])
+WINDOWS = st.tuples(st.integers(1, 9), st.integers(0, 5)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(SUMMAND_NAMES, st.integers(1, 8)), max_size=4), WINDOWS)
+def test_free_fragment_matches_reference(table, summands, window):
+    try:
+        R = _ref_free_fragment(summands, table, window)
+    except TableError as exc:
+        with pytest.raises(TableError, match=re.escape(str(exc))):
+            free_fragment(summands, table, window)
+        return
+    _same_fragment(free_fragment(summands, table, window), R)
+
+
+@st.composite
+def fragments(draw, table):
+    """A fragment on a window inside the table span, with small groups and
+    some actions of table generators recorded with values of the right length."""
+    d_lo = draw(st.integers(2, 7))
+    d_hi = min(7, d_lo + draw(st.integers(0, 3)))
+    groups, gen_names = {}, {}
+    for d in range(d_lo, d_hi + 1):
+        factors = draw(st.lists(st.sampled_from([0, 0, 2, 3, 4]), max_size=2))
+        groups[d] = PresentedGroup.from_factors(factors)
+        gen_names[d] = [f"g{d}{i}" for i in range(len(factors))]
+    G = PiAlgebraFragment(d_lo=d_lo, d_hi=d_hi, groups=groups, gen_names=gen_names, action={}, whitehead={})
+    for (n, m), thetas in table.gens.items():
+        if n in gen_names and m in groups:
+            for theta in thetas:
+                for gen in gen_names[n]:
+                    if draw(st.booleans()):
+                        G.action[(theta, (n, gen))] = draw(
+                            st.lists(st.integers(-2, 2), min_size=groups[m].ngens, max_size=groups[m].ngens)
+                        )
+    return G
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_comonad_matches_reference(table, data):
+    G = data.draw(fragments(table))
+    T, counit = comonad_T(G, table)
+    R, ref_counit = _ref_comonad_T(G, table)
+    _same_fragment(T, R)
+    assert counit == ref_counit
+    assert counit_is_surjective(G, counit) == counit_is_surjective(G, ref_counit)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_q_matrix_matches_reference(table, data):
+    names = st.sampled_from(["a", "b", "c", "w"])
+    dims = st.sampled_from([3, 4, 5])
+    A = free_fragment(data.draw(st.lists(st.tuples(names, dims), max_size=3)), table, (3, 7))
+    B = free_fragment(data.draw(st.lists(st.tuples(names, dims), max_size=3)), table, (3, 7))
+    images = {}
+    for name, d in A.free_summands:
+        if data.draw(st.booleans()):
+            k = B.group(d).ngens
+            images[(d, name)] = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    fmap = FragmentMap(src=A, dst=B, images=images)
+    for dim in (3, 4, 5):
+        assert q_matrix(fmap, dim) == _ref_q_matrix(fmap, dim)
+
+
+def test_counit_and_q_matrix_of_a_dotted_generator_name(table):
+    """A generator named "x.y" gets its counit on row elements and its
+    class on indecomposables; splitting labels on "." lost both."""
+    G = PiAlgebraFragment(
+        d_lo=2,
+        d_hi=4,
+        groups={2: PresentedGroup.free(1), 3: PresentedGroup.free(1), 4: PresentedGroup.cyclic(2)},
+        gen_names={2: ["x.y"], 3: ["h"], 4: ["hh"]},
+        action={("e2", (2, "x.y")): [1], ("ee2", (2, "x.y")): [1]},
+        whitehead={},
+    )
+    T, counit = comonad_T(G, table, (2, 4))
+    assert counit[(3, "d2_x.y.e2")] == (3, [1])
+    assert counit[(4, "d2_x.y.ee2")] == (4, [1])
+    fmap = FragmentMap(src=T, dst=T, images={(2, "d2_x.y"): T.generator_vector(2, "d2_x.y.i2")})
+    assert q_matrix(fmap, 2) == Mat.eye(1)
