@@ -211,7 +211,7 @@ def cmd_simplex(args):
 
 
 def cmd_deloop(args):
-    table = SphereTable.load(args.table) if args.table else SphereTable.load()
+    table = SphereTable.load(args.table)
     frag = _parsed(args.file, schemas.fragment_from_json, schemas.load(args.file))
     rep = validate(frag, table)
     if not rep.ok:

@@ -11,10 +11,10 @@ obstruction to the shift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .abelian import PresentedGroup, kron
+from .abelian import PresentedGroup, kron, quotient
 from .intlin import Mat, SmithSolver, block_diagonal
 
 
@@ -53,10 +53,10 @@ class SphereTable:
         span = tuple(_entry(span_data, key, "an integer", "span") for key in ("n_min", "n_max", "stem_max"))
         groups, declared, gens, location = {}, {}, {}, {}
         for n_str, rows in _entry(data, "groups", "an object", "").items():
-            n = int(n_str)
+            n = _key_int(n_str, f"sphere table groups.{n_str}", TableError)
             for m_str, row in _typed(rows, "an object", f"groups.{n_str}").items():
-                m = int(m_str)
                 where = f"groups.{n_str}.{m_str}"
+                m = _key_int(m_str, f"sphere table {where}", TableError)
                 row = _typed(row, "an object", where)
                 factors = _entry(row, "factors", "a list of integers", where)
                 names = _entry(row, "gens", "a list of generator names", where)
@@ -120,11 +120,14 @@ class SphereTable:
             n2, q, _ = self.require(right)
             if n != n2:
                 raise TableError(f"Whitehead pair ({left}, {right}) on different spheres")
-            img = self.suspend_element((n, p + q - 1), value)
-            if img is not None:
-                tgt = self.groups[(n + 1, p + q)]
-                if not tgt.is_zero_elt(img):
-                    raise TableError(f"Whitehead product ({left}, {right}) survives suspension")
+            row = (n, p + q - 1)
+            if row not in self.groups:
+                raise TableError(f"Whitehead product ({left}, {right}) lands in pi_{row[1]} S^{n}, outside the table")
+            if len(value) != len(self.gens[row]):
+                raise TableError(f"Whitehead product ({left}, {right}) value has wrong length")
+            img = self.suspend_element(row, value)
+            if img is not None and not self.groups[(n + 1, p + q)].is_zero_elt(img):
+                raise TableError(f"Whitehead product ({left}, {right}) survives suspension")
 
     def require(self, gen):
         if gen not in self.location:
@@ -142,37 +145,46 @@ class SphereTable:
     def suspend_element(self, key, value):
         """E of an element of pi_m S^n given as a generator-coefficient vector."""
         n, m = key
-        names = self.gens[(n, m)]
         if (n + 1, m + 1) not in self.groups:
             return None
-        out = [0] * len(self.gens[(n + 1, m + 1)])
-        for coeff, name in zip(value, names):
-            if coeff == 0:
-                continue
-            if name not in self.suspensions:
-                return None
-            for i, v in enumerate(self.suspensions[name]):
-                out[i] += coeff * v
-        return out
+        return _combine(len(self.gens[(n + 1, m + 1)]), zip(value, map(self.suspensions.get, self.gens[key])))
 
     def compose_elements(self, lkey, lvalue, rkey, rvalue):
         """Compose two elements where the table records all needed products."""
-        ln, lm = lkey
-        rn, rm = rkey
-        if lm != rn:
+        if lkey[1] != rkey[0]:
             raise TableError("composition keys do not chain")
-        out = [0] * len(self.gens[(ln, rm)])
-        for lc, lname in zip(lvalue, self.gens[lkey]):
-            if lc == 0:
-                continue
-            for rc, rname in zip(rvalue, self.gens[rkey]):
-                if rc == 0:
-                    continue
-                if (lname, rname) not in self.compositions:
-                    return None
-                for i, v in enumerate(self.compositions[(lname, rname)]):
-                    out[i] += lc * rc * v
-        return out
+        terms = (
+            (lc * rc, self.compositions.get((lname, rname)))
+            for lc, lname in zip(lvalue, self.gens[lkey])
+            for rc, rname in zip(rvalue, self.gens[rkey])
+        )
+        return _combine(len(self.gens[(lkey[0], rkey[1])]), terms)
+
+
+def _combine(length, terms):
+    """The sum of c * v over the terms (c, v) with c != 0, as a vector of the
+    given length, or None when one such v is None (a value not recorded)."""
+    out = [0] * length
+    for c, v in terms:
+        if c:
+            if v is None:
+                return None
+            for i, x in enumerate(v):
+                out[i] += c * x
+    return out
+
+
+def _key_int(text, what, error):
+    """The integer n a key names; the key must be exactly str(n), so "01",
+    "+1", " 1" and "0_1" raise error rather than alias 1. The rule of table
+    keys here and of object file keys in schemas."""
+    try:
+        n = int(text)
+        if str(n) == text:
+            return n
+    except ValueError:
+        pass
+    raise error(f"{what}: a key must be the decimal digits of the integer it names")
 
 
 # The JSON types a sphere table entry may have. Integers follow the rule of
@@ -258,9 +270,11 @@ def validate(G, table):
     composite coherence, Whitehead symmetry."""
     report = FragmentReport()
     note = report.problems.append
-    for (theta, (deg, gen)), value in G.action.items():
+    checked = {}  # the actions of the right shape, which alone the coherence check reads
+    for key, value in G.action.items():
+        theta, (deg, gen) = key
         try:
-            n, m, _ = table.require(theta)
+            n, m, idx = table.require(theta)
         except TableError as exc:
             note(str(exc))
             continue
@@ -274,8 +288,8 @@ def validate(G, table):
         if len(value) != target.ngens:
             note(f"action value of ({theta}, {gen}) has wrong length")
             continue
+        checked[key] = value
         # torsion-order consistency: ord(theta) * value must vanish
-        _, _, idx = table.location[theta]
         gen_order = table.declared[(n, m)][idx]
         if gen_order:
             scaled = [gen_order * v for v in value]
@@ -284,69 +298,43 @@ def validate(G, table):
                     f"additivity violation: {gen_order} * ({theta}^# {gen}) != 0 "
                     f"though {gen_order} * {theta} = 0 in the table"
                 )
+    G = replace(G, action=checked)
     # composite coherence: (theta . psi)^# g = psi^# (theta^# g) where recorded
     for (ltheta, rtheta), cval in table.compositions.items():
         n, m, _ = table.location[ltheta]
         _, r, _ = table.location[rtheta]
-        for deg in list(G.degrees()):
-            if deg != n:
+        if n not in G.degrees():
+            continue
+        for gen in G.gen_names.get(n, []):
+            left = G.action.get((ltheta, (n, gen)))
+            if left is None:
                 continue
-            for gen in G.gen_names.get(deg, []):
-                left = G.action.get((ltheta, (deg, gen)))
-                if left is None:
-                    continue
-                # psi^# extended additively over the fragment value
-                stepped = _apply_action_to_vector(G, table, rtheta, m, left)
-                direct = _apply_element_action(G, table, (n, r), cval, deg, gen)
-                if stepped is None or direct is None:
-                    continue
-                tgt = G.group(r)
-                if tgt.canon(stepped) != tgt.canon(direct):
-                    note(f"composition coherence fails for ({ltheta} . {rtheta}) on {gen}")
+            # psi^# extended additively over the fragment value, against (sum c_i theta_i)^# gen
+            tgt = G.group(r)
+            stepped = _apply_action_to_vector(G, table, rtheta, left)
+            terms = ((c, G.action.get((theta, (n, gen)))) for c, theta in zip(cval, table.gens[(n, r)]))
+            direct = _combine(tgt.ngens, terms)
+            if stepped is None or direct is None:
+                continue
+            if tgt.canon(stepped) != tgt.canon(direct):
+                note(f"composition coherence fails for ({ltheta} . {rtheta}) on {gen}")
     for ((d1, g1), (d2, g2)), value in G.whitehead.items():
-        tgt = G.group(d1 + d2 - 1)
-        if len(value) != tgt.ngens:
+        if len(value) != G.group(d1 + d2 - 1).ngens:
             note(f"Whitehead value [{g1},{g2}] has wrong length")
     return report
 
 
-def _apply_action_to_vector(G, table, theta, src_degree, vector):
-    """theta^# of a fragment element, by additivity over recorded generators."""
+def _apply_action_to_vector(G, table, theta, vector):
+    """theta^# of a fragment element in theta's source degree, by additivity
+    over recorded generators."""
     n, m, _ = table.location[theta]
-    if src_degree != n:
-        return None
-    out = [0] * G.group(m).ngens
-    for coeff, gen in zip(vector, G.gen_names.get(src_degree, [])):
-        if coeff == 0:
-            continue
-        rec = G.action.get((theta, (src_degree, gen)))
-        if rec is None:
-            return None
-        for i, v in enumerate(rec):
-            out[i] += coeff * v
-    return out
-
-
-def _apply_element_action(G, table, key, element, deg, gen):
-    """(sum c_i theta_i)^# gen for an element of a table group."""
-    n, r = key
-    out = [0] * G.group(r).ngens
-    for coeff, theta in zip(element, table.gens[(n, r)]):
-        if coeff == 0:
-            continue
-        rec = G.action.get((theta, (deg, gen)))
-        if rec is None:
-            return None
-        for i, v in enumerate(rec):
-            out[i] += coeff * v
-    return out
+    terms = ((c, G.action.get((theta, (n, gen)))) for c, gen in zip(vector, G.gen_names.get(n, [])))
+    return _combine(G.group(m).ngens, terms)
 
 
 def is_abelian(G):
-    for ((d1, _), (d2, _)), value in G.whitehead.items():
-        if not G.group(d1 + d2 - 1).is_zero_elt(value):
-            return False
-    return True
+    """Whether every recorded Whitehead value vanishes."""
+    return all(G.group(d1 + d2 - 1).is_zero_elt(value) for ((d1, _), (d2, _)), value in G.whitehead.items())
 
 
 def free_fragment(summands, table, window):
@@ -361,90 +349,60 @@ def free_fragment(summands, table, window):
     n_min, n_max, stem_max = table.span
     gen_names = {d: [] for d in range(d_lo, d_hi + 1)}
     factors = {d: [] for d in range(d_lo, d_hi + 1)}
-    origin = {}
+    rows = []  # (summand name, dim, m, theta) per row generator, in generator order
     for (name, dim) in summands:
         if not (n_min <= dim <= n_max):
             raise TableError(f"sphere dimension {dim} outside table span")
         for m in table.rows_for(dim, min(d_hi, dim + stem_max)):
             if m < d_lo:
                 continue
-            for idx, theta in enumerate(table.gens[(dim, m)]):
-                label = f"{name}.{theta}"
-                gen_names[m].append(label)
-                factors[m].append(table.declared[(dim, m)][idx])
-                origin[label] = (name, dim, m, theta)
-    # symbolic cross-summand Whitehead generators
-    whitehead = {}
+            for theta, factor in zip(table.gens[(dim, m)], table.declared[(dim, m)]):
+                rows.append((name, dim, m, theta))
+                gen_names[m].append(f"{name}.{theta}")
+                factors[m].append(factor)
+    # symbolic cross-summand Whitehead generators: (key, degree, label) per pair
+    cross = []
     for a, (name_a, dim_a) in enumerate(summands):
-        for b, (name_b, dim_b) in enumerate(summands):
-            if b <= a:
-                continue
+        for name_b, dim_b in summands[a + 1:]:
             d = dim_a + dim_b - 1
             if d_lo <= d <= d_hi:
                 label = f"w[{name_a},{name_b}]"
                 gen_names[d].append(label)
                 factors[d].append(0)
-                origin[label] = ("whitehead", name_a, name_b, d)
-    groups = {d: PresentedGroup.from_factors(factors[d]) for d in factors}
+                cross.append((((dim_a, f"{name_a}.i{dim_a}"), (dim_b, f"{name_b}.i{dim_b}")), d, label))
     frag = PiAlgebraFragment(
         d_lo=d_lo,
         d_hi=d_hi,
-        groups=groups,
+        groups={d: PresentedGroup.from_factors(factors[d]) for d in factors},
         gen_names=gen_names,
         action={},
-        whitehead=whitehead,
+        whitehead={},
         free_summands=list(summands),
     )
+
+    def copied(name, dim, d, value):
+        """A value on the table row (dim, d), in summand name's copy of that row."""
+        row = zip(value, table.gens[(dim, d)])
+        return _combine(frag.group(d).ngens, ((c, frag.generator_vector(d, f"{name}.{theta}")) for c, theta in row if c))
+
     # actions: table rows act on the canonical generator of each summand...
-    for (name, dim) in summands:
+    for name, dim, m, theta in rows:
         iota = f"{name}.i{dim}"
-        if iota not in origin:
-            continue
-        for m in table.rows_for(dim, min(d_hi, dim + stem_max)):
-            if m < d_lo or m == dim:
-                continue
-            for theta in table.gens[(dim, m)]:
-                label = f"{name}.{theta}"
-                frag.action[(theta, (dim, iota))] = frag.generator_vector(m, label)
+        if m != dim and iota in gen_names.get(dim, ()):
+            frag.action[(theta, (dim, iota))] = frag.generator_vector(m, f"{name}.{theta}")
     # ...and on row elements through recorded compositions
-    for label, info in origin.items():
-        if info[0] == "whitehead":
-            continue
-        name, dim, m, theta = info
-        if m == dim:
-            continue
+    for name, dim, m, theta in rows:
         for (left, right), value in table.compositions.items():
-            if left != theta:
-                continue
             _, r, _ = table.location[right]
-            if not (d_lo <= r <= d_hi):
-                continue
-            out = [0] * frag.group(r).ngens
-            for coeff, tgt_gen in zip(value, table.gens[(dim, r)]):
-                if coeff:
-                    out[frag.gen_index(r, f"{name}.{tgt_gen}")] += coeff
-            frag.action[(right, (m, label))] = out
+            if left == theta and m != dim and d_lo <= r <= d_hi:
+                frag.action[(right, (m, f"{name}.{theta}"))] = copied(name, dim, r, value)
     # Whitehead values: same-summand pairs from the table, cross pairs symbolic
     for (name, dim) in summands:
-        iota = f"{name}.i{dim}"
-        key = (f"i{dim}", f"i{dim}")
-        if key in table.whitehead:
-            d = 2 * dim - 1
-            if d_lo <= d <= d_hi:
-                value = table.whitehead[key]
-                out = [0] * frag.group(d).ngens
-                for coeff, tgt_gen in zip(value, table.gens[(dim, d)]):
-                    if coeff:
-                        out[frag.gen_index(d, f"{name}.{tgt_gen}")] += coeff
-                frag.whitehead[((dim, iota), (dim, iota))] = out
-    for a, (name_a, dim_a) in enumerate(summands):
-        for b, (name_b, dim_b) in enumerate(summands):
-            if b <= a:
-                continue
-            d = dim_a + dim_b - 1
-            if d_lo <= d <= d_hi:
-                label = f"w[{name_a},{name_b}]"
-                frag.whitehead[((dim_a, f"{name_a}.i{dim_a}"), (dim_b, f"{name_b}.i{dim_b}"))] = frag.generator_vector(d, label)
+        iota, d = f"{name}.i{dim}", 2 * dim - 1
+        value = table.whitehead.get((f"i{dim}", f"i{dim}"))
+        if value is not None and d_lo <= d <= d_hi:
+            frag.whitehead[((dim, iota), (dim, iota))] = copied(name, dim, d, value)
+    frag.whitehead.update((key, frag.generator_vector(d, label)) for key, d, label in cross)
     return frag
 
 
@@ -454,8 +412,7 @@ def comonad_T(G, table, window=None):
     if window is None:
         window = (G.d_lo, G.d_hi)
     d_lo, d_hi = window
-    summands = []
-    counit_targets = {}
+    summands, targets = [], []
     for k in range(d_lo, d_hi + 1):
         grp = G.group(k)
         if grp.ngens == 0:
@@ -466,28 +423,19 @@ def comonad_T(G, table, window=None):
             # elements() lists each coset once, zero first
             enumerated = [(f"elt{idx}", v) for idx, v in enumerate(grp.elements()) if idx]
         for name, vec in enumerated:
-            tag = f"d{k}_{name}"
-            summands.append((tag, k))
-            counit_targets[tag] = (k, vec)
+            summands.append((f"d{k}_{name}", k))
+            targets.append(vec)
     T = free_fragment(summands, table, window)
+    # each sphere goes to its element, and each row element theta of it to
+    # theta^# of that element when G records the actions it needs
     counit = {}
-    for (tag, k) in summands:
-        counit[(k, f"{tag}.i{k}")] = counit_targets[tag]
-    # counit on row elements: evaluate the recorded action in G when present
-    for label_degree, names in T.gen_names.items():
-        for label in names:
-            parts = label.split(".")
-            if len(parts) != 2 or label.startswith("w["):
-                continue
-            tag, theta = parts
-            if theta.startswith("i") and (label_degree, label) in counit:
-                continue
-            if tag not in counit_targets:
-                continue
-            k, vec = counit_targets[tag]
-            stepped = _apply_action_to_vector(G, table, theta, k, vec) if theta in table.location else None
-            if stepped is not None:
-                counit[(label_degree, label)] = (label_degree, stepped)
+    for (tag, k), vec in zip(summands, targets):
+        counit[(k, f"{tag}.i{k}")] = (k, vec)
+        for m in table.rows_for(k, min(d_hi, k + table.span[2])):
+            for theta in table.gens[(k, m)] if m != k else ():
+                stepped = _apply_action_to_vector(G, table, theta, vec)
+                if stepped is not None:
+                    counit[(m, f"{tag}.{theta}")] = (m, stepped)
     return T, counit
 
 
@@ -502,8 +450,6 @@ def counit_is_surjective(G, counit, window=None):
         if not cols:
             return False
         M = Mat(grp.ngens, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(grp.ngens)])
-        from .abelian import quotient
-
         coker, _ = quotient(grp, M)
         if not coker.is_trivial():
             return False
@@ -533,16 +479,12 @@ def q_matrix(fmap, dim):
     """The induced map on indecomposables in one dimension."""
     src_summands = [name for (name, d) in fmap.src.free_summands if d == dim]
     dst_summands = [name for (name, d) in fmap.dst.free_summands if d == dim]
-    dst_index = {name: i for i, name in enumerate(dst_summands)}
+    row_of = {f"{name}.i{dim}": i for i, name in enumerate(dst_summands)}
     out = Mat(len(dst_summands), len(src_summands))
     for j, name in enumerate(src_summands):
-        vec = fmap.images.get((dim, name))
-        if vec is None:
-            continue
-        for gen_name, coeff in zip(fmap.dst.gen_names.get(dim, []), vec):
-            parts = gen_name.split(".")
-            if len(parts) == 2 and parts[1] == f"i{dim}" and parts[0] in dst_index and coeff:
-                out.a[dst_index[parts[0]]][j] = coeff
+        for gen_name, coeff in zip(fmap.dst.gen_names.get(dim, []), fmap.images.get((dim, name), ())):
+            if coeff and gen_name in row_of:
+                out.a[row_of[gen_name]][j] = coeff
     return out
 
 
@@ -607,7 +549,6 @@ class Obstruction:
 @dataclass
 class DeloopResult:
     fragment: PiAlgebraFragment
-    solved: dict  # (generator, row) -> constraint summary
 
 
 def deloop(G, table):
@@ -633,7 +574,6 @@ def deloop(G, table):
         action={},
         whitehead={},
     )
-    solved = {}
     for k in range(d_lo, d_hi + 1):
         if k < n_min or k > n_max:
             continue
@@ -659,8 +599,7 @@ def deloop(G, table):
                     return _describe_failing_congruence(table, k, m, gen, constraints, target)
                 for i, theta in enumerate(row_gens):
                     out.action[(theta, (k, gen_p))] = h.col(i)
-                solved[(gen_p, (k, m))] = f"{len(constraints)} suspension forcings"
-    return DeloopResult(fragment=out, solved=solved)
+    return DeloopResult(fragment=out)
 
 
 def _solve_row_hom(row, target, constraints):
@@ -702,7 +641,7 @@ def _describe_failing_congruence(table, k, m, gen, constraints, target):
                 table_row=(k, m),
                 coefficients=list(coeffs),
                 forced_value=list(forced),
-                target_factors=tuple(_declared_diag(target)),
+                target_factors=tuple(_diagonal_factors(target) or target.invariant_factors()),
             )
     return Obstruction(
         degree=m,
@@ -713,12 +652,13 @@ def _describe_failing_congruence(table, k, m, gen, constraints, target):
     )
 
 
-def _declared_diag(G):
-    if G.rels.c == G.ngens and all(
-        G.rels.a[i][j] == 0 for i in range(G.ngens) for j in range(G.ngens) if i != j
-    ):
-        return [G.rels.a[i][i] for i in range(G.ngens)]
-    return list(G.invariant_factors())
+def _diagonal_factors(G):
+    """The factor of each generator of G when its relations are diagonal
+    (one per generator, as fragment groups are kept), else None."""
+    a = G.rels.a
+    if G.rels.c == G.ngens and all(a[i][j] == 0 for i in range(G.ngens) for j in range(G.ngens) if i != j):
+        return [a[i][i] for i in range(G.ngens)]
+    return None
 
 
 def reverify_obstruction(obstruction, G, table):

@@ -12,7 +12,7 @@ from .abelian import PresentedGroup
 from .delta_core import DeltaSAb, SAb
 from .intlin import Mat
 from .moore import BisimplicialAbelianGroup
-from .pi_algebra import PiAlgebraFragment
+from .pi_algebra import PiAlgebraFragment, _diagonal_factors, _key_int
 from .simplicial import BASE, FiniteSimplicialSet
 from .synthesis import HomotopyDegeneracyData
 
@@ -31,22 +31,10 @@ def _check_format(data, kind):
         raise SchemaError(f"expected a {kind} file, found kind {declared!r}")
 
 
-def _key_int(text, what):
-    """The integer n a key names; the key must be exactly str(n), so
-    "01", "+1", " 1" and "0_1" are SchemaErrors rather than aliases of 1."""
-    try:
-        n = int(text)
-        if str(n) == text:
-            return n
-    except ValueError:
-        pass
-    raise SchemaError(f"{what}: a key must be the decimal digits of the integer it names")
-
-
 def _level(text, cap, step, what):
     """The level n in the key of a map from level n to level n + step;
     both levels must lie in 0..cap."""
-    n = _key_int(text, what)
+    n = _key_int(text, what, SchemaError)
     if not (0 <= n <= cap and 0 <= n + step <= cap):
         raise SchemaError(f"{what}: a map from level {n} to level {n + step} leaves levels 0..{cap}")
     return n
@@ -263,13 +251,10 @@ def fragment_to_json(F):
 
 def _declared_factors(G):
     # fragment groups are kept in diagonal presentation (one factor per generator)
-    if G.rels.c != G.ngens:
+    factors = _diagonal_factors(G)
+    if factors is None:
         raise SchemaError("fragment group is not in diagonal presentation")
-    for i in range(G.ngens):
-        for j in range(G.rels.c):
-            if i != j and G.rels.a[i][j] != 0:
-                raise SchemaError("fragment group is not in diagonal presentation")
-    return [G.rels.a[i][i] for i in range(G.ngens)]
+    return factors
 
 
 def _generator(x, what):
@@ -285,7 +270,7 @@ def fragment_from_json(data):
     groups = {}
     gen_names = {}
     for d_str, spec in _object(data["groups"], "groups").items():
-        d = _key_int(d_str, f"groups key {d_str!r}")
+        d = _key_int(d_str, f"groups key {d_str!r}", SchemaError)
         spec = _object(spec, f"groups key {d_str!r}")
         groups[d] = PresentedGroup.from_factors(integers(spec["factors"], f"degree {d} factors"))
         gen_names[d] = [_name(x, f"degree {d} gens") for x in _list(spec["gens"], f"degree {d} gens")]

@@ -394,6 +394,19 @@ def test_table_audit_raises_each_error(tmp_path, section, entry, message):
     assert message in str(info.value)
 
 
+def test_compose_and_suspend_elements_are_bilinear(table):
+    assert table.compose_elements((3, 4), [1], (4, 5), [3]) == [3]
+    assert table.compose_elements((3, 4), [2], (4, 5), [3]) == [6]
+    # (e3, nu4) is not recorded: needed for a nonzero pair of coefficients only
+    assert table.compose_elements((3, 4), [0], (4, 7), [1, 1]) == [0]
+    assert table.compose_elements((3, 4), [1], (4, 7), [1, 0]) is None
+    with pytest.raises(TableError, match="do not chain"):
+        table.compose_elements((3, 4), [1], (5, 6), [1])
+    assert table.suspend_element((3, 6), [2]) == [0, 2]
+    assert table.suspend_element((2, 5), [3]) == [18]
+    assert table.suspend_element((7, 11), []) is None  # pi_12 S^8 is outside the span
+
+
 # References: free_fragment, comonad_T and q_matrix as they stood when the
 # fragment rows were recovered by parsing generator labels. They fix the
 # outputs, and the insertion order of every dict, of the rewritten versions.
