@@ -192,13 +192,19 @@ class Subquotient:
     """ker(outgoing)/im(incoming) inside an ambient group.
 
     group: abstract presentation; lift: columns are cycle representatives
-    in ambient coordinates; classify sends an ambient cycle to its class.
+    in ambient coordinates; boundaries: columns span the boundaries and
+    ambient's relations; classify sends an ambient cycle to its class.
     """
 
     ambient: PresentedGroup
     group: PresentedGroup
     lift: Mat
-    _classifier: SmithSolver = field(repr=False)
+    boundaries: Mat = field(repr=False)
+
+    @functools.cached_property
+    def _classifier(self):
+        """Built on the first classify: homotopy groups never classify."""
+        return SmithSolver(self.lift.hstack(self.boundaries))
 
     def classify(self, v):
         """Coordinates in group of an ambient element that must be a cycle."""
@@ -217,8 +223,7 @@ def homology(incoming, outgoing):
     boundaries = incoming.mat.hstack(ambient.rels)
     rels = kernel_mod_lattice(cycles, column_basis(boundaries))
     H = PresentedGroup(cycles.c, rels)
-    classifier = SmithSolver(cycles.hstack(boundaries))
-    return Subquotient(ambient=ambient, group=H, lift=cycles, _classifier=classifier)
+    return Subquotient(ambient=ambient, group=H, lift=cycles, boundaries=boundaries)
 
 
 def induced_on_homology(h_src, h_dst, f):

@@ -258,20 +258,23 @@ def _letter(pair):
     return str(x), e
 
 
-def _load_source(path, data, key):
+def _load_source(path, data, key, sources):
     """The simplicial set in the file named by data[key], a path relative to
-    the file at path."""
+    the file at path. sources holds each file already parsed, by path, so
+    that one command reads each source once."""
     name = data[key]
     if type(name) is not str:
         raise schemas.SchemaError(f"{path}: {key}: expected a file name, found {name!r}")
     source = os.path.join(os.path.dirname(os.path.abspath(path)), name)
-    return _parsed(source, schemas.sset_from_json, schemas.load(source))
+    if source not in sources:
+        sources[source] = _parsed(source, schemas.sset_from_json, schemas.load(source))
+    return sources[source]
 
 
-def _load_hom(path):
+def _load_hom(path, sources):
     data = schemas.load(path)
     schemas._check_format(data, "freehom")
-    src, dst = _load_source(path, data, "src"), _load_source(path, data, "dst")
+    src, dst = _load_source(path, data, "src", sources), _load_source(path, data, "dst", sources)
     if dst.cap < src.cap:
         raise schemas.SchemaError(f"{path}: target cap {dst.cap} is below the source cap {src.cap}")
     F_src, F_dst = milnor_F(src), milnor_F(dst)
@@ -292,10 +295,10 @@ def _load_hom(path):
     return hom
 
 
-def _load_target_map(path, target):
+def _load_target_map(path, target, sources):
     data = schemas.load(path)
     schemas._check_format(data, "targetmap")
-    src = _load_source(path, data, "src")
+    src = _load_source(path, data, "src", sources)
     if src.cap > target.cap:
         raise schemas.SchemaError(f"{path}: source cap {src.cap} exceeds the target's cap {target.cap}")
     vectors = _load_tables(path, data, src.cap, lambda vec: schemas.integers(vec, "vector"), "a list of integers")
@@ -324,9 +327,10 @@ def cmd_star_check(args):
     if not isinstance(target_obj, SAb):
         raise StructuralError("star-check target must be a simplicial abelian group file")
     K = AbelianTarget(target_obj)
-    f = _load_hom(args.f)
-    g = _load_hom(args.g)
-    h = _load_target_map(args.h, K)
+    sources = {}
+    f = _load_hom(args.f, sources)
+    g = _load_hom(args.g, sources)
+    h = _load_target_map(args.h, K, sources)
     ok, witness = check_condition_star(f, g, h, K)
     if ok:
         return OK, "holds", [], target_obj.cap, {}

@@ -197,6 +197,7 @@ class ReedyReport:
     fibrant: bool
     cap: int
     witnesses: dict = field(default_factory=dict)  # degree -> ambient coset vector
+    matching: dict = field(default_factory=dict, repr=False, compare=False)  # degree -> MatchingObject
 
     def describe(self):
         if self.fibrant:
@@ -207,9 +208,9 @@ class ReedyReport:
 
 def is_reedy_fibrant(V):
     """Surjectivity of every comparison map delta_n, with cokernel witnesses."""
-    witnesses = {}
+    witnesses, matching = {}, {}
     for n in range(1, V.cap + 1):
-        mo = matching_object(V, n)
+        mo = matching[n] = matching_object(V, n)
         coker, proj = quotient(mo.group, mo.delta.mat)
         if not coker.is_trivial():
             for i in range(mo.group.ngens):
@@ -217,7 +218,7 @@ def is_reedy_fibrant(V):
                 if not coker.is_zero_elt(v):
                     witnesses[n] = mo.inclusion.apply(v)
                     break
-    return ReedyReport(fibrant=not witnesses, cap=V.cap, witnesses=witnesses)
+    return ReedyReport(fibrant=not witnesses, cap=V.cap, witnesses=witnesses, matching=matching)
 
 
 @functools.cache

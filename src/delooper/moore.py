@@ -279,10 +279,9 @@ def diagonal(B):
     return SAb(levels, faces, degs, cap)
 
 
-def vertical_homotopy_object(B, t):
-    """The simplicial abelian group p -> pi_t(B_{p, *}) with induced maps."""
-    cols = [B.column(p) for p in range(B.hcap + 1)]
-    moores = [moore_complex(c) for c in cols]
+def vertical_homotopy_object(B, t, cols, moores):
+    """The simplicial abelian group p -> pi_t(B_{p, *}) with induced maps,
+    from the columns cols of B and their Moore complexes moores."""
     subs = [chain_homology(m.complex, t) for m in moores]
     levels = [s.group for s in subs]
 
@@ -336,8 +335,10 @@ def e2_page(B, smax=None, tmax=None):
         raise ValueError("window exceeds the reliable range of the caps")
     entries = {}
     collapsed = True
+    cols = [B.column(p) for p in range(B.hcap + 1)]
+    moores = [moore_complex(c) for c in cols]  # independent of t: built once per page
     for t in range(tmax + 1):
-        obj = vertical_homotopy_object(B, t)
+        obj = vertical_homotopy_object(B, t, cols, moores)
         pis = homotopy_groups(obj, range(smax + 1))
         for s in range(smax + 1):
             entries[(s, t)] = pis[s]

@@ -10,6 +10,7 @@ obstruction to the shift.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -39,12 +40,18 @@ class SphereTable:
 
     @staticmethod
     def load(path=None):
+        """The checked table in the file at path, read on every call. With no
+        path, the bundled table, read and checked once per process and
+        shared by every caller: it is read-only (derive a variant with
+        dataclasses.replace, never write into it)."""
         if path is None:
-            text = resources.files("delooper").joinpath("data/spheres.json").read_text()
-            data = json.loads(text)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            return _bundled_table()
+        with open(path, "r", encoding="utf-8") as fh:
+            return SphereTable._from_json(json.load(fh))
+
+    @staticmethod
+    def _from_json(data):
+        """The table a parsed sphere table file holds, after its audit."""
         if not isinstance(data, dict):
             raise TableError("a sphere table file must hold a JSON object")
         if type(data.get("format")) is not int or data["format"] != 1:
@@ -91,6 +98,8 @@ class SphereTable:
             m2, r, _ = self.require(right)
             if m2 != m:
                 raise TableError(f"composition ({left}, {right}) has mismatched middle sphere")
+            if (n, r) not in self.groups:
+                raise TableError(f"composition ({left}, {right}) lands in pi_{r} S^{n}, outside the table")
             if len(value) != len(self.gens[(n, r)]):
                 raise TableError(f"composition ({left}, {right}) value has wrong length")
         for gen, value in self.suspensions.items():
@@ -159,6 +168,12 @@ class SphereTable:
             for rc, rname in zip(rvalue, self.gens[rkey])
         )
         return _combine(len(self.gens[(lkey[0], rkey[1])]), terms)
+
+
+@functools.cache
+def _bundled_table():
+    text = resources.files("delooper").joinpath("data/spheres.json").read_text()
+    return SphereTable._from_json(json.loads(text))
 
 
 def _combine(length, terms):
@@ -444,7 +459,7 @@ def counit_is_surjective(G, counit, window=None):
         window = (G.d_lo, G.d_hi)
     for k in range(window[0], window[1] + 1):
         grp = G.group(k)
-        if grp.ngens == 0:
+        if grp.is_trivial():
             continue
         cols = [vec for (deg, _), (tdeg, vec) in counit.items() if tdeg == k]
         if not cols:

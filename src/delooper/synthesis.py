@@ -143,11 +143,13 @@ def split_complement(V, n, state):
     return SplitComplement(level=n, degenerate=L, inclusion=incl.mat, retraction=retraction, complement=comp)
 
 
-def rho_map(V, state, n):
+def rho_map(V, state, n, matching=None):
     """The face tuple each degeneracy-word summand of level n+1 must have.
 
     Returns {word: [component matrices]} assembled from V's faces and the
-    stage history; membership in the matching object is verified.
+    stage history; membership in the matching object at degree n+1 (given
+    as matching, or built here) is verified. Only the levels k < n of the
+    history are read: each face shortens a word to one that ends at level n.
     """
     for k in range(n):
         row = state.get(k)
@@ -156,6 +158,13 @@ def rho_map(V, state, n):
         for s in row:
             if s.r != V.rank(k + 1) or s.c != V.rank(k):
                 raise ValueError(f"stage history invalid: bad shape at level {k}")
+    words = {}  # the composite of each shorter word, built once
+
+    def word_matrix(w):
+        if w not in words:
+            words[w] = degeneracy_word_matrix(V, state, w)
+        return words[w]
+
     components = {}
     for k in range(n + 1):
         for w in canonical_degeneracy_words(k, n + 1):
@@ -163,13 +172,13 @@ def rho_map(V, state, n):
             for i in range(n + 2):
                 result = push_face_through(w, i)
                 if result[0] == "deg":
-                    mat = degeneracy_word_matrix(V, state, result[1])
+                    mat = word_matrix(result[1])
                 else:
                     _, i2, w2 = result
-                    mat = degeneracy_word_matrix(V, state, w2) @ V.face(k, i2)
+                    mat = word_matrix(w2) @ V.face(k, i2)
                 comps.append(mat)
             components[w] = comps
-    mo = matching_object(V, n + 1)
+    mo = matching_object(V, n + 1) if matching is None else matching
     solver = SmithSolver(mo.inclusion.hstack(mo.ambient.rels))
     for w, comps in components.items():
         if solver.solve_columns(vstack_all(comps)) is None:
@@ -274,8 +283,10 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
         raise FibrancyError(f"comparison map not surjective at degrees {bad}")
     state = {}
     log = []
+    rhos = []  # stage n's prescription; later stages leave the levels it reads alone
     for n in range(V.cap):
-        rho = rho_map(V, state, n)
+        rho = rho_map(V, state, n, reedy.matching[n + 1])
+        rhos.append(rho)
         entry = {"stage": n}
         if n >= 1:
             try:
@@ -307,8 +318,7 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
             continue
         raise SynthesisFailure(stage=n, congruence=residue2, detail="no strict lift exists at this stage")
     # eq (9) holds on every degeneracy-word summand by construction; re-verify
-    for n in range(V.cap):
-        rho = rho_map(V, state, n)
+    for n, rho in enumerate(rhos):
         for w, comps in rho.items():
             mat = degeneracy_word_matrix(V, state, w)
             for i in range(n + 2):

@@ -235,3 +235,55 @@ def test_smith_form_is_taken_on_first_use(monkeypatch):
     assert G.canon([1, 1]) != G.canon([0, 0]) and G.is_zero_elt([4, 6])
     assert len(list(G.elements())) == G.order() == 20
     assert len(calls) == 1
+
+
+def _parent_classifier(incoming, outgoing):
+    """The classifier homology built eagerly: one solver on the cycles
+    beside the boundaries and the ambient relations."""
+    cycles = kernel_mod_lattice(outgoing.mat, outgoing.dst.rels)
+    return SmithSolver(cycles.hstack(incoming.mat.hstack(incoming.dst.rels)))
+
+
+def test_homotopy_groups_build_no_classifier(monkeypatch):
+    from delooper import abelian, moore
+    from delooper.delta_core import free_abelian
+    from delooper.simplicial import sphere
+
+    made = []
+    build = abelian.homology
+
+    def recorded(incoming, outgoing):
+        made.append(build(incoming, outgoing))
+        return made[-1]
+
+    monkeypatch.setattr(moore, "homology", recorded)
+    assert moore.homotopy_groups(free_abelian(sphere(2, 4)))[2] == (0,)
+    assert made and not any("_classifier" in vars(H) for H in made)
+
+
+def test_classify_and_induced_map_agree_with_an_eager_classifier():
+    rng = random.Random(4242)
+    for _ in range(40):
+        a, b, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)
+        ambient = PresentedGroup.from_factors([rng.choice([0, 0, 2, 3]) for _ in range(b)])
+        out_mat = Mat(c, b, [[rng.randint(-2, 2) for _ in range(b)] for _ in range(c)])
+        outgoing = Hom(ambient, PresentedGroup.free(c), out_mat)
+        cycles = kernel_mod_lattice(out_mat, outgoing.dst.rels)
+        gens = Mat(b, a, [[0] * a for _ in range(b)])
+        if cycles.c:
+            coeffs = Mat(cycles.c, a, [[rng.randint(-2, 2) for _ in range(a)] for _ in range(cycles.c)])
+            gens = cycles @ coeffs
+        incoming = Hom(PresentedGroup.free(a), ambient, gens)
+        H = homology(incoming, outgoing)
+        ref = _parent_classifier(incoming, outgoing)
+        for j in range(cycles.c):
+            k = rng.randint(-3, 3)
+            v = [cycles.a[i][j] * k + gens.a[i][0] for i in range(b)]
+            sol = ref.solve_columns(Mat.column(v))
+            assert H.classify(v) == [sol.a[i][0] for i in range(H.group.ngens)]
+        f = Hom(ambient, ambient, Mat.eye(b).scale(rng.choice([1, -1, 2])))
+        ind = induced_on_homology(H, H, f)
+        cols = f.mat @ H.lift
+        for j in range(cols.c):
+            sol = ref.solve_columns(Mat.column(cols.col(j)))
+            assert [ind.mat.a[i][j] for i in range(H.group.ngens)] == [sol.a[i][0] for i in range(H.group.ngens)]

@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import copy
 import functools
@@ -182,6 +183,7 @@ def star_check(**files):
         (("--table", "tests/data/table_whitehead_long.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
         (("--table", "tests/data/table_whitehead_empty.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
         (("--table", "tests/data/table_whitehead_off_table.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        (("--table", "tests/data/table_composition_off_table.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -262,6 +264,7 @@ def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatc
         ("table_whitehead_long", "Whitehead product (i2, i2) value has wrong length"),
         ("table_whitehead_empty", "Whitehead product (i2, i2) value has wrong length"),
         ("table_whitehead_off_table", "Whitehead product (i7, i7) lands in pi_13 S^7, outside the table"),
+        ("table_composition_off_table", "composition (ee5, nu7) lands in pi_10 S^5, outside the table"),
     ],
 )
 def test_sphere_table_names_the_bad_entry(name, message, capsys, monkeypatch):
@@ -772,3 +775,23 @@ def test_closed_stdout_prints_no_traceback(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) in (0, 2)
     assert stderr == b""
+
+
+def test_star_check_reads_each_file_once(monkeypatch, capsys):
+    """The corpus star-check names s1.sset.json five times as a source; each
+    distinct file is parsed once."""
+    from delooper import cli, schemas
+
+    monkeypatch.chdir(ROOT)
+    paths = []
+    load = schemas.load
+
+    def counted(path):
+        paths.append(os.path.realpath(path))
+        return load(path)
+
+    monkeypatch.setattr(schemas, "load", counted)
+    assert cli.main(list(star_check())) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "holds"
+    counts = collections.Counter(paths)
+    assert len(counts) == 5 and set(counts.values()) == {1}, counts

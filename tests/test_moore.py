@@ -274,3 +274,29 @@ def test_constant_vertical_is_the_level_repeated():
             if q < 2:
                 assert all(s.a == Mat.eye(F.rank(p)).a for s in B.v_degs[(p, q)])
     assert not B.verify()
+
+
+def test_e2_page_builds_one_moore_complex_per_column(monkeypatch):
+    """The columns' Moore complexes do not depend on t: one each per page,
+    plus one per t for the homotopy of the vertical homotopy object and one
+    for the diagonal when the page collapses."""
+    import os
+
+    from delooper import moore, schemas
+
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", "resolution.bisab.json")
+    grids = [schemas.bisab_from_json(schemas.load(path)), random_resolution_grid(random.Random(51))[0],
+             constant_vertical(free_abelian(sphere(1, 3)), 2)]
+    calls = []
+    build = moore.moore_complex
+
+    def counted(G):
+        calls.append(G)
+        return build(G)
+
+    monkeypatch.setattr(moore, "moore_complex", counted)
+    for B in grids:
+        calls.clear()
+        page = e2_page(B)
+        smax, tmax = page.window
+        assert len(calls) == (B.hcap + 1) + (tmax + 1) + page.collapsed

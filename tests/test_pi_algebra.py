@@ -374,6 +374,8 @@ with open(os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data
         ("compositions", {"left": "e2", "right": "e4", "value": [1]}, "composition (e2, e4) has mismatched middle sphere"),
         ("compositions", {"left": "e2", "right": "e3", "value": [1, 0]}, "composition (e2, e3) value has wrong length"),
         ("compositions", {"left": "e2", "right": "e3", "value": []}, "composition (e2, e3) value has wrong length"),
+        ("compositions", {"left": "ee5", "right": "nu7", "value": [1]},
+         "composition (ee5, nu7) lands in pi_10 S^5, outside the table"),
         ("suspensions", {"gen": "zz", "value": [1]}, "unknown sphere table generator zz"),
         ("suspensions", {"gen": "i7", "value": [1]}, "suspension of i7 leaves the table span"),
         ("suspensions", {"gen": "e2", "value": [1, 0]}, "suspension of e2 has wrong value length"),
@@ -663,3 +665,47 @@ def test_counit_and_q_matrix_of_a_dotted_generator_name(table):
     assert counit[(4, "d2_x.y.ee2")] == (4, [1])
     fmap = FragmentMap(src=T, dst=T, images={(2, "d2_x.y"): T.generator_vector(2, "d2_x.y.i2")})
     assert q_matrix(fmap, 2) == Mat.eye(1)
+
+
+def test_counit_onto_a_trivial_group_is_surjective(table):
+    """A degree whose group has a generator but no nonzero element gets no
+    counit column, and needs none."""
+    G = PiAlgebraFragment(
+        d_lo=3,
+        d_hi=4,
+        groups={3: PresentedGroup.free(1), 4: PresentedGroup.from_factors([1])},
+        gen_names={3: ["x"], 4: ["y"]},
+        action={},
+        whitehead={},
+    )
+    T, counit = comonad_T(G, table, (3, 4))
+    assert not any(tdeg == 4 for tdeg, _ in counit.values())
+    assert counit_is_surjective(G, counit, (3, 4))
+
+
+BUNDLED_TABLE_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data", "spheres.json")
+
+
+def _table_contents(table):
+    """Every field of a sphere table, with each group as its presentation."""
+    groups = {key: (G.ngens, G.rels) for key, G in table.groups.items()}
+    return (table.span, groups, table.declared, table.gens, table.location, table.compositions,
+            table.suspensions, table.whitehead)
+
+
+def test_bundled_table_is_shared_and_left_unchanged(monkeypatch, capsys):
+    from delooper import cli
+
+    shared = SphereTable.load()
+    assert SphereTable.load() is shared and default_table() is shared
+    assert SphereTable.load(BUNDLED_TABLE_PATH) is not shared
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    for name in ("eta_chain", "loop_s3"):
+        cli.main(["deloop", f"corpus/{name}.pialg.json"])
+    capsys.readouterr()
+    for G in (loop_space_s3_fragment(), eta_chain_fragment()):
+        validate(G, shared)
+        deloop(G, shared)
+        comonad_T(G, shared)
+    free_fragment([("a", 2), ("b", 3)], shared, (2, 7))
+    assert _table_contents(shared) == _table_contents(SphereTable.load(BUNDLED_TABLE_PATH))

@@ -240,3 +240,59 @@ def test_torsion_level_round_trips(cap, k, m):
     res2 = synthesize(V, perturb_degeneracies(W, rng))
     assert verify_identities(res2.object).ok
     assert homotopy_groups(res2.object) == homotopy_groups(W)
+
+
+def _synthesized_cases():
+    """(face-only object, synthesized strict object): the corpus fibrant file
+    and the objects the round-trip tests above synthesize."""
+    import os
+
+    from delooper import schemas
+
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    V = schemas.dsab_from_json(schemas.load(os.path.join(corpus, "fibrant.dsab.json")))
+    hdeg = schemas.hdeg_from_json(schemas.load(os.path.join(corpus, "fibrant.hdeg.json")), V)
+    yield "corpus", V, synthesize(V, hdeg).object
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        W = random_fibrant_strict_object(rng, rng.choice([2, 3]))
+        V = underlying_delta(W)
+        yield f"exact{seed}", V, synthesize(V, HomotopyDegeneracyData.from_simplicial(W)).object
+    for seed in range(6):
+        rng = random.Random(200 + seed)
+        W = random_fibrant_strict_object(rng, rng.choice([2, 3]))
+        V = underlying_delta(W)
+        yield f"perturbed{seed}", V, synthesize(V, perturb_degeneracies(W, rng)).object
+    from delooper.moore import dold_kan
+
+    for cap, k, m in [(2, 2, 1), (2, 3, 2), (2, 4, 1), (3, 2, 3)]:
+        W = dold_kan(_torsion_cone_complex(cap, k, m), cap)
+        V = underlying_delta(W)
+        yield f"torsion{cap}{k}{m}", V, synthesize(V, HomotopyDegeneracyData.from_simplicial(W)).object
+
+
+def test_rho_map_reads_only_the_levels_below_its_stage():
+    """Stage n's prescription is the same from the full synthesized history
+    as from its levels k < n alone, so a stage's rho stays valid after the
+    later stages are chosen."""
+    for name, V, W in _synthesized_cases():
+        for n in range(V.cap):
+            full = rho_map(V, W.degeneracies, n)
+            assert full == rho_map(V, {k: W.degeneracies[k] for k in range(n)}, n), (name, n)
+
+
+def test_synthesize_builds_each_matching_object_once(monkeypatch):
+    from delooper import delta_core, synthesis
+
+    calls = []
+    build = delta_core.matching_object
+
+    def counted(V, n):
+        calls.append(n)
+        return build(V, n)
+
+    monkeypatch.setattr(delta_core, "matching_object", counted)
+    monkeypatch.setattr(synthesis, "matching_object", counted)
+    for name, V, _ in _synthesized_cases():  # one synthesize per case, nothing else builds one
+        assert sorted(calls) == list(range(1, V.cap + 1)), (name, calls)
+        calls.clear()
