@@ -374,8 +374,6 @@ with open(os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data
         ("compositions", {"left": "e2", "right": "e4", "value": [1]}, "composition (e2, e4) has mismatched middle sphere"),
         ("compositions", {"left": "e2", "right": "e3", "value": [1, 0]}, "composition (e2, e3) value has wrong length"),
         ("compositions", {"left": "e2", "right": "e3", "value": []}, "composition (e2, e3) value has wrong length"),
-        ("compositions", {"left": "ee5", "right": "nu7", "value": [1]},
-         "composition (ee5, nu7) lands in pi_10 S^5, outside the table"),
         ("suspensions", {"gen": "zz", "value": [1]}, "unknown sphere table generator zz"),
         ("suspensions", {"gen": "i7", "value": [1]}, "suspension of i7 leaves the table span"),
         ("suspensions", {"gen": "e2", "value": [1, 0]}, "suspension of e2 has wrong value length"),
@@ -384,6 +382,8 @@ with open(os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data
         ("whitehead", {"left": "i2", "right": "zz", "value": [0]}, "unknown sphere table generator zz"),
         ("whitehead", {"left": "i2", "right": "i3", "value": [0]}, "Whitehead pair (i2, i3) on different spheres"),
         ("whitehead", {"left": "i2", "right": "i2", "value": [1]}, "Whitehead product (i2, i2) survives suspension"),
+        ("compositions", {"left": "ee5", "right": "nu7", "value": [1]},
+         "composition (ee5, nu7) lands in pi_10 S^5, outside the table"),
     ],
 )
 def test_table_audit_raises_each_error(tmp_path, section, entry, message):
