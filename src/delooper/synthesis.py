@@ -12,11 +12,13 @@ strict by construction and is checked exhaustively at the end.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .abelian import PresentedGroup, joint_kernel, quotient, subgroup
 from .delta_core import (
     SAb,
+    _first_difference,
     degeneracy_word_matrix,
     is_reedy_fibrant,
     matching_object,
@@ -147,9 +149,10 @@ def rho_map(V, state, n, matching=None):
     """The face tuple each degeneracy-word summand of level n+1 must have.
 
     Returns {word: [component matrices]} assembled from V's faces and the
-    stage history; membership in the matching object at degree n+1 (given
-    as matching, or built here) is verified. Only the levels k < n of the
-    history are read: each face shortens a word to one that ends at level n.
+    stage history; membership in the matching object at degree n+1 is
+    verified. matching, when given, must be matching_object(V, n + 1) of
+    this V; else it is built here. Only the levels k < n of the history are
+    read: each face shortens a word to one that ends at level n.
     """
     for k in range(n):
         row = state.get(k)
@@ -158,13 +161,7 @@ def rho_map(V, state, n, matching=None):
         for s in row:
             if s.r != V.rank(k + 1) or s.c != V.rank(k):
                 raise ValueError(f"stage history invalid: bad shape at level {k}")
-    words = {}  # the composite of each shorter word, built once
-
-    def word_matrix(w):
-        if w not in words:
-            words[w] = degeneracy_word_matrix(V, state, w)
-        return words[w]
-
+    word_matrix = functools.cache(lambda w: degeneracy_word_matrix(V, state, w))  # each shorter word once
     components = {}
     for k in range(n + 1):
         for w in canonical_degeneracy_words(k, n + 1):
@@ -322,7 +319,7 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
         for w, comps in rho.items():
             mat = degeneracy_word_matrix(V, state, w)
             for i in range(n + 2):
-                if V.levels[n].first_nonzero_column(V.face(n + 1, i) @ mat - comps[i]) is not None:
+                if _first_difference(V.levels[n], V.face(n + 1, i) @ mat, comps[i]) is not None:
                     raise SynthesisFailure(
                         stage=n,
                         congruence=f"face d_{i} of word {w.describe()} disagrees with its prescription",
@@ -339,12 +336,12 @@ def _stage_strict_ok(V, state, rho, candidates, n):
     for j in range(n + 1):
         comps = rho[DegeneracyWord(n, (j,))]
         for i in range(n + 2):
-            if V.levels[n].first_nonzero_column(V.face(n + 1, i) @ candidates[j] - comps[i]) is not None:
+            if _first_difference(V.levels[n], V.face(n + 1, i) @ candidates[j], comps[i]) is not None:
                 return False
     for j in range(n + 1):
         for l in range(j, n):
-            diff = candidates[j] @ state[n - 1][l] - candidates[l + 1] @ state[n - 1][j]
-            if V.levels[n + 1].first_nonzero_column(diff) is not None:
+            lhs, rhs = candidates[j] @ state[n - 1][l], candidates[l + 1] @ state[n - 1][j]
+            if _first_difference(V.levels[n + 1], lhs, rhs) is not None:
                 return False
     return True
 
