@@ -27,6 +27,7 @@ from .delta_core import (
     underlying_delta,
     verify_identities,
 )
+from .jsontypes import entry
 from .moore import CollapseMismatch, e2_page, homotopy_groups
 from .permutohedron import (
     ResourceError,
@@ -37,8 +38,8 @@ from .permutohedron import (
     simplex_face_index,
 )
 from .pi_algebra import NotAbelianError, Obstruction, SphereTable, deloop, validate
-from .simplicial import BASE, FiniteSimplicialSet, StructuralError
-from .star import AbelianTarget, GroupHomMap, TargetMap, check_condition_star, milnor_F
+from .simplicial import FiniteSimplicialSet, StructuralError
+from .star import AbelianTarget, check_condition_star
 from .synthesis import FibrancyError, SynthesisFailure, synthesize
 from .words import FaceWord
 
@@ -230,41 +231,11 @@ def cmd_deloop(args):
     return OK, "delooped", [], None, {"fragment": schemas.fragment_to_json(result.fragment)}
 
 
-def _load_tables(path, data, cap, convert, expected):
-    """The per-level tables of a star-check file, one dict simplex ->
-    convert(entry) per level 0..cap; a level or entry of the wrong JSON type
-    is a SchemaError naming the file, level and simplex."""
-    tables = []
-    for n, level in enumerate(schemas._per_level(data["tables"], cap, f"{path}: tables")):
-        if not isinstance(level, dict):
-            raise schemas.SchemaError(f"{path}: level {n} must be an object keyed by simplex, found {level!r}")
-        table = {}
-        for x, entry in level.items():
-            try:
-                table[x] = convert(entry)
-            except (TypeError, ValueError):
-                raise schemas.SchemaError(
-                    f"{path}: level {n}, simplex {x!r}: expected {expected}, found {entry!r}"
-                ) from None
-        tables.append(table)
-    return tables
-
-
-def _letter(pair):
-    """A letter [generator, exponent] of a word; the exponent is the JSON integer 1 or -1."""
-    x, e = pair
-    if type(e) is not int or e not in (1, -1):
-        raise ValueError(f"exponent {e!r}")
-    return str(x), e
-
-
 def _load_source(path, data, key, sources):
     """The simplicial set in the file named by data[key], a path relative to
     the file at path. sources holds each file already parsed, by path, so
     that one command reads each source once."""
-    name = data[key]
-    if type(name) is not str:
-        raise schemas.SchemaError(f"{path}: {key}: expected a file name, found {name!r}")
+    name = entry(data, key, "a file name", f"{path}: {key}", schemas.SchemaError)
     source = os.path.join(os.path.dirname(os.path.abspath(path)), name)
     if source not in sources:
         sources[source] = _parsed(source, schemas.sset_from_json, schemas.load(source))
@@ -273,23 +244,8 @@ def _load_source(path, data, key, sources):
 
 def _load_hom(path, sources):
     data = schemas.load(path)
-    schemas._check_format(data, "freehom")
     src, dst = _load_source(path, data, "src", sources), _load_source(path, data, "dst", sources)
-    if dst.cap < src.cap:
-        raise schemas.SchemaError(f"{path}: target cap {dst.cap} is below the source cap {src.cap}")
-    F_src, F_dst = milnor_F(src), milnor_F(dst)
-    tables = _load_tables(path, data, src.cap, lambda word: tuple(map(_letter, word)),
-                          "a list of [generator, exponent] pairs, each exponent 1 or -1")
-    for n, table in enumerate(tables):
-        sources, generators = set(F_src.generators(n)), set(F_dst.generators(n))
-        for x, word in table.items():
-            if x not in sources:
-                raise schemas.SchemaError(f"{path}: level {n} lists {x!r}, not a generator of the source")
-            for g, _ in word:
-                if g not in generators:
-                    raise schemas.SchemaError(f"{path}: level {n}, simplex {x!r}: {g!r} is not a generator "
-                                              f"of level {n} of {data['dst']}")
-    hom = GroupHomMap(F_src, F_dst, tables)
+    hom = _parsed(path, schemas.freehom_from_json, data, src, dst)
     if not hom.is_valid():
         raise StructuralError(f"{path}: tables do not define a simplicial homomorphism")
     return hom
@@ -297,26 +253,7 @@ def _load_hom(path, sources):
 
 def _load_target_map(path, target, sources):
     data = schemas.load(path)
-    schemas._check_format(data, "targetmap")
-    src = _load_source(path, data, "src", sources)
-    if src.cap > target.cap:
-        raise schemas.SchemaError(f"{path}: source cap {src.cap} exceeds the target's cap {target.cap}")
-    vectors = _load_tables(path, data, src.cap, lambda vec: schemas.integers(vec, "vector"), "a list of integers")
-    tables = []
-    for n, level in enumerate(vectors):
-        simplices = set(src.elements[n])
-        ngens = target.sab.levels[n].ngens
-        for x, vec in level.items():
-            if x not in simplices:
-                raise schemas.SchemaError(f"{path}: level {n} lists {x!r}, not a simplex of the source")
-            if len(vec) != ngens:
-                raise schemas.SchemaError(f"{path}: level {n}, simplex {x!r}: expected a vector of length {ngens}, "
-                                          f"found {vec!r}")
-        for x in src.elements[n]:
-            if x != BASE and x not in level:
-                raise schemas.SchemaError(f"{path}: level {n} does not list simplex {x!r}")
-        tables.append({x: target.from_generators(n, vec) for x, vec in level.items()})
-    tm = TargetMap(src=src, target=target, tables=tables)
+    tm = _parsed(path, schemas.targetmap_from_json, data, _load_source(path, data, "src", sources), target)
     if not tm.is_valid():
         raise StructuralError(f"{path}: tables do not define a pointed simplicial map")
     return tm

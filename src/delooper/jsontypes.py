@@ -1,0 +1,60 @@
+"""Typed access to decoded JSON input.
+
+Every input file (the object formats of ``schemas`` and the sphere table)
+is checked through these accessors. The caller passes the full path text
+of the value it reads and the error class to raise; a value of the wrong
+JSON type is reported as ``<path>: expected <kind>, found <value>`` and a
+missing key as ``<path>: missing``.
+"""
+
+from __future__ import annotations
+
+
+def _is_letters(x):
+    return type(x) is list and all(
+        type(p) is list and len(p) == 2 and type(p[0]) is str and type(p[1]) is int and p[1] in (1, -1) for p in x
+    )
+
+
+# The JSON kinds an input value may be asked to have, by the text that names
+# them. An integer is exact: a float, a bool or a numeric string is not one.
+KINDS = {
+    "an object": lambda x: type(x) is dict,
+    "a list": lambda x: type(x) is list,
+    "an integer": lambda x: type(x) is int,
+    "a list of integers": lambda x: type(x) is list and all(type(y) is int for y in x),
+    "a list of rows": lambda x: type(x) is list and all(type(y) is list for y in x),
+    "a name": lambda x: type(x) is str,
+    "a generator name": lambda x: type(x) is str,
+    "a file name": lambda x: type(x) is str,
+    "a list of generator names": lambda x: type(x) is list and all(type(y) is str for y in x),
+    "[degree, generator]": lambda x: type(x) is list and len(x) == 2,
+    "a list of [generator, exponent] pairs, each exponent 1 or -1": _is_letters,
+}
+
+
+def typed(x, kind, where, error):
+    """x if it is of the kind named in KINDS; else an error naming where."""
+    if not KINDS[kind](x):
+        raise error(f"{where}: expected {kind}, found {x!r}")
+    return x
+
+
+def entry(obj, key, kind, where, error):
+    """obj[key], which must be present and, unless kind is None, of the
+    given kind; where is the path text of obj[key]."""
+    if key not in obj:
+        raise error(f"{where}: missing")
+    return obj[key] if kind is None else typed(obj[key], kind, where, error)
+
+
+def key_int(text, where, error):
+    """The integer n an object key names; the key must be exactly str(n),
+    so "01", "+1", " 1" and "0_1" raise error rather than alias 1."""
+    try:
+        n = int(text)
+        if str(n) == text:
+            return n
+    except ValueError:
+        pass
+    raise error(f"{where}: a key must be the decimal digits of the integer it names")

@@ -242,19 +242,17 @@ def proper_factors(delta):
         return ProperFactorCollection(delta=delta, factors=frozenset())
     deleted = sorted(delta.deleted_vertices())
     total = len(deleted)
-    found = set()
+    keys = set()  # (dimension, deleted positions) of each factor, before any word is built
     for pre_mask in range(1 << total):
         pre = [deleted[i] for i in range(total) if pre_mask >> i & 1]
-        rest = [deleted[i] for i in range(total) if not pre_mask >> i & 1]
-        if not rest:
-            continue
-        alive = [v for v in range(delta.source_dim + 1) if v not in pre]
+        # once the pre vertices are deleted, each other vertex v sits at
+        # position v minus the number of pre vertices below it
+        rest = [v - sum(u < v for u in pre) for i, v in enumerate(deleted) if not pre_mask >> i & 1]
         for mid_size in range(1, len(rest) + 1):
             for mid in itertools.combinations(rest, mid_size):
-                if not pre and len(mid) == total:
-                    continue  # delta itself with identity outer words
-                found.add(FaceWord.from_deleted(len(alive) - 1, [alive.index(v) for v in mid]))
-    return ProperFactorCollection(delta=delta, factors=frozenset(found))
+                if pre or mid_size < total:  # not delta itself with identity outer words
+                    keys.add((delta.source_dim - len(pre), mid))
+    return ProperFactorCollection(delta=delta, factors=frozenset(FaceWord.from_deleted(d, mid) for d, mid in keys))
 
 
 @dataclass(frozen=True)

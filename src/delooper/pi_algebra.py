@@ -16,6 +16,7 @@ from importlib import resources
 
 from .abelian import PresentedGroup, kron, quotient
 from .intlin import Mat, SmithSolver, block_diagonal
+from .jsontypes import entry, key_int, typed
 
 
 class TableError(ValueError):
@@ -49,19 +50,20 @@ class SphereTable:
             raise TableError("a sphere table file must hold a JSON object")
         if type(data.get("format")) is not int or data["format"] != 1:
             raise TableError(f"unsupported sphere table format {data.get('format')!r}")
-        span_data = _entry(data, "span", "an object", "")
-        span = tuple(_entry(span_data, key, "an integer", "span") for key in ("n_min", "n_max", "stem_max"))
+        span_data = entry(data, "span", "an object", "sphere table span", TableError)
+        span = tuple(entry(span_data, key, "an integer", f"sphere table span.{key}", TableError)
+                     for key in ("n_min", "n_max", "stem_max"))
         groups, declared, gens, location = {}, {}, {}, {}
-        for n_str, rows in _entry(data, "groups", "an object", "").items():
-            n = _key_int(n_str, f"sphere table groups.{n_str}", TableError)
-            for m_str, row in _typed(rows, "an object", f"groups.{n_str}").items():
-                where = f"groups.{n_str}.{m_str}"
-                m = _key_int(m_str, f"sphere table {where}", TableError)
-                row = _typed(row, "an object", where)
-                factors = _entry(row, "factors", "a list of integers", where)
-                names = _entry(row, "gens", "a list of generator names", where)
+        for n_str, rows in entry(data, "groups", "an object", "sphere table groups", TableError).items():
+            n = key_int(n_str, f"sphere table groups.{n_str}", TableError)
+            for m_str, row in typed(rows, "an object", f"sphere table groups.{n_str}", TableError).items():
+                where = f"sphere table groups.{n_str}.{m_str}"
+                m = key_int(m_str, where, TableError)
+                row = typed(row, "an object", where, TableError)
+                factors = entry(row, "factors", "a list of integers", f"{where}.factors", TableError)
+                names = entry(row, "gens", "a list of generator names", f"{where}.gens", TableError)
                 if len(names) != len(factors):
-                    raise TableError(f"sphere table {where}: {len(names)} generator names for {len(factors)} factors")
+                    raise TableError(f"{where}: {len(names)} generator names for {len(factors)} factors")
                 groups[(n, m)] = PresentedGroup.from_factors(factors)
                 declared[(n, m)] = list(factors)
                 gens[(n, m)] = list(names)
@@ -69,18 +71,27 @@ class SphereTable:
                     if name in location:
                         raise TableError(f"duplicate generator name {name}")
                     location[name] = (n, m, idx)
-        comps = {(left, right): value for left, right, value in _entries(data, "compositions", ("left", "right"))}
-        susp = {gen: value for gen, value in _entries(data, "suspensions", ("gen",))}
-        wh = {(left, right): value for left, right, value in _entries(data, "whitehead", ("left", "right"))}
+        # each optional section is a list of objects: the generator names under
+        # its keys (a pair, or the one generator of a suspension) and a value
+        values = {}
+        for section, keys in (("compositions", ("left", "right")), ("suspensions", ("gen",)),
+                              ("whitehead", ("left", "right"))):
+            values[section] = {}
+            for k, item in enumerate(typed(data.get(section, []), "a list", f"sphere table {section}", TableError)):
+                where = f"sphere table {section}[{k}]"
+                typed(item, "an object", where, TableError)
+                names = tuple(entry(item, key, "a generator name", f"{where}.{key}", TableError) for key in keys)
+                value = entry(item, "value", "a list of integers", f"{where}.value", TableError)
+                values[section][names if len(names) > 1 else names[0]] = value
         table = SphereTable(
             span=span,
             groups=groups,
             declared=declared,
             gens=gens,
             location=location,
-            compositions=comps,
-            suspensions=susp,
-            whitehead=wh,
+            compositions=values["compositions"],
+            suspensions=values["suspensions"],
+            whitehead=values["whitehead"],
         )
         table._check()
         return table
@@ -178,56 +189,6 @@ def _combine(length, terms):
             for i, x in enumerate(v):
                 out[i] += c * x
     return out
-
-
-def _key_int(text, what, error):
-    """The integer n a key names; the key must be exactly str(n), so "01",
-    "+1", " 1" and "0_1" raise error rather than alias 1. The rule of table
-    keys here and of object file keys in schemas."""
-    try:
-        n = int(text)
-        if str(n) == text:
-            return n
-    except ValueError:
-        pass
-    raise error(f"{what}: a key must be the decimal digits of the integer it names")
-
-
-# The JSON types a sphere table entry may have. Integers follow the rule of
-# schemas.integer: a float, a bool or a numeric string is not one.
-_KINDS = {
-    "an object": lambda x: type(x) is dict,
-    "a list": lambda x: type(x) is list,
-    "an integer": lambda x: type(x) is int,
-    "a list of integers": lambda x: type(x) is list and all(type(y) is int for y in x),
-    "a generator name": lambda x: type(x) is str,
-    "a list of generator names": lambda x: type(x) is list and all(type(y) is str for y in x),
-}
-
-
-def _typed(x, kind, where):
-    """x if it is of the kind named in _KINDS; else a TableError naming where."""
-    if not _KINDS[kind](x):
-        raise TableError(f"sphere table {where}: expected {kind}, found {x!r}")
-    return x
-
-
-def _entry(obj, key, kind, where):
-    """obj[key], which must be present and of the given kind."""
-    path = f"{where}.{key}" if where else key
-    if key not in obj:
-        raise TableError(f"sphere table {path}: missing")
-    return _typed(obj[key], kind, path)
-
-
-def _entries(data, section, keys):
-    """The optional list data[section] of objects, each as its generator
-    names under keys followed by its value, a list of integers."""
-    for k, entry in enumerate(_typed(data.get(section, []), "a list", section)):
-        where = f"{section}[{k}]"
-        entry = _typed(entry, "an object", where)
-        names = [_entry(entry, key, "a generator name", where) for key in keys]
-        yield names + [_entry(entry, "value", "a list of integers", where)]
 
 
 def default_table():

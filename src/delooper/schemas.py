@@ -11,9 +11,11 @@ import json
 from .abelian import PresentedGroup
 from .delta_core import DeltaSAb, SAb
 from .intlin import Mat
+from .jsontypes import entry, key_int, typed
 from .moore import BisimplicialAbelianGroup
-from .pi_algebra import PiAlgebraFragment, _diagonal_factors, _key_int
+from .pi_algebra import PiAlgebraFragment, _diagonal_factors
 from .simplicial import BASE, FiniteSimplicialSet
+from .star import GroupHomMap, TargetMap, milnor_F
 from .synthesis import HomotopyDegeneracyData
 
 FORMAT = 1
@@ -34,7 +36,7 @@ def _check_format(data, kind):
 def _level(text, cap, step, what):
     """The level n in the key of a map from level n to level n + step;
     both levels must lie in 0..cap."""
-    n = _key_int(text, what, SchemaError)
+    n = key_int(text, what, SchemaError)
     if not (0 <= n <= cap and 0 <= n + step <= cap):
         raise SchemaError(f"{what}: a map from level {n} to level {n + step} leaves levels 0..{cap}")
     return n
@@ -49,46 +51,12 @@ def _per_level(rows, cap, what):
     return rows
 
 
-def _object(x, what):
-    """x if it is a JSON object; anything else is a SchemaError."""
-    if type(x) is not dict:
-        raise SchemaError(f"{what}: expected an object, found {x!r}")
-    return x
-
-
-def _list(x, what):
-    """x if it is a JSON list; anything else is a SchemaError."""
-    if type(x) is not list:
-        raise SchemaError(f"{what}: expected a list, found {x!r}")
-    return x
-
-
-def _rows(x, what):
-    """x if it is a JSON list of lists; anything else is a SchemaError."""
-    if type(x) is not list or any(type(row) is not list for row in x):
-        raise SchemaError(f"{what}: expected a list of rows, found {x!r}")
-    return x
-
-
-def _name(x, what):
-    """x if it is a JSON string; anything else is a SchemaError."""
-    if type(x) is not str:
-        raise SchemaError(f"{what}: expected a name, found {x!r}")
-    return x
-
-
-def integer(x, what):
-    """x if it is a JSON integer; a float, a bool or a numeric string is a SchemaError."""
-    if type(x) is not int:
-        raise SchemaError(f"{what}: expected an integer, found {x!r}")
-    return x
-
-
-def integers(values, what):
-    """A copy of values if it is a list of JSON integers; anything else is a SchemaError."""
-    if type(values) is not list or any(type(x) is not int for x in values):
-        raise SchemaError(f"{what}: expected a list of integers, found {values!r}")
-    return list(values)
+def _family(data, key, cap, step):
+    """(n, path text, value) for each entry of the object data[key], whose
+    keys name the levels n of maps from level n to level n + step."""
+    for n_str, value in entry(data, key, "an object", key, SchemaError).items():
+        what = f"{key} key {n_str!r}"
+        yield _level(n_str, cap, step, what), what, value
 
 
 def mat_to_json(M):
@@ -96,9 +64,9 @@ def mat_to_json(M):
 
 
 def mat_from_json(rows, r, c, what="matrix"):
-    if len(_rows(rows, what)) != r or any(len(row) != c for row in rows):
+    if len(typed(rows, "a list of rows", what, SchemaError)) != r or any(len(row) != c for row in rows):
         raise SchemaError(f"{what}: matrix shape mismatch: expected {r}x{c}")
-    return Mat(r, c, [integers(row, "matrix row") for row in rows])
+    return Mat(r, c, [list(typed(row, "a list of integers", "matrix row", SchemaError)) for row in rows])
 
 
 def group_to_json(G):
@@ -106,10 +74,10 @@ def group_to_json(G):
 
 
 def group_from_json(data, what="group"):
-    g = integer(_object(data, what)["gens"], f"{what}: gens")
+    g = entry(typed(data, "an object", what, SchemaError), "gens", "an integer", f"{what}: gens", SchemaError)
     if g < 0:
         raise SchemaError(f"{what}: gens: expected a generator count, found {g}")
-    rels = _rows(data.get("relations", []), f"{what}: relations")
+    rels = typed(data.get("relations", []), "a list of rows", f"{what}: relations", SchemaError)
     if not rels:
         return PresentedGroup(g, Mat(g, 0, [[] for _ in range(g)]))
     return PresentedGroup(g, mat_from_json(rels, g, len(rels[0]), f"{what}: relations"))
@@ -136,16 +104,23 @@ def sset_to_json(K):
 
 def sset_from_json(data):
     _check_format(data, "sset")
-    cap = integer(data["cap"], "cap")
-    rows = _per_level(data["elements"], cap, "elements")
-    elements = [[_name(x, f"elements[{n}]") for x in _list(row, f"elements[{n}]")] for n, row in enumerate(rows)]
+    cap = entry(data, "cap", "an integer", "cap", SchemaError)
+    basepoint = data.get("basepoint", BASE)
+    if basepoint != BASE:
+        raise SchemaError(f"basepoint: expected {BASE!r}, found {basepoint!r}")
+    rows = _per_level(entry(data, "elements", None, "elements", SchemaError), cap, "elements")
+    elements = [[typed(x, "a name", f"elements[{n}]", SchemaError)
+                 for x in typed(row, "a list", f"elements[{n}]", SchemaError)] for n, row in enumerate(rows)]
 
     def load_family(key, step):
         out = {}
-        for n_str, tables in _object(data[key], key).items():
-            what = f"{key} key {n_str!r}"
-            n = _level(n_str, cap, step, what)
-            out[n] = [{x: _name(img, what) for x, img in zip(elements[n], table)} for table in _rows(tables, what)]
+        for n, what, tables in _family(data, key, cap, step):
+            out[n] = []
+            for i, table in enumerate(typed(tables, "a list of rows", what, SchemaError)):
+                if len(table) != len(elements[n]):
+                    raise SchemaError(f"{what}[{i}]: expected {len(elements[n])} images, one per element of "
+                                      f"level {n}, found {len(table)}")
+                out[n].append({x: typed(img, "a name", what, SchemaError) for x, img in zip(elements[n], table)})
         return out
 
     return FiniteSimplicialSet(cap, elements, load_family("faces", -1), load_family("degeneracies", 1))
@@ -168,17 +143,14 @@ def dsab_to_json(V):
 
 def dsab_from_json(data):
     _check_format(data, "dsab")
-    cap = integer(data["cap"], "cap")
-    levels = [group_from_json(g, f"levels[{n}]") for n, g in enumerate(_per_level(data["levels"], cap, "levels"))]
+    cap = entry(data, "cap", "an integer", "cap", SchemaError)
+    rows = _per_level(entry(data, "levels", None, "levels", SchemaError), cap, "levels")
+    levels = [group_from_json(g, f"levels[{n}]") for n, g in enumerate(rows)]
 
     def load_family(key, step):
-        out = {}
-        for n_str, mats in _object(data[key], key).items():
-            what = f"{key} key {n_str!r}"
-            n = _level(n_str, cap, step, what)
-            out[n] = [mat_from_json(m, levels[n + step].ngens, levels[n].ngens, f"{what}[{i}]")
-                      for i, m in enumerate(_list(mats, what))]
-        return out
+        return {n: [mat_from_json(m, levels[n + step].ngens, levels[n].ngens, f"{what}[{i}]")
+                    for i, m in enumerate(typed(mats, "a list", what, SchemaError))]
+                for n, what, mats in _family(data, key, cap, step)}
 
     if "degeneracies" in data:
         return SAb(levels, load_family("faces", -1), load_family("degeneracies", 1), cap)
@@ -201,22 +173,28 @@ def bisab_to_json(B):
 
 def bisab_from_json(data):
     _check_format(data, "bisab")
-    hcap, vcap = integer(data["hcap"], "hcap"), integer(data["vcap"], "vcap")
+    hcap = entry(data, "hcap", "an integer", "hcap", SchemaError)
+    vcap = entry(data, "vcap", "an integer", "vcap", SchemaError)
     levels = [
         [group_from_json(g, f"levels[{p}][{q}]") for q, g in enumerate(_per_level(column, vcap, f"levels[{p}]"))]
-        for p, column in enumerate(_per_level(data["levels"], hcap, "levels"))
+        for p, column in enumerate(_per_level(entry(data, "levels", None, "levels", SchemaError), hcap, "levels"))
     ]
 
     def load_family(key, dp, dq):
         out = {}
-        for pq, mats in _object(data[key], key).items():
+        for pq, mats in entry(data, key, "an object", key, SchemaError).items():
             what = f"{key} key {pq!r}"
             if pq.count(",") != 1:
                 raise SchemaError(f"{what}: expected a key \"p,q\" of two levels")
             p_str, q_str = pq.split(",")
             p, q = _level(p_str, hcap, dp, what), _level(q_str, vcap, dq, what)
             out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens, f"{what}[{i}]")
-                           for i, m in enumerate(_list(mats, what))]
+                           for i, m in enumerate(typed(mats, "a list", what, SchemaError))]
+        # every (p, q) whose map stays inside the grid needs its entry
+        for p in range(max(0, -dp), hcap + 1 - max(0, dp)):
+            for q in range(max(0, -dq), vcap + 1 - max(0, dq)):
+                if (p, q) not in out:
+                    raise SchemaError(f"{key} key '{p},{q}': missing")
         return out
 
     h_faces = load_family("h_faces", -1, 0)
@@ -257,37 +235,45 @@ def _declared_factors(G):
     return factors
 
 
-def _generator(x, what):
-    """The (degree, name) of a JSON pair [degree, name]."""
-    if type(x) is not list or len(x) != 2:
-        raise SchemaError(f"{what}: expected [degree, generator], found {x!r}")
-    return integer(x[0], f"{what} degree"), _name(x[1], f"{what} generator")
+def _generator(obj, key, what):
+    """The (degree, name) of the JSON pair [degree, name] at obj[key]."""
+    degree, name = entry(obj, key, "[degree, generator]", what, SchemaError)
+    return (typed(degree, "an integer", f"{what} degree", SchemaError),
+            typed(name, "a name", f"{what} generator", SchemaError))
 
 
 def fragment_from_json(data):
     _check_format(data, "pialg")
-    d_lo, d_hi = integers(data["degrees"], "degrees")
+    degrees = entry(data, "degrees", "a list of integers", "degrees", SchemaError)
+    if len(degrees) != 2:
+        raise SchemaError(f"degrees: expected [lowest, highest], found {degrees!r}")
+    d_lo, d_hi = degrees
     groups = {}
     gen_names = {}
-    for d_str, spec in _object(data["groups"], "groups").items():
-        d = _key_int(d_str, f"groups key {d_str!r}", SchemaError)
-        spec = _object(spec, f"groups key {d_str!r}")
-        groups[d] = PresentedGroup.from_factors(integers(spec["factors"], f"degree {d} factors"))
-        gen_names[d] = [_name(x, f"degree {d} gens") for x in _list(spec["gens"], f"degree {d} gens")]
+    for d_str, spec in entry(data, "groups", "an object", "groups", SchemaError).items():
+        d = key_int(d_str, f"groups key {d_str!r}", SchemaError)
+        typed(spec, "an object", f"groups key {d_str!r}", SchemaError)
+        groups[d] = PresentedGroup.from_factors(entry(spec, "factors", "a list of integers", f"degree {d} factors",
+                                                      SchemaError))
+        gen_names[d] = [typed(x, "a name", f"degree {d} gens", SchemaError)
+                        for x in entry(spec, "gens", "a list", f"degree {d} gens", SchemaError)]
         if len(gen_names[d]) != groups[d].ngens:
             raise SchemaError(f"degree {d}: generator list does not match factor list")
     action = {}
-    for i, entry in enumerate(_list(data.get("action", []), "action")):
+    for i, item in enumerate(typed(data.get("action", []), "a list", "action", SchemaError)):
         what = f"action[{i}]"
-        degree = integer(_object(entry, what)["degree"], "action degree")
-        key = (_name(entry["theta"], f"{what}: theta"), (degree, _name(entry["gen"], f"{what}: gen")))
-        action[key] = integers(entry["value"], "action value")
+        typed(item, "an object", what, SchemaError)
+        degree = entry(item, "degree", "an integer", "action degree", SchemaError)
+        theta = entry(item, "theta", "a name", f"{what}: theta", SchemaError)
+        gen = entry(item, "gen", "a name", f"{what}: gen", SchemaError)
+        action[(theta, (degree, gen))] = list(entry(item, "value", "a list of integers", "action value", SchemaError))
     whitehead = {}
-    for i, entry in enumerate(_list(data.get("whitehead", []), "whitehead")):
+    for i, item in enumerate(typed(data.get("whitehead", []), "a list", "whitehead", SchemaError)):
         what = f"whitehead[{i}]"
-        left = _generator(_object(entry, what)["left"], f"{what}: left")
-        right = _generator(entry["right"], f"{what}: right")
-        whitehead[(left, right)] = integers(entry["value"], "whitehead value")
+        typed(item, "an object", what, SchemaError)
+        left = _generator(item, "left", f"{what}: left")
+        right = _generator(item, "right", f"{what}: right")
+        whitehead[(left, right)] = list(entry(item, "value", "a list of integers", "whitehead value", SchemaError))
     return PiAlgebraFragment(
         d_lo=d_lo,
         d_hi=d_hi,
@@ -308,12 +294,67 @@ def hdeg_to_json(H, V):
 
 def hdeg_from_json(data, V):
     _check_format(data, "hdeg")
-    maps = {}
-    for n_str, mats in _object(data["maps"], "maps").items():
-        what = f"maps key {n_str!r}"
-        n = _level(n_str, V.cap, 1, what)
-        maps[n] = [mat_from_json(m, V.rank(n + 1), V.rank(n), f"{what}[{i}]") for i, m in enumerate(_list(mats, what))]
+    maps = {n: [mat_from_json(m, V.rank(n + 1), V.rank(n), f"{what}[{i}]")
+                for i, m in enumerate(typed(mats, "a list", what, SchemaError))]
+            for n, what, mats in _family(data, "maps", V.cap, 1)}
     return HomotopyDegeneracyData(maps=maps)
+
+
+def _tables(data, cap, kind):
+    """The tables of a star-check file: one object per level 0..cap, keyed by
+    simplex, each of whose entries has the given kind."""
+    tables = []
+    for n, level in enumerate(_per_level(entry(data, "tables", None, "tables", SchemaError), cap, "tables")):
+        if type(level) is not dict:
+            raise SchemaError(f"level {n} must be an object keyed by simplex, found {level!r}")
+        tables.append({x: typed(value, kind, f"level {n}, simplex {x!r}", SchemaError) for x, value in level.items()})
+    return tables
+
+
+def freehom_from_json(data, src, dst):
+    """The homomorphism F(src) -> F(dst) of Milnor free simplicial groups
+    whose tables give, level by level, the image word of each generator as
+    [generator, exponent] letters; src and dst are the simplicial sets the
+    file names."""
+    _check_format(data, "freehom")
+    if dst.cap < src.cap:
+        raise SchemaError(f"target cap {dst.cap} is below the source cap {src.cap}")
+    F_src, F_dst = milnor_F(src), milnor_F(dst)
+    tables = [{x: tuple(map(tuple, word)) for x, word in level.items()}
+              for level in _tables(data, src.cap, "a list of [generator, exponent] pairs, each exponent 1 or -1")]
+    for n, table in enumerate(tables):
+        sources, generators = set(F_src.generators(n)), set(F_dst.generators(n))
+        for x, word in table.items():
+            if x not in sources:
+                raise SchemaError(f"level {n} lists {x!r}, not a generator of the source")
+            for g, _ in word:
+                if g not in generators:
+                    raise SchemaError(f"level {n}, simplex {x!r}: {g!r} is not a generator of level {n} "
+                                      f"of {data['dst']}")
+    return GroupHomMap(F_src, F_dst, tables)
+
+
+def targetmap_from_json(data, src, target):
+    """The pointed map from src into the AbelianTarget target whose tables
+    give, level by level, the generator-coordinate vector of each simplex
+    other than the basepoint; src is the simplicial set the file names."""
+    _check_format(data, "targetmap")
+    if src.cap > target.cap:
+        raise SchemaError(f"source cap {src.cap} exceeds the target's cap {target.cap}")
+    tables = []
+    for n, level in enumerate(_tables(data, src.cap, "a list of integers")):
+        simplices = set(src.elements[n])
+        ngens = target.sab.levels[n].ngens
+        for x, vec in level.items():
+            if x not in simplices:
+                raise SchemaError(f"level {n} lists {x!r}, not a simplex of the source")
+            if len(vec) != ngens:
+                raise SchemaError(f"level {n}, simplex {x!r}: expected a vector of length {ngens}, found {vec!r}")
+        for x in src.elements[n]:
+            if x != BASE and x not in level:
+                raise SchemaError(f"level {n} does not list simplex {x!r}")
+        tables.append({x: target.from_generators(n, vec) for x, vec in level.items()})
+    return TargetMap(src=src, target=target, tables=tables)
 
 
 def load(path):

@@ -9,6 +9,7 @@ import itertools
 import json
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -184,6 +185,11 @@ def star_check(**files):
         (("--table", "tests/data/table_whitehead_empty.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
         (("--table", "tests/data/table_whitehead_off_table.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
         (("--table", "tests/data/table_composition_off_table.json", "deloop", "corpus/loop_s3.pialg.json"), 2),
+        # an sset face or degeneracy row with more images than its level has
+        # elements, or a basepoint other than "*"
+        (("verify", "tests/data/sset_face_row_long.json"), 2),
+        (("verify", "tests/data/sset_degeneracy_row_long.json"), 2),
+        (("verify", "tests/data/sset_basepoint_foreign.json"), 2),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -341,6 +347,26 @@ def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
         (("deloop", "tests/data/pialg_whitehead_int.json"),
          "pialg_whitehead_int.json: whitehead[0]: left: expected [degree, generator], found 2"),
         (("deloop", "tests/data/pialg_theta_list.json"), "pialg_theta_list.json: action[1]: theta: expected a name, found ['e3']"),
+        # a missing key, in each format
+        (("verify", "tests/data/sset_no_elements.json"), "sset_no_elements.json: elements: missing"),
+        (("verify", "tests/data/dsab_no_cap.json"), "dsab_no_cap.json: cap: missing"),
+        (("e2", "tests/data/bisab_no_face_key.json"), "bisab_no_face_key.json: h_faces key '1,0': missing"),
+        (("deloop", "tests/data/pialg_action_no_theta.json"), "pialg_action_no_theta.json: action[0]: theta: missing"),
+        (("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "tests/data/hdeg_no_maps.json"),
+         "hdeg_no_maps.json: maps: missing"),
+        (star_check(f="tests/data/freehom_no_dst.json"), "freehom_no_dst.json: dst: missing"),
+        (star_check(h="tests/data/targetmap_no_tables.json"), "targetmap_no_tables.json: tables: missing"),
+        # an sset row of the wrong length, and a foreign basepoint
+        (("verify", "tests/data/sset_face_row_long.json"),
+         "sset_face_row_long.json: faces key '1'[0]: expected 2 images, one per element of level 1, found 4"),
+        (("verify", "tests/data/sset_degeneracy_row_long.json"),
+         "sset_degeneracy_row_long.json: degeneracies key '1'[0]: expected 2 images, one per element of level 1, "
+         "found 3"),
+        (("verify", "tests/data/sset_basepoint_foreign.json"),
+         "sset_basepoint_foreign.json: basepoint: expected '*', found 'x01'"),
+        # a degree window of other than two degrees
+        (("deloop", "tests/data/pialg_degrees_three.json"),
+         "pialg_degrees_three.json: degrees: expected [lowest, highest], found [2, 3, 5]"),
     ],
 )
 def test_wrongly_typed_object_file_names_the_file_and_key(argv, message, capsys, monkeypatch):
@@ -506,6 +532,64 @@ def test_fragment_grid_and_hdeg_files_of_a_wrong_type(data):
         with open(file, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         _check_runs([LOADER_COMMANDS[name](file)], path, wrong)
+
+
+def _json_keys(x, path=()):
+    """The path of every key of every object in a JSON value."""
+    if type(x) is dict:
+        for key, value in x.items():
+            yield (*path, key)
+            yield from _json_keys(value, (*path, key))
+    elif type(x) is list:
+        for i, value in enumerate(x):
+            yield from _json_keys(value, (*path, i))
+
+
+# (file, key path) of every key of the corpus files the fuzzers read and of the bundled table
+KEY_PATHS = [(name, path) for name in ("star_h.targetmap.json", "star_f.freehom.json", "s1.sset.json",
+                                       "star_target.dsab.json", *sorted(LOADER_COMMANDS))
+             for path in _json_keys(_corpus_json(name))]
+KEY_PATHS += [("spheres.json", path) for path in _json_keys(DEFAULT_TABLE)]
+# the text of a KeyError that escaped a loader: a quoted key or a tuple of levels
+BARE_KEY = re.compile(r"'[^']*'|\(\d+(, \d+)*\)")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(KEY_PATHS))
+def test_input_file_missing_a_key(name_path):
+    """One key deleted anywhere in a corpus object file, a star-check file
+    or the bundled sphere table: the command that reads the file exits 0, 1
+    or 2 with a report whose verdict matches the code, and an error names
+    more than the deleted key."""
+    from delooper import cli
+
+    name, path = name_path
+    doc = copy.deepcopy(DEFAULT_TABLE if name == "spheres.json" else _corpus_json(name))
+    *parents, last = path
+    del functools.reduce(operator.getitem, parents, doc)[last]
+    with tempfile.TemporaryDirectory() as tmp:
+        for other in STAR_FILES:
+            shutil.copy(corpus(other), tmp)
+        file = os.path.join(tmp, name)
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if name == "spheres.json":
+            runs = [("--table", file, "deloop", corpus("loop_s3.pialg.json"))]
+        elif name in LOADER_COMMANDS:
+            runs = [LOADER_COMMANDS[name](file)]
+        else:
+            files = {key: os.path.join(tmp, other) for key, other in zip(("f", "g", "h", "target"), STAR_FILES)}
+            runs = [star_check(**files)]
+            if name.endswith((".sset.json", ".dsab.json")):
+                runs.append(("verify", file))
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(argv))
+            report = json.loads(out.getvalue())
+            verdicts = VERDICTS["deloop" if argv[0] == "--table" else argv[0]]
+            assert code in verdicts and report["verdict"] in verdicts[code], (path, argv[0], out.getvalue())
+            assert not BARE_KEY.fullmatch(report.get("error", "")), (path, argv[0], out.getvalue())
 
 
 def test_ignored_global_flag_names_the_subcommand_and_flags(capsys):
