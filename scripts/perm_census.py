@@ -1,9 +1,9 @@
-"""Census of permutohedron face lattices and factorization closures.
+"""Census of permutohedron face lattices and face-word factorizations.
 
 Prints, for each k, the face vector of P_k (counted, then checked against
 the listed faces, each step timed), and for each injection class
-of face words up to the requested size, the closure cardinality check
-against the vertex count.
+of face words up to the requested size, the factorization count (one
+word per deletion order) checked against the vertex count.
 """
 
 import argparse
@@ -52,7 +52,7 @@ def main():
             total_classes += len(classes)
             total_words += (length and len(list(all_face_words(n, length))))
     print(
-        f"factorization closures: {total_classes} injection classes "
+        f"factorizations: {total_classes} injection classes "
         f"({total_words} words) all match the vertex counts, {time.perf_counter() - t0:.1f}s"
     )
 

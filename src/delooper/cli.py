@@ -93,11 +93,11 @@ def _load_object(path, kinds, cap=None):
 
 def _parsed(path, loader, data, *args):
     """loader(data, *args), where data was read from the file at path; a
-    SchemaError names the file."""
+    SchemaError or StructuralError names the file."""
     try:
         return loader(data, *args)
-    except schemas.SchemaError as exc:
-        raise schemas.SchemaError(f"{path}: {exc}") from None
+    except (schemas.SchemaError, StructuralError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_delta(path, kinds, cap=None):

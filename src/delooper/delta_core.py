@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .abelian import Hom, PresentedGroup, coordinates, direct_sum, quotient, subgroup
 from .intlin import Mat, block_diagonal, kernel_mod_lattice, vstack_all
-from .simplicial import BASE, FiniteSimplicialSet, Report, StructuralError, Violation
+from .simplicial import BASE, FiniteSimplicialSet, Report, StructuralError, Violation, identity_cases, word_text
 from .words import DegeneracyWord, canonical_degeneracy_words
 
 
@@ -83,40 +83,19 @@ def verify_identities(X):
         return X.verify_identities()
     report = Report(cap=X.cap)
     add = report.violations.append
-    for n in range(2, X.cap + 1):
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                lhs = X.face(n - 1, i) @ X.face(n, j)
-                rhs = X.face(n - 1, j - 1) @ X.face(n, i)
-                col = _first_difference(X.levels[n - 2], lhs, rhs)
-                if col is not None:
-                    add(Violation("dd", n, (i, j), f"d_{i}d_{j} != d_{j - 1}d_{i} on generator {col}"))
-    if not isinstance(X, SAb):
-        return report
-    for n in range(0, X.cap):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                got = X.face(n + 1, i) @ X.degeneracy(n, j)
-                if i < j:
-                    want = X.degeneracy(n - 1, j - 1) @ X.face(n, i)
-                    fam = "ds-low"
-                elif i in (j, j + 1):
-                    want = Mat.eye(X.rank(n))
-                    fam = "ds-id"
-                else:
-                    want = X.degeneracy(n - 1, j) @ X.face(n, i - 1)
-                    fam = "ds-high"
-                col = _first_difference(X.levels[n], got, want)
-                if col is not None:
-                    add(Violation(fam, n, (i, j), f"d_{i}s_{j} fails on generator {col}"))
-    for n in range(0, X.cap - 1):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                lhs = X.degeneracy(n + 1, i) @ X.degeneracy(n, j)
-                rhs = X.degeneracy(n + 1, j + 1) @ X.degeneracy(n, i)
-                col = _first_difference(X.levels[n + 2], lhs, rhs)
-                if col is not None:
-                    add(Violation("ss", n, (i, j), f"s_{i}s_{j} != s_{j + 1}s_{i} on generator {col}"))
+    maps = {"d": X.faces, "s": getattr(X, "degeneracies", {})}
+    for family, n, indices, lhs, rhs, m in identity_cases(X.cap, isinstance(X, SAb)):
+        (k1, n1, i1), (k2, n2, i2) = lhs
+        got = maps[k2][n2][i2] @ maps[k1][n1][i1]
+        if rhs:
+            (k1, n1, i1), (k2, n2, i2) = rhs
+            want = maps[k2][n2][i2] @ maps[k1][n1][i1]
+        else:
+            want = Mat.eye(X.rank(n))
+        col = _first_difference(X.levels[m], got, want)
+        if col is not None:
+            relation = "fails" if family.startswith("ds") else f"!= {word_text(rhs)}"
+            add(Violation(family, n, indices, f"{word_text(lhs)} {relation} on generator {col}"))
     return report
 
 
@@ -164,7 +143,7 @@ def matching_object(V, n):
         lattice = Mat.eye(ambient.ngens)
     else:
         lower = V.levels[n - 2]
-        pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+        pairs = [ij for _, degree, ij, *_ in identity_cases(n, degeneracies=False) if degree == n]
         rows = Mat(len(pairs) * lower.ngens, ambient.ngens)
         for p, (i, j) in enumerate(pairs):
             di = V.face(n - 1, i)

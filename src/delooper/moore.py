@@ -23,7 +23,7 @@ from .abelian import (
     subgroup,
     tensor,
 )
-from .delta_core import DeltaSAb, SAb, StructuralError, free_degeneracy_extension
+from .delta_core import DeltaSAb, SAb, StructuralError, _first_difference, free_degeneracy_extension, verify_identities
 from .intlin import Mat
 
 
@@ -181,8 +181,6 @@ class BisimplicialAbelianGroup:
 
     def verify(self):
         """Both directions simplicial, and horizontal/vertical maps commute."""
-        from .delta_core import verify_identities
-
         problems = []
         for q in range(self.vcap + 1):
             rep = verify_identities(self.row(q))
@@ -192,50 +190,22 @@ class BisimplicialAbelianGroup:
             rep = verify_identities(self.column(p))
             if not rep.ok:
                 problems.append(("column", p, rep.violations[0].describe()))
-        def check(kind, p, q, lhs, rhs, target):
-            if target.first_nonzero_column(lhs - rhs) is not None:
-                problems.append((kind, (p, q), "square fails"))
-
+        # (name, maps, step): a face lowers its index by one, a degeneracy raises it
+        squares = [
+            (f"{hname}-{vname}", hmaps, a, vmaps, b)
+            for hname, hmaps, a in (("hface", self.h_faces, -1), ("hdeg", self.h_degs, 1))
+            for vname, vmaps, b in (("vface", self.v_faces, -1), ("vdeg", self.v_degs, 1))
+        ]
         for p in range(self.hcap + 1):
             for q in range(self.vcap + 1):
                 for i in range(p + 1):
                     for j in range(q + 1):
-                        if p >= 1 and q >= 1:
-                            check(
-                                "hface-vface",
-                                p,
-                                q,
-                                self.v_faces[(p - 1, q)][j] @ self.h_faces[(p, q)][i],
-                                self.h_faces[(p, q - 1)][i] @ self.v_faces[(p, q)][j],
-                                self.levels[p - 1][q - 1],
-                            )
-                        if p >= 1 and q < self.vcap:
-                            check(
-                                "hface-vdeg",
-                                p,
-                                q,
-                                self.v_degs[(p - 1, q)][j] @ self.h_faces[(p, q)][i],
-                                self.h_faces[(p, q + 1)][i] @ self.v_degs[(p, q)][j],
-                                self.levels[p - 1][q + 1],
-                            )
-                        if p < self.hcap and q >= 1:
-                            check(
-                                "hdeg-vface",
-                                p,
-                                q,
-                                self.v_faces[(p + 1, q)][j] @ self.h_degs[(p, q)][i],
-                                self.h_degs[(p, q - 1)][i] @ self.v_faces[(p, q)][j],
-                                self.levels[p + 1][q - 1],
-                            )
-                        if p < self.hcap and q < self.vcap:
-                            check(
-                                "hdeg-vdeg",
-                                p,
-                                q,
-                                self.v_degs[(p + 1, q)][j] @ self.h_degs[(p, q)][i],
-                                self.h_degs[(p, q + 1)][i] @ self.v_degs[(p, q)][j],
-                                self.levels[p + 1][q + 1],
-                            )
+                        for kind, hmaps, a, vmaps, b in squares:
+                            if 0 <= p + a <= self.hcap and 0 <= q + b <= self.vcap:
+                                lhs = vmaps[(p + a, q)][j] @ hmaps[(p, q)][i]
+                                rhs = hmaps[(p, q + b)][i] @ vmaps[(p, q)][j]
+                                if _first_difference(self.levels[p + a][q + b], lhs, rhs) is not None:
+                                    problems.append((kind, (p, q), "square fails"))
         return problems
 
 

@@ -7,6 +7,7 @@ exhaustive over elements, which is the point of keeping things finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -116,39 +117,64 @@ class FiniteSimplicialSet:
             for j in range(n + 1):
                 if self.degeneracy(n, j, BASE) != BASE:
                     add(Violation("basepoint", n, (j,), f"s_{j}(*) = {self.degeneracy(n, j, BASE)}"))
-        for n in range(2, self.cap + 1):
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    for x in self.elements[n]:
-                        lhs = self.face(n - 1, i, self.face(n, j, x))
-                        rhs = self.face(n - 1, j - 1, self.face(n, i, x))
-                        if lhs != rhs:
-                            add(Violation("dd", n, (i, j), f"d_{i}d_{j}({x}) = {lhs} != {rhs} = d_{j - 1}d_{i}({x})"))
-        for n in range(0, self.cap):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    for x in self.elements[n]:
-                        got = self.face(n + 1, i, self.degeneracy(n, j, x))
-                        if i < j:
-                            want = self.degeneracy(n - 1, j - 1, self.face(n, i, x)) if n >= 1 else None
-                            fam = "ds-low"
-                        elif i in (j, j + 1):
-                            want = x
-                            fam = "ds-id"
-                        else:
-                            want = self.degeneracy(n - 1, j, self.face(n, i - 1, x)) if n >= 1 else None
-                            fam = "ds-high"
-                        if want is not None and got != want:
-                            add(Violation(fam, n, (i, j), f"d_{i}s_{j}({x}) = {got} != {want}"))
-        for n in range(0, self.cap - 1):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    for x in self.elements[n]:
-                        lhs = self.degeneracy(n + 1, i, self.degeneracy(n, j, x))
-                        rhs = self.degeneracy(n + 1, j + 1, self.degeneracy(n, i, x))
-                        if lhs != rhs:
-                            add(Violation("ss", n, (i, j), f"s_{i}s_{j}({x}) = {lhs} != {rhs}"))
+        tables = {"d": self.faces, "s": self.degeneracies}
+        for family, n, indices, lhs, rhs, _ in identity_cases(self.cap):
+            (k1, n1, i1), (k2, n2, i2) = lhs
+            f1, f2 = tables[k1][n1][i1], tables[k2][n2][i2]
+            if rhs:
+                (k1, n1, i1), (k2, n2, i2) = rhs
+                g1, g2 = tables[k1][n1][i1], tables[k2][n2][i2]
+            for x in self.elements[n]:
+                got = f2[f1[x]]
+                want = g2[g1[x]] if rhs else x
+                if got != want:
+                    # only dd names its right-hand word
+                    tail = f" = {word_text(rhs)}({x})" if family == "dd" else ""
+                    add(Violation(family, n, indices, f"{word_text(lhs)}({x}) = {got} != {want}{tail}"))
         return report
+
+
+@functools.cache
+def identity_cases(cap, degeneracies=True):
+    """Every instance of the simplicial identities up to cap, in checking
+    order: dd, then (with degeneracies) ds-low/ds-id/ds-high and ss.
+
+    Each case is (family, n, (i, j), lhs, rhs, m): both sides are words of
+    ("d" | "s", dimension, index) letters in application order, running from
+    level n to level m; the empty word is the identity.
+    """
+    cases = []
+    for n in range(2, cap + 1):
+        for i in range(n + 1):
+            for j in range(i + 1, n + 1):
+                # d_i d_j = d_{j-1} d_i
+                cases.append(("dd", n, (i, j), (("d", n, j), ("d", n - 1, i)), (("d", n, i), ("d", n - 1, j - 1)), n - 2))
+    if not degeneracies:
+        return tuple(cases)
+    for n in range(0, cap):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = (("s", n, j), ("d", n + 1, i))
+                if i < j:
+                    # d_i s_j = s_{j-1} d_i
+                    cases.append(("ds-low", n, (i, j), lhs, (("d", n, i), ("s", n - 1, j - 1)), n))
+                elif i in (j, j + 1):
+                    # d_j s_j = d_{j+1} s_j = id
+                    cases.append(("ds-id", n, (i, j), lhs, (), n))
+                else:
+                    # d_i s_j = s_j d_{i-1}
+                    cases.append(("ds-high", n, (i, j), lhs, (("d", n, i - 1), ("s", n - 1, j)), n))
+    for n in range(0, cap - 1):
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                # s_i s_j = s_{j+1} s_i
+                cases.append(("ss", n, (i, j), (("s", n, j), ("s", n + 1, i)), (("s", n, i), ("s", n + 1, j + 1)), n + 2))
+    return tuple(cases)
+
+
+def word_text(word):
+    """A word of identity_cases in composition order: d_0s_1 applies s_1 first."""
+    return "".join(f"{kind}_{i}" for kind, _, i in reversed(word))
 
 
 def _tuple_id(t):

@@ -1,18 +1,21 @@
-"""Words in face and degeneracy maps, with rewriting to canonical form.
+"""Words in face and degeneracy maps, decided by the map they represent.
 
 A face word is stored in application order: letters[0] is the first face
-map applied, acting at the source dimension. The single rewrite
-d_i . d_j -> d_{j-1} . d_i (i < j), read on adjacent letters in
-application order, sends (a, b) with b < a to (b, a-1); its closure
-enumerates all factorizations of the underlying injection.
+map applied, acting at the source dimension. It represents the monotone
+injection that misses its deleted vertices; its normal form deletes them
+in ascending order (non-decreasing letters), and its factorizations are
+one word per deletion order.
 
-Degeneracy words use s_i . s_j -> s_{j+1} . s_i (i <= j): in application
-order (a, b) with b <= a rewrites to (b, a+1), and the canonical form has
-strictly increasing letters.
+A degeneracy word represents a monotone surjection; its normal form has
+strictly increasing letters, one s_t per t where the surjection repeats a
+value. Both normal forms come from the map, not from rewriting; the
+rewrite rules of the simplicial identities live only in the tests, as the
+reference these closed forms are checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -50,43 +53,20 @@ class FaceWord:
         return frozenset(dead)
 
     def normal_form(self):
-        """Unique terminal word under (a, b), b < a  ->  (b, a - 1)."""
-        letters = list(self.letters)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(letters) - 1):
-                a, b = letters[t], letters[t + 1]
-                if b < a:
-                    letters[t], letters[t + 1] = b, a - 1
-                    changed = True
-        return FaceWord(self.source_dim, tuple(letters))
+        """The word that deletes the same vertices in ascending order."""
+        return FaceWord.from_deleted(self.source_dim, self.deleted_vertices())
 
     def is_normal(self):
         return all(self.letters[t] <= self.letters[t + 1] for t in range(len(self.letters) - 1))
 
     def factorizations(self):
-        """All words reachable by the rewrite in both directions.
-
-        Equivalently, all ways of writing the composite as single face maps.
-        """
-        seen = {self.letters}
-        frontier = [self.letters]
-        while frontier:
-            w = frontier.pop()
-            for t in range(len(w) - 1):
-                a, b = w[t], w[t + 1]
-                if b < a:
-                    nxt = w[:t] + (b, a - 1) + w[t + 2 :]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-                if b >= a and b + 1 <= self.source_dim - t:
-                    nxt = w[:t] + (b + 1, a) + w[t + 2 :]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-        return {FaceWord(self.source_dim, w) for w in seen}
+        """All ways of writing the composite as single face maps: one word
+        per order of deleting its vertices, where a vertex's letter is its
+        position among the vertices still present."""
+        return {
+            FaceWord(self.source_dim, tuple(v - sum(u < v for u in order[:t]) for t, v in enumerate(order)))
+            for order in itertools.permutations(self.deleted_vertices())
+        }
 
     @staticmethod
     def from_deleted(source_dim, deleted):
@@ -130,17 +110,10 @@ class DegeneracyWord:
         return len(self.letters)
 
     def normal_form(self):
-        """Unique terminal word under (a, b), b <= a  ->  (b, a + 1)."""
-        letters = list(self.letters)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(letters) - 1):
-                a, b = letters[t], letters[t + 1]
-                if b <= a:
-                    letters[t], letters[t + 1] = b, a + 1
-                    changed = True
-        return DegeneracyWord(self.source_dim, tuple(letters))
+        """The word with strictly increasing letters for the same surjection:
+        s_t for each t that the surjection sends to the same value as t + 1."""
+        values = self.as_surjection()
+        return DegeneracyWord(self.source_dim, tuple(t for t in range(self.target_dim) if values[t] == values[t + 1]))
 
     def is_normal(self):
         return all(self.letters[t] < self.letters[t + 1] for t in range(len(self.letters) - 1))
@@ -158,10 +131,8 @@ class DegeneracyWord:
     def as_surjection(self):
         """The monotone surjection [target_dim] -> [source_dim] it represents."""
         values = list(range(self.source_dim + 1))
-        dim = self.source_dim
         for j in self.letters:
             values = values[: j + 1] + values[j:]
-            dim += 1
         return tuple(values)
 
     def describe(self):

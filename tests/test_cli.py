@@ -190,6 +190,8 @@ def star_check(**files):
         (("verify", "tests/data/sset_face_row_long.json"), 2),
         (("verify", "tests/data/sset_degeneracy_row_long.json"), 2),
         (("verify", "tests/data/sset_basepoint_foreign.json"), 2),
+        # an sset with one face image changed breaks one identity instance
+        (("verify", "tests/data/sset_one_violation.json"), 1),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -367,6 +369,10 @@ def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
         # a degree window of other than two degrees
         (("deloop", "tests/data/pialg_degrees_three.json"),
          "pialg_degrees_three.json: degrees: expected [lowest, highest], found [2, 3, 5]"),
+        # well-typed files whose objects lack a face map
+        (("verify", "tests/data/dsab_faces_short.json"),
+         "tests/data/dsab_faces_short.json: need 2 face matrices at dimension 1"),
+        (("verify", "tests/data/sset_faces_short.json"), "tests/data/sset_faces_short.json: need 3 face maps at dimension 2"),
     ],
 )
 def test_wrongly_typed_object_file_names_the_file_and_key(argv, message, capsys, monkeypatch):

@@ -1,9 +1,10 @@
+import os
 import random
 from unittest import mock
 
 import pytest
 
-from delooper import delta_core
+from delooper import delta_core, schemas
 from delooper.abelian import PresentedGroup
 from delooper.delta_core import (
     DeltaSAb,
@@ -233,3 +234,87 @@ def test_identity_violations_equal_the_reduced_differences():
             assert got == [v.describe() for v in verify_identities(X).violations]
         seen.add(bool(got))
     assert seen == {True, False}
+
+
+def _corpus_json(name):
+    return schemas.load(os.path.join(os.path.dirname(__file__), "..", "corpus", name))
+
+
+def _perturbed_zs1():
+    """corpus/zs1.dsab.json with one entry of d_1 at dimension 3 and one of
+    s_0 at dimension 1 changed."""
+    data = _corpus_json("zs1.dsab.json")
+    data["faces"]["3"][1][1][2] = 0
+    data["degeneracies"]["1"][0][1][0] = 1
+    return schemas.dsab_from_json(data)
+
+
+def _perturbed_delta1():
+    """corpus/delta1.sset.json with one image changed in d_1 at dimension 3,
+    s_0 at dimension 1, and the basepoint images of d_0 at dimension 2 and
+    s_0 at dimension 0."""
+    data = _corpus_json("delta1.sset.json")
+    data["faces"]["3"][1][2] = "x001"
+    data["degeneracies"]["1"][0][1] = "x011"
+    data["faces"]["2"][0][0] = "x11"
+    data["degeneracies"]["0"][0][0] = "x11"
+    return schemas.sset_from_json(data)
+
+
+PINNED_VIOLATIONS = {
+    "dsab": [
+        "dd at degree 3, indices (1, 2), witness d_1d_2 != d_1d_1 on generator 2",
+        "dd at degree 3, indices (1, 3), witness d_1d_3 != d_2d_1 on generator 2",
+        "ds-id at degree 1, indices (1, 0), witness d_1s_0 fails on generator 0",
+        "ds-high at degree 1, indices (2, 0), witness d_2s_0 fails on generator 0",
+        "ds-high at degree 2, indices (2, 0), witness d_2s_0 fails on generator 0",
+        "ds-high at degree 2, indices (3, 0), witness d_3s_0 fails on generator 1",
+        "ds-low at degree 2, indices (0, 1), witness d_0s_1 fails on generator 0",
+        "ds-id at degree 2, indices (1, 1), witness d_1s_1 fails on generator 1",
+        "ds-low at degree 2, indices (1, 2), witness d_1s_2 fails on generator 1",
+        "ss at degree 1, indices (0, 0), witness s_0s_0 != s_1s_0 on generator 0",
+        "ss at degree 1, indices (0, 1), witness s_0s_1 != s_2s_0 on generator 0",
+    ],
+    "delta": [
+        "dd at degree 3, indices (1, 2), witness d_1d_2 != d_1d_1 on generator 2",
+        "dd at degree 3, indices (1, 3), witness d_1d_3 != d_2d_1 on generator 2",
+    ],
+    "sset": [
+        "basepoint at degree 2, indices (0,), witness d_0(*) = x11",
+        "basepoint at degree 0, indices (0,), witness s_0(*) = x11",
+        "dd at degree 2, indices (0, 1), witness d_0d_1(*) = * != x1 = d_0d_0(*)",
+        "dd at degree 2, indices (0, 2), witness d_0d_2(*) = * != x1 = d_1d_0(*)",
+        "dd at degree 3, indices (0, 1), witness d_0d_1(x0011) = x01 != x11 = d_0d_0(x0011)",
+        "dd at degree 3, indices (0, 2), witness d_0d_2(*) = x11 != * = d_1d_0(*)",
+        "dd at degree 3, indices (0, 3), witness d_0d_3(*) = x11 != * = d_2d_0(*)",
+        "dd at degree 3, indices (0, 3), witness d_0d_3(x0001) = x11 != * = d_2d_0(x0001)",
+        "dd at degree 3, indices (1, 3), witness d_1d_3(x0011) = x01 != * = d_2d_1(x0011)",
+        "ds-id at degree 0, indices (0, 0), witness d_0s_0(*) = x1 != *",
+        "ds-id at degree 0, indices (1, 0), witness d_1s_0(*) = x1 != *",
+        "ds-id at degree 1, indices (0, 0), witness d_0s_0(*) = x11 != *",
+        "ds-id at degree 1, indices (0, 0), witness d_0s_0(x01) = x11 != x01",
+        "ds-high at degree 1, indices (2, 0), witness d_2s_0(*) = * != x11",
+        "ds-high at degree 1, indices (2, 0), witness d_2s_0(x01) = x01 != x11",
+        "ds-id at degree 2, indices (1, 0), witness d_1s_0(x011) = x001 != x011",
+        "ds-high at degree 2, indices (2, 0), witness d_2s_0(x001) = x001 != x011",
+        "ds-high at degree 2, indices (2, 0), witness d_2s_0(x011) = x001 != x011",
+        "ds-high at degree 2, indices (3, 0), witness d_3s_0(x011) = x001 != x011",
+        "ds-low at degree 2, indices (0, 1), witness d_0s_1(*) = * != x111",
+        "ds-low at degree 2, indices (0, 1), witness d_0s_1(x001) = x001 != x011",
+        "ds-low at degree 2, indices (0, 2), witness d_0s_2(*) = * != x111",
+        "ds-low at degree 2, indices (1, 2), witness d_1s_2(x001) = x001 != x011",
+        "ss at degree 1, indices (0, 0), witness s_0s_0(x01) = x0011 != x0111",
+        "ss at degree 1, indices (0, 1), witness s_0s_1(x01) = x0011 != x0111",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_VIOLATIONS))
+def test_identity_violation_texts_pinned(kind):
+    """The full list of violation texts, in checking order, on a perturbed
+    dsab, its face-only truncation and a perturbed simplicial set; between
+    them every family (dd, ds-low, ds-id, ds-high, ss, basepoint) fails."""
+    X = {"dsab": _perturbed_zs1, "delta": lambda: underlying_delta(_perturbed_zs1()), "sset": _perturbed_delta1}[kind]()
+    report = verify_identities(X)
+    assert [v.describe() for v in report.violations] == PINNED_VIOLATIONS[kind]
+    assert report.describe().splitlines()[0] == f"{len(PINNED_VIOLATIONS[kind])} violation(s) up to cap 3:"

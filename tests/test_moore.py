@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from delooper import schemas
 from delooper.abelian import PresentedGroup
 from delooper.delta_core import free_abelian, underlying_delta, verify_identities
 from delooper.generators import (
@@ -300,3 +301,70 @@ def test_e2_page_builds_one_moore_complex_per_column(monkeypatch):
         page = e2_page(B)
         smax, tmax = page.window
         assert len(calls) == (B.hcap + 1) + (tmax + 1) + page.collapsed
+
+
+# (family, file key, "p,q", map index, row, column, pinned problem list)
+BISAB_PERTURBATIONS = [
+    ("hface-vface", "h_faces", "1,1", 0, 0, 0, [
+        ("row", 1, "dd at degree 2, indices (0, 1), witness d_0d_1 != d_0d_0 on generator 2"),
+        ("hface-vface", (1, 1), "square fails"),
+        ("hface-vdeg", (1, 1), "square fails"),
+        ("hface-vdeg", (1, 1), "square fails"),
+        ("hface-vface", (1, 2), "square fails"),
+        ("hface-vface", (1, 2), "square fails"),
+        ("hface-vface", (1, 2), "square fails"),
+    ]),
+    ("hface-vdeg", "v_degeneracies", "0,1", 0, 0, 0, [
+        ("column", 0, "ds-id at degree 1, indices (0, 0), witness d_0s_0 fails on generator 0"),
+        ("hdeg-vdeg", (0, 1), "square fails"),
+        ("hface-vdeg", (1, 1), "square fails"),
+        ("hface-vdeg", (1, 1), "square fails"),
+    ]),
+    ("hdeg-vface", "h_degeneracies", "1,1", 0, 0, 0, [
+        ("row", 1, "ds-id at degree 1, indices (0, 0), witness d_0s_0 fails on generator 0"),
+        ("hdeg-vface", (1, 1), "square fails"),
+        ("hdeg-vdeg", (1, 1), "square fails"),
+        ("hdeg-vdeg", (1, 1), "square fails"),
+        ("hdeg-vface", (1, 2), "square fails"),
+        ("hdeg-vface", (1, 2), "square fails"),
+        ("hdeg-vface", (1, 2), "square fails"),
+    ]),
+    ("hdeg-vdeg", "v_degeneracies", "1,1", 1, 0, 0, [
+        ("column", 1, "ds-low at degree 1, indices (0, 1), witness d_0s_1 fails on generator 0"),
+        ("hface-vdeg", (1, 1), "square fails"),
+        ("hdeg-vdeg", (1, 1), "square fails"),
+        ("hdeg-vdeg", (1, 1), "square fails"),
+        ("hface-vdeg", (2, 1), "square fails"),
+        ("hface-vdeg", (2, 1), "square fails"),
+        ("hface-vdeg", (2, 1), "square fails"),
+    ]),
+    ("row", "h_faces", "2,0", 2, 0, 0, [
+        ("row", 0, "dd at degree 2, indices (0, 2), witness d_0d_2 != d_1d_0 on generator 0"),
+        ("hface-vdeg", (2, 0), "square fails"),
+        ("hface-vface", (2, 1), "square fails"),
+        ("hface-vface", (2, 1), "square fails"),
+    ]),
+    ("column", "v_faces", "0,2", 2, 0, 0, [
+        ("column", 0, "dd at degree 2, indices (0, 2), witness d_0d_2 != d_1d_0 on generator 0"),
+        ("hdeg-vface", (0, 2), "square fails"),
+        ("hface-vface", (1, 2), "square fails"),
+        ("hface-vface", (1, 2), "square fails"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("family,key,pq,index,row,col,problems", BISAB_PERTURBATIONS,
+                         ids=[case[0] for case in BISAB_PERTURBATIONS])
+def test_bisimplicial_verify_problems_pinned(family, key, pq, index, row, col, problems):
+    """One entry of one map of the grid Delta[1] x Delta[1] (external product
+    of the reduced free abelian interval with itself, ranks 1..9) raised by
+    one makes verify report the pinned problems, the named family among
+    them. (corpus/resolution.bisab.json has no generators at any level, so
+    it has no entry to change.)"""
+    F = free_abelian(standard_simplex(1, 2))
+    data = schemas.bisab_to_json(external_product(F, F))
+    assert not schemas.bisab_from_json(data).verify()
+    data[key][pq][index][row][col] += 1
+    got = schemas.bisab_from_json(data).verify()
+    assert got == problems
+    assert family in {kind for kind, _, _ in got}

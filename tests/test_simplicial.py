@@ -5,11 +5,13 @@ from delooper.simplicial import (
     FiniteSimplicialSet,
     StructuralError,
     enumerate_pointed_maps,
+    identity_cases,
     identity_map,
     point,
     sphere,
     standard_simplex,
     zero_sphere,
+    word_text,
 )
 
 
@@ -26,6 +28,43 @@ def test_standard_models_are_simplicial(builder, args):
     K = builder(*args)
     report = K.verify_identities()
     assert report.ok, report.describe()
+
+
+def _apply(word, t):
+    """A word of identity_cases on a vertex tuple of Delta[k]: d_i deletes
+    entry i, s_j repeats entry j."""
+    for kind, dim, i in word:
+        assert len(t) == dim + 1
+        t = t[:i] + t[i + 1 :] if kind == "d" else t[: i + 1] + t[i:]
+    return t
+
+
+@pytest.mark.parametrize("cap", range(6))
+def test_identity_cases_hold_in_delta(cap):
+    """Each listed case equates two words that agree on every simplex of
+    Delta[cap + 2] and run from level n to level m; the list holds
+    (n+1)n/2 dd cases at each n >= 2, (n+1)(n+2) ds cases at each n < cap
+    and (n+1)(n+2)/2 ss cases at each n < cap - 1, and drops all but dd
+    without degeneracies."""
+    import itertools
+    from collections import Counter
+
+    cases = identity_cases(cap)
+    assert identity_cases(cap, degeneracies=False) == tuple(c for c in cases if c[0] == "dd")
+    for family, n, (i, j), lhs, rhs, m in cases:
+        for t in itertools.combinations_with_replacement(range(cap + 3), n + 1):
+            assert _apply(lhs, t) == _apply(rhs, t) and len(_apply(lhs, t)) == m + 1, (family, n, i, j)
+    counts = Counter((family[:2], n) for family, n, *_ in cases)
+    want = Counter()
+    for n in range(cap + 1):
+        if n >= 2:
+            want["dd", n] = (n + 1) * n // 2
+        if n < cap:
+            want["ds", n] = (n + 1) * (n + 2)
+        if n < cap - 1:
+            want["ss", n] = (n + 1) * (n + 2) // 2
+    assert counts == want
+    assert word_text((("s", 1, 1), ("d", 2, 0))) == "d_0s_1"
 
 
 def test_sphere_cell_counts():

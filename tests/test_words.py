@@ -13,6 +13,60 @@ from delooper.words import (
 )
 
 
+def rewrite_normal_form(word):
+    """Reference: the terminal word of the rewrite d_i . d_j -> d_{j-1} . d_i
+    (i < j), which sends adjacent letters (a, b), b < a, to (b, a - 1) in
+    application order, found by bubble passes."""
+    letters = list(word.letters)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(letters) - 1):
+            a, b = letters[t], letters[t + 1]
+            if b < a:
+                letters[t], letters[t + 1] = b, a - 1
+                changed = True
+    return FaceWord(word.source_dim, tuple(letters))
+
+
+def rewrite_closure(word):
+    """Reference: every word reachable from word by the face rewrite in both
+    directions, found breadth first."""
+    seen = {word.letters}
+    frontier = [word.letters]
+    while frontier:
+        w = frontier.pop()
+        for t in range(len(w) - 1):
+            a, b = w[t], w[t + 1]
+            if b < a:
+                nxt = w[:t] + (b, a - 1) + w[t + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+            if b >= a and b + 1 <= word.source_dim - t:
+                nxt = w[:t] + (b + 1, a) + w[t + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return {FaceWord(word.source_dim, w) for w in seen}
+
+
+def rewrite_degeneracy_normal_form(word):
+    """Reference: the terminal word of s_i . s_j -> s_{j+1} . s_i (i <= j),
+    which sends adjacent letters (a, b), b <= a, to (b, a + 1) in application
+    order, found by bubble passes."""
+    letters = list(word.letters)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(letters) - 1):
+            a, b = letters[t], letters[t + 1]
+            if b <= a:
+                letters[t], letters[t + 1] = b, a + 1
+                changed = True
+    return DegeneracyWord(word.source_dim, tuple(letters))
+
+
 def classes(source_dim, length):
     """Group all words by the injection they represent."""
     out = {}
@@ -32,10 +86,12 @@ def test_rewriting_confluence_exhaustive():
                 assert len(terminal) == 1, (n, length, deleted, terminal)
                 forms = {w.normal_form().letters for w in words}
                 assert forms == {terminal[0].letters}
+                assert {rewrite_normal_form(w).letters for w in words} == forms
                 assert terminal[0].deleted_vertices() == deleted
                 # rewriting in both directions never leaves the class
                 closure = terminal[0].factorizations()
                 assert {w.letters for w in words} == {w.letters for w in closure}
+                assert rewrite_closure(terminal[0]) == closure
 
 
 def test_factorization_counts_are_factorials():
@@ -141,6 +197,20 @@ def test_degeneracy_normal_form_unique():
                     nf = w.normal_form()
                     assert nf.is_normal()
                     assert nf.as_surjection() == w.as_surjection()
+                    assert nf == rewrite_degeneracy_normal_form(w)
+
+
+def test_degeneracy_normal_form_matches_rewriting():
+    """On every degeneracy word from dimension <= 4 of length <= 4, the
+    closed form read off the surjection is the rewrite rule's terminal word."""
+    count = 0
+    for k in range(5):
+        for length in range(5):
+            for letters in itertools.product(*[range(k + t + 1) for t in range(length)]):
+                w = DegeneracyWord(k, letters)
+                assert w.normal_form() == rewrite_degeneracy_normal_form(w), w
+                count += 1
+    assert count == 3534
 
 
 def test_degeneracy_prefix_and_peel():
