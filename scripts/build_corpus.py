@@ -9,6 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from delooper import schemas
 from delooper.delta_core import free_abelian, underlying_delta
 from delooper.generators import random_fibrant_strict_object, random_resolution_grid
+from delooper.moore import external_product
 from delooper.pi_algebra import eta_chain_fragment, loop_space_s3_fragment
 from delooper.simplicial import sphere, standard_simplex
 from delooper.synthesis import HomotopyDegeneracyData
@@ -40,6 +41,9 @@ def main():
 
     B, _, _ = random_resolution_grid(random.Random(20260811))
     put("resolution.bisab.json", schemas.bisab_to_json(B))
+    # Z[S^1] (x) Z[S^1] at cap 2: nonzero levels, Z at E^2 (1,1), not collapsed
+    ZS1 = free_abelian(sphere(1, 2))
+    put("s1xs1.bisab.json", schemas.bisab_to_json(external_product(ZS1, ZS1)))
 
     # star-check bundle: f = squaring on F(S^1), g = identity hom, h a map
     # into the constant-free abelian target is too rigid; use the loop target

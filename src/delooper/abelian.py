@@ -67,9 +67,6 @@ class PresentedGroup:
     def is_zero_elt(self, v):
         return all(x == 0 for x in self.canon(v))
 
-    def eq_elts(self, v, w):
-        return self.canon(v) == self.canon(w)
-
     def first_nonzero_column(self, M):
         """Index of the first column of M that is not zero in this group, or None."""
         return next((c for c, y in enumerate(self._snf.reduce_columns(M)) if any(y)), None)
@@ -80,9 +77,6 @@ class PresentedGroup:
 
     def is_trivial(self):
         return self.invariant_factors() == ()
-
-    def free_rank(self):
-        return sum(1 for d in self.invariant_factors() if d == 0)
 
     def order(self):
         """Group order, or None if infinite."""

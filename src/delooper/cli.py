@@ -262,7 +262,9 @@ def _load_target_map(path, target, sources):
 def cmd_star_check(args):
     target_obj = _load_object(args.target, args.kinds)
     if not isinstance(target_obj, SAb):
-        raise StructuralError("star-check target must be a simplicial abelian group file")
+        lacks = "it has no degeneracies" if isinstance(target_obj, DeltaSAb) else "it is not of kind 'dsab'"
+        raise StructuralError(f"{args.target}: star-check target must be a simplicial abelian group file "
+                              f"(kind 'dsab' with degeneracies); {lacks}")
     K = AbelianTarget(target_obj)
     sources = {}
     f = _load_hom(args.f, sources)

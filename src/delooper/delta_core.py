@@ -202,24 +202,17 @@ def is_reedy_fibrant(V):
 
 @functools.cache
 def push_face_through(word, i):
-    """Rewrite d_i . s_word using the simplicial identities.
-
-    Returns ('deg', word') if the face is absorbed, else
-    ('face', i', word') meaning s_word' . d_i'.
+    """d_i . s_word as the epi-mono factorisation of its map: the surjection
+    of word with position i removed. If that map is onto, the face is
+    absorbed: ('deg', word'). Else it misses one value v and is the coface
+    missing v after a surjection: ('face', v, word') meaning s_word' . d_v.
     """
-    letters = list(word.letters)
-    outer = []
-    while letters:
-        j = letters.pop()
-        if i < j:
-            outer.append(j - 1)
-        elif i in (j, j + 1):
-            remaining = tuple(letters + outer[::-1])
-            return ("deg", DegeneracyWord(word.source_dim, remaining).normal_form())
-        else:
-            outer.append(j)
-            i -= 1
-    return ("face", i, DegeneracyWord(word.source_dim - 1, tuple(outer[::-1])).normal_form())
+    values = word.as_surjection()
+    values = values[:i] + values[i + 1 :]
+    missed = next((v for v in range(word.source_dim + 1) if v not in values), None)
+    if missed is None:
+        return ("deg", DegeneracyWord.from_surjection(values))
+    return ("face", missed, DegeneracyWord.from_surjection(tuple(v - (v > missed) for v in values)))
 
 
 @dataclass

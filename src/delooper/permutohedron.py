@@ -284,9 +284,6 @@ class CompatibleCollectionSchema:
     assembly: list  # facets: (partition, blocks) covering the boundary sphere
     splitting_note: str
 
-    def constraint_count(self):
-        return len(self.equations)
-
 
 def compatible_schema(delta):
     """Constraint system over the proper-factor slots of delta.
@@ -346,9 +343,6 @@ def compatible_schema(delta):
 class SimplexFaceIndex:
     n: int
     faces: dict  # FaceWord -> vertex tuple of the face
-
-    def faces_of_dimension(self, k):
-        return [w for w, verts in self.faces.items() if len(verts) - 1 == k]
 
 
 def simplex_face_index(n):

@@ -407,6 +407,8 @@ def comonad_T(G, table, window=None):
 
 
 def counit_is_surjective(G, counit, window=None):
+    """Whether the counit images of comonad_T span each nontrivial group of
+    G in the window (G's degrees by default)."""
     if window is None:
         window = (G.d_lo, G.d_hi)
     for k in range(window[0], window[1] + 1):

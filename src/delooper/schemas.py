@@ -66,7 +66,8 @@ def mat_to_json(M):
 def mat_from_json(rows, r, c, what="matrix"):
     if len(typed(rows, "a list of rows", what, SchemaError)) != r or any(len(row) != c for row in rows):
         raise SchemaError(f"{what}: matrix shape mismatch: expected {r}x{c}")
-    return Mat(r, c, [list(typed(row, "a list of integers", "matrix row", SchemaError)) for row in rows])
+    return Mat(r, c, [list(typed(row, "a list of integers", f"{what}[{i}]", SchemaError))
+                      for i, row in enumerate(rows)])
 
 
 def group_to_json(G):
@@ -252,28 +253,29 @@ def fragment_from_json(data):
     gen_names = {}
     for d_str, spec in entry(data, "groups", "an object", "groups", SchemaError).items():
         d = key_int(d_str, f"groups key {d_str!r}", SchemaError)
-        typed(spec, "an object", f"groups key {d_str!r}", SchemaError)
-        groups[d] = PresentedGroup.from_factors(entry(spec, "factors", "a list of integers", f"degree {d} factors",
+        what = f"groups key {d_str!r}"
+        typed(spec, "an object", what, SchemaError)
+        groups[d] = PresentedGroup.from_factors(entry(spec, "factors", "a list of integers", f"{what}: factors",
                                                       SchemaError))
-        gen_names[d] = [typed(x, "a name", f"degree {d} gens", SchemaError)
-                        for x in entry(spec, "gens", "a list", f"degree {d} gens", SchemaError)]
+        gen_names[d] = [typed(x, "a name", f"{what}: gens", SchemaError)
+                        for x in entry(spec, "gens", "a list", f"{what}: gens", SchemaError)]
         if len(gen_names[d]) != groups[d].ngens:
             raise SchemaError(f"degree {d}: generator list does not match factor list")
     action = {}
     for i, item in enumerate(typed(data.get("action", []), "a list", "action", SchemaError)):
         what = f"action[{i}]"
         typed(item, "an object", what, SchemaError)
-        degree = entry(item, "degree", "an integer", "action degree", SchemaError)
+        degree = entry(item, "degree", "an integer", f"{what}: degree", SchemaError)
         theta = entry(item, "theta", "a name", f"{what}: theta", SchemaError)
         gen = entry(item, "gen", "a name", f"{what}: gen", SchemaError)
-        action[(theta, (degree, gen))] = list(entry(item, "value", "a list of integers", "action value", SchemaError))
+        action[(theta, (degree, gen))] = list(entry(item, "value", "a list of integers", f"{what}: value", SchemaError))
     whitehead = {}
     for i, item in enumerate(typed(data.get("whitehead", []), "a list", "whitehead", SchemaError)):
         what = f"whitehead[{i}]"
         typed(item, "an object", what, SchemaError)
         left = _generator(item, "left", f"{what}: left")
         right = _generator(item, "right", f"{what}: right")
-        whitehead[(left, right)] = list(entry(item, "value", "a list of integers", "whitehead value", SchemaError))
+        whitehead[(left, right)] = list(entry(item, "value", "a list of integers", f"{what}: value", SchemaError))
     return PiAlgebraFragment(
         d_lo=d_lo,
         d_hi=d_hi,

@@ -90,6 +90,10 @@ class FiniteSimplicialSet:
                     if table[x] not in set(self.elements[n + 1]):
                         raise StructuralError(f"s_{j}({x}) not an element of dimension {n + 1}")
 
+    def identity(self, n):
+        """The basepoint, as a map into this set sends it (see is_simplicial_map)."""
+        return BASE
+
     def face(self, n, i, x):
         return self.faces[n][i][x]
 
@@ -247,29 +251,58 @@ class SimplicialSetMap:
         return self.tables[n][x]
 
     def is_valid(self):
+        """Equal caps, each simplex sent to a simplex of dst and the
+        basepoint to the basepoint, and is_simplicial_map."""
         if self.src.cap != self.dst.cap:
             return False
         for n in range(self.src.cap + 1):
             if self.tables[n].get(BASE) != BASE:
                 return False
-            for x in self.src.elements[n]:
-                if self.tables[n].get(x) not in set(self.dst.elements[n]):
+            simplices = set(self.dst.elements[n])
+            if any(self.tables[n].get(x) not in simplices for x in self.src.elements[n]):
+                return False
+        return is_simplicial_map(self.src, self.dst, self.tables)
+
+
+def is_simplicial_map(src, target, tables):
+    """Whether tables (per level, simplex of src -> element of target) give
+    a pointed map with f(d_i x) = d_i f(x) and f(s_j x) = s_j f(x) for every
+    simplex x. The target has identity(n), face(n, i, v) and
+    degeneracy(n, j, v); a table may leave out the basepoint, which goes to
+    target.identity(n). Each target face or degeneracy is evaluated once
+    per distinct value of a level (numbered by first appearance in
+    src.elements[n]), when a simplex first needs it."""
+    cap = src.cap
+    for n in range(cap + 1):
+        if BASE in tables[n] and tables[n][BASE] != target.identity(n):
+            return False
+    levels = [{**tables[n], BASE: target.identity(n)} for n in range(cap + 1)]
+    # per level: the distinct values, and (simplex, value number, first
+    # appearance) per simplex; a flag, as a target element may be any object
+    distinct, slots = [], []
+    for n, level in enumerate(levels):
+        numbers, values, level_slots = {}, [], []
+        for x in src.elements[n]:
+            v = level[x]
+            k = numbers.setdefault(v, len(values))
+            first = k == len(values)
+            if first:
+                values.append(v)
+            level_slots.append((x, k, first))
+        distinct.append(values)
+        slots.append(level_slots)
+    checks = [(n, target.face, src.faces[n], levels[n - 1]) for n in range(1, cap + 1)]
+    checks += [(n, target.degeneracy, src.degeneracies[n], levels[n + 1]) for n in range(cap)]
+    for n, target_move, moves, other in checks:
+        values = distinct[n]
+        for i, move in enumerate(moves):
+            image = []
+            for x, k, first in slots[n]:
+                if first:
+                    image.append(target_move(n, i, values[k]))
+                if other[move[x]] != image[k]:
                     return False
-        for n in range(1, self.src.cap + 1):
-            for i in range(n + 1):
-                for x in self.src.elements[n]:
-                    if self.tables[n - 1][self.src.face(n, i, x)] != self.dst.faces[n][i][self.tables[n][x]]:
-                        return False
-        for n in range(0, self.src.cap):
-            for j in range(n + 1):
-                for x in self.src.elements[n]:
-                    if self.tables[n + 1][self.src.degeneracy(n, j, x)] != self.dst.degeneracies[n][j][self.tables[n][x]]:
-                        return False
-        return True
-
-
-def identity_map(K):
-    return SimplicialSetMap(K, K, [{x: x for x in K.elements[n]} for n in range(K.cap + 1)])
+    return True
 
 
 def enumerate_pointed_maps(A, B):

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .permutohedron import ResourceError
-from .simplicial import BASE, FiniteSimplicialSet
+from .simplicial import BASE, FiniteSimplicialSet, is_simplicial_map
 
 # Levels of finite targets are enumerated element by element, and
 # FiniteGroupLevel.check makes |G|^2 r products (r generators): 22 s for the
@@ -65,21 +65,15 @@ class FreeSimplicialGroup:
         """The generators of level n, a tuple built once."""
         return self._generators[n]
 
-    def face_word(self, n, i, word):
-        out = []
-        for g, e in word:
-            y = self.base.face(n, i, g)
-            if y != BASE:
-                out.append((y, e))
-        return word_reduce(out)
+    def identity(self, n):
+        return ()
 
-    def degeneracy_word(self, n, j, word):
-        out = []
-        for g, e in word:
-            y = self.base.degeneracy(n, j, g)
-            if y != BASE:
-                out.append((y, e))
-        return word_reduce(out)
+    def face(self, n, i, word):
+        """d_i of a word: each letter's face, the basepoint dropped, reduced."""
+        return word_reduce([(y, e) for g, e in word if (y := self.base.face(n, i, g)) != BASE])
+
+    def degeneracy(self, n, j, word):
+        return word_reduce([(y, e) for g, e in word if (y := self.base.degeneracy(n, j, g)) != BASE])
 
 
 def milnor_F(K):
@@ -106,25 +100,13 @@ class GroupHomMap:
         return word_reduce(letters)
 
     def is_valid(self):
-        for n in range(self.src.cap + 1):
-            for g in self.src.generators(n):
-                if g not in self.tables[n]:
-                    return False
-        for n in range(1, self.src.cap + 1):
-            for i in range(n + 1):
-                for g in self.src.generators(n):
-                    lhs = self.apply(n - 1, self.src.face_word(n, i, ((g, 1),)))
-                    rhs = self.dst.face_word(n, i, self.apply(n, ((g, 1),)))
-                    if lhs != rhs:
-                        return False
-        for n in range(0, self.src.cap):
-            for j in range(n + 1):
-                for g in self.src.generators(n):
-                    lhs = self.apply(n + 1, self.src.degeneracy_word(n, j, ((g, 1),)))
-                    rhs = self.dst.degeneracy_word(n, j, self.apply(n, ((g, 1),)))
-                    if lhs != rhs:
-                        return False
-        return True
+        """Every generator has an image, and the reduced images commute with
+        faces and degeneracies: on the generators, which suffices for a
+        homomorphism of free groups."""
+        if any(g not in self.tables[n] for n in range(self.src.cap + 1) for g in self.src.generators(n)):
+            return False
+        reduced = [{g: word_reduce(w) for g, w in table.items()} for table in self.tables]
+        return is_simplicial_map(self.src.base, self.dst, reduced)
 
     def compose(self, other):
         """self after other."""
@@ -359,44 +341,8 @@ class TargetMap:
         return self.tables[n][x]
 
     def is_valid(self):
-        """The map is pointed and commutes with every face and degeneracy:
-        self(d_i x) = d_i self(x) for each simplex x, likewise for s_j.
-        The distinct values of each level are numbered once, by first
-        appearance in src.elements[n]; a target face or degeneracy is
-        evaluated once per distinct value, when a simplex first needs it,
-        and each simplex then compares through its value's number."""
-        K, src, cap = self.target, self.src, self.src.cap
-        for n in range(cap + 1):
-            if BASE in self.tables[n] and self.tables[n][BASE] != K.identity(n):
-                return False
-        levels = [{**self.tables[n], BASE: K.identity(n)} for n in range(cap + 1)]
-        # per level: the distinct values, and (simplex, value number, first
-        # appearance) per simplex; first appearance is a flag, not a
-        # sentinel value, as a target element may be any object
-        distinct, slots = [], []
-        for n, level in enumerate(levels):
-            numbers, values, level_slots = {}, [], []
-            for x in src.elements[n]:
-                v = level[x]
-                k = numbers.setdefault(v, len(values))
-                first = k == len(values)
-                if first:
-                    values.append(v)
-                level_slots.append((x, k, first))
-            distinct.append(values)
-            slots.append(level_slots)
-        checks = [(n, K.face, src.faces[n], levels[n - 1]) for n in range(1, cap + 1)]
-        checks += [(n, K.degeneracy, src.degeneracies[n], levels[n + 1]) for n in range(cap)]
-        for n, target_move, moves, other in checks:
-            values = distinct[n]
-            for i, move in enumerate(moves):
-                image = []
-                for x, k, first in slots[n]:
-                    if first:
-                        image.append(target_move(n, i, values[k]))
-                    if other[move[x]] != image[k]:
-                        return False
-        return True
+        """The map is pointed and commutes with every face and degeneracy."""
+        return is_simplicial_map(self.src, self.target, self.tables)
 
 
 def retraction_mbar(K, n, word_in_elements):
@@ -441,10 +387,13 @@ def check_condition_star(f, g, h, K):
     right side has lhs's source and target, so it is checked only when its
     tables differ from lhs's, which star has checked.
     """
-    gh = star(g, h, K)  # B -> K
+    return _condition_star(f, g, star(g, h, K), h, K)
+
+
+def _condition_star(f, g, gh, h, K):
+    """check_condition_star(f, g, h, K), given gh = star(g, h, K): B -> K."""
     lhs = star(f, gh, K)  # A -> K
-    fg = g.compose(f)  # FA -> FC
-    rhs = _star_map(fg, h, K)
+    rhs = _star_map(g.compose(f), h, K)  # the star of FA -> FC against h
     if rhs.tables == lhs.tables:
         return True, None
     _checked(rhs)
@@ -559,16 +508,10 @@ def check_functoriality(e, f, g, h, K, L):
     ok, witness = is_strictly_multiplicative(h, K, L)
     if not ok:
         raise ValueError(f"map between targets is not strictly multiplicative at {witness}")
-    fe = f.compose(e)
-    lhs1 = star(fe, g, K)
     fg = star(f, g, K)
-    # e^*(f . g): evaluate the homomorphism extension of fg along e
-    C = e.src.base
-    for n in range(C.cap + 1):
-        for c in e.src.generators(n):
-            rhs = K.product(n, [(fg(n, x), ex) for x, ex in e.tables[n][c]])
-            if lhs1(n, c) != rhs:
-                return False
+    # (f . e) . g = e^*(f . g) is condition (*) for (e, f, g)
+    if not _condition_star(e, f, fg, g, K)[0]:
+        return False
     # f . (g^*h) = (f . g)^*h
     gh_tables = []
     B = f.dst.base
@@ -589,7 +532,7 @@ def conjugation_hom(F, base_word):
     self-homomorphism of the free simplicial group."""
     towers = [tuple(base_word)]
     for n in range(F.cap):
-        towers.append(F.degeneracy_word(n, 0, towers[-1]))
+        towers.append(F.degeneracy(n, 0, towers[-1]))
     tables = []
     for n in range(F.cap + 1):
         w = towers[n]

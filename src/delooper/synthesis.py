@@ -26,7 +26,7 @@ from .delta_core import (
     verify_identities,
 )
 from .intlin import Mat, SmithSolver, kernel_mod_lattice, vstack_all
-from .simplicial import StructuralError
+from .simplicial import StructuralError, identity_cases
 from .words import DegeneracyWord, canonical_degeneracy_words
 
 
@@ -67,33 +67,6 @@ def fiber_lattice(V, m):
     """Basis of the joint kernel of every face at level m (the directions a
     lifting problem cannot see)."""
     return joint_kernel(V.faces[m], [V.levels[m - 1]] * (m + 1))
-
-
-def section_defects(V, hdeg):
-    """How far each candidate is from being a section of its two faces,
-    measured after quotienting by representable null-homotopy forms."""
-    defects = []
-    for n in range(V.cap):
-        for j, s in enumerate(hdeg.maps[n]):
-            for face_index in (j, j + 1):
-                resid = V.face(n + 1, face_index) @ s - Mat.eye(V.rank(n))
-                if not _in_nullhomotopy_span(V, n, n, resid):
-                    defects.append((n, j, face_index))
-    return defects
-
-
-def _in_nullhomotopy_span(V, src_level, dst_level, resid):
-    """resid : V_src -> V_dst expressible as boundary . A + B . boundary?"""
-    sys_ = _StageSystem()
-    terms = []
-    if dst_level + 1 <= V.cap:
-        sys_.add_unknown("A", V.rank(dst_level + 1), V.rank(src_level))
-        terms.append((boundary_matrix(V, dst_level + 1), "A", Mat.eye(V.rank(src_level))))
-    if src_level >= 1:
-        sys_.add_unknown("B", V.rank(dst_level), V.rank(src_level - 1))
-        terms.append((Mat.eye(V.rank(dst_level)), "B", boundary_matrix(V, src_level)))
-    sys_.add_equation(terms, resid, target_rels=V.levels[dst_level].rels)
-    return sys_.solve()[0] is not None
 
 
 @dataclass
@@ -338,12 +311,20 @@ def _stage_strict_ok(V, state, rho, candidates, n):
         for i in range(n + 2):
             if _first_difference(V.levels[n], V.face(n + 1, i) @ candidates[j], comps[i]) is not None:
                 return False
-    for j in range(n + 1):
-        for l in range(j, n):
-            lhs, rhs = candidates[j] @ state[n - 1][l], candidates[l + 1] @ state[n - 1][j]
-            if _first_difference(V.levels[n + 1], lhs, rhs) is not None:
-                return False
+    for (a, b), (c, d) in _ss_pairs(V.cap, n):
+        lhs, rhs = candidates[b] @ state[n - 1][a], candidates[d] @ state[n - 1][c]
+        if _first_difference(V.levels[n + 1], lhs, rhs) is not None:
+            return False
     return True
+
+
+def _ss_pairs(cap, n):
+    """The identities s_i s_j = s_{j+1} s_i from level n - 1 to level n + 1,
+    in the order of identity_cases: each as ((a, b), (c, d)), the words
+    s_b s_a = s_d s_c, where s_a and s_c act on level n - 1 and s_b and s_d
+    are stage n's unknowns."""
+    return [((lhs[0][2], lhs[1][2]), (rhs[0][2], rhs[1][2]))
+            for family, m, _, lhs, rhs, _ in identity_cases(cap) if family == "ss" and m == n - 1]
 
 
 def _solve_stage(V, state, rho, candidates, n, with_tie):
@@ -388,12 +369,11 @@ def _solve_stage(V, state, rho, candidates, n, with_tie):
         for i in range(n + 2):
             terms, const = xterms(j, V.face(n + 1, i), Irn)
             sys_.add_equation(terms, comps[i] - const, target_rels=V.levels[n].rels)
-    for j in range(n + 1):
-        for l in range(j, n):
-            t1, c1 = xterms(j, Irn1, state[n - 1][l])
-            t2, c2 = xterms(l + 1, Irn1, state[n - 1][j])
-            t2n = [(-P, nm, Q) for (P, nm, Q) in t2]
-            sys_.add_equation(t1 + t2n, c2 - c1, target_rels=V.levels[n + 1].rels)
+    for (a, b), (c, d) in _ss_pairs(V.cap, n):
+        t1, c1 = xterms(b, Irn1, state[n - 1][a])
+        t2, c2 = xterms(d, Irn1, state[n - 1][c])
+        t2n = [(-P, nm, Q) for (P, nm, Q) in t2]
+        sys_.add_equation(t1 + t2n, c2 - c1, target_rels=V.levels[n + 1].rels)
     if V.levels[n].rels.c or V.levels[n + 1].rels.c:
         # well-definedness modulo relations: X_j . rels(src) inside rels(dst)
         for j in range(n + 1):

@@ -110,10 +110,8 @@ class DegeneracyWord:
         return len(self.letters)
 
     def normal_form(self):
-        """The word with strictly increasing letters for the same surjection:
-        s_t for each t that the surjection sends to the same value as t + 1."""
-        values = self.as_surjection()
-        return DegeneracyWord(self.source_dim, tuple(t for t in range(self.target_dim) if values[t] == values[t + 1]))
+        """The word with strictly increasing letters for the same surjection."""
+        return DegeneracyWord.from_surjection(self.as_surjection())
 
     def is_normal(self):
         return all(self.letters[t] < self.letters[t + 1] for t in range(len(self.letters) - 1))
@@ -134,6 +132,13 @@ class DegeneracyWord:
         for j in self.letters:
             values = values[: j + 1] + values[j:]
         return tuple(values)
+
+    @staticmethod
+    def from_surjection(values):
+        """Normal-form word of the monotone surjection [m] -> [values[-1]]
+        given by its values: s_t for each t that it sends to the same value
+        as t + 1."""
+        return DegeneracyWord(values[-1], tuple(t for t in range(len(values) - 1) if values[t] == values[t + 1]))
 
     def describe(self):
         if not self.letters:

@@ -30,11 +30,11 @@ def test_invariant_factors_canonical():
 
 def test_element_equality_and_canon():
     Z12 = PresentedGroup.cyclic(12)
-    assert Z12.eq_elts([5], [17])
-    assert not Z12.eq_elts([5], [6])
+    assert Z12.canon([5]) == Z12.canon([17])
+    assert not Z12.canon([5]) == Z12.canon([6])
     assert Z12.canon([12]) == Z12.canon([0])
     v = Z12.canon_vector([25])
-    assert Z12.eq_elts(v, [1])
+    assert Z12.canon(v) == Z12.canon([1])
 
 
 def test_element_enumeration():
@@ -87,7 +87,7 @@ def test_induced_on_homology():
     f = Hom(Z, Z, Mat.from_rows([[3]]))  # commutes with the differentials
     ind = induced_on_homology(H, H, f)
     # multiplication by 3 = identity on Z/2
-    assert ind.dst.eq_elts(ind.apply([1]), [1])
+    assert ind.dst.canon(ind.apply([1])) == ind.dst.canon([1])
 
 
 def test_direct_sum_offsets():
@@ -146,9 +146,8 @@ def test_canon_is_a_coset_invariant(G, data):
         for i in range(G.ngens):
             w[i] += c * G.rels.a[i][j]
     assert G.canon(v) == G.canon(w)
-    assert G.eq_elts(v, w)
     cv = G.canon_vector(v)
-    assert G.eq_elts(cv, v)
+    assert G.canon(cv) == G.canon(v)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -192,6 +192,14 @@ def star_check(**files):
         (("verify", "tests/data/sset_basepoint_foreign.json"), 2),
         # an sset with one face image changed breaks one identity instance
         (("verify", "tests/data/sset_one_violation.json"), 1),
+        # a star-check target without degeneracies, or of another kind
+        (star_check(target="corpus/fibrant.dsab.json"), 2),
+        (star_check(target="corpus/s1.sset.json"), 2),
+        # a fragment entry of the wrong JSON type
+        (("deloop", "tests/data/pialg_action_degree_string.json"), 2),
+        (("deloop", "tests/data/pialg_factors_string.json"), 2),
+        # the bisimplicial corpus file with nonzero levels
+        (("e2", "corpus/s1xs1.bisab.json"), 0),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -244,6 +252,12 @@ def test_level_key_must_be_its_digits(args, message, capsys, monkeypatch):
         ({"f": "tests/data/freehom_exponent_bool.json"}, "each exponent 1 or -1, found [['x01', True]]"),
         ({"f": "tests/data/freehom_dst_cap2.json"}, "freehom_dst_cap2.json: target cap 2 is below the source cap 3"),
         ({"f": "tests/data/freehom_unknown_simplex.json"}, "level 1 lists 'bogus', not a generator of the source"),
+        ({"target": "corpus/fibrant.dsab.json"},
+         "corpus/fibrant.dsab.json: star-check target must be a simplicial abelian group file "
+         "(kind 'dsab' with degeneracies); it has no degeneracies"),
+        ({"target": "corpus/s1.sset.json"},
+         "corpus/s1.sset.json: star-check target must be a simplicial abelian group file "
+         "(kind 'dsab' with degeneracies); it is not of kind 'dsab'"),
     ],
 )
 def test_star_check_names_the_bad_table_entry(files, message, capsys, monkeypatch):
@@ -373,6 +387,19 @@ def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
         (("verify", "tests/data/dsab_faces_short.json"),
          "tests/data/dsab_faces_short.json: need 2 face matrices at dimension 1"),
         (("verify", "tests/data/sset_faces_short.json"), "tests/data/sset_faces_short.json: need 3 face maps at dimension 2"),
+        # a fragment or matrix entry of the wrong JSON type, named by its full path
+        (("deloop", "tests/data/pialg_action_degree_string.json"),
+         "pialg_action_degree_string.json: action[2]: degree: expected an integer, found 'x'"),
+        (("deloop", "tests/data/pialg_action_value_float.json"),
+         "pialg_action_value_float.json: action[4]: value: expected a list of integers, found [6.0]"),
+        (("deloop", "tests/data/pialg_whitehead_value_string.json"),
+         "pialg_whitehead_value_string.json: whitehead[0]: value: expected a list of integers, found '0'"),
+        (("deloop", "tests/data/pialg_factors_string.json"),
+         "pialg_factors_string.json: groups key '3': factors: expected a list of integers, found '2'"),
+        (("deloop", "tests/data/pialg_gens_name_int.json"),
+         "pialg_gens_name_int.json: groups key '4': gens: expected a name, found 7"),
+        (("moore", "tests/data/dsab_float_entry.json"),
+         "dsab_float_entry.json: faces key '2'[1][0]: expected a list of integers, found [1.9, 1]"),
     ],
 )
 def test_wrongly_typed_object_file_names_the_file_and_key(argv, message, capsys, monkeypatch):
@@ -675,6 +702,7 @@ def test_combinatorial_reports_pinned(argv, digest, capsys):
             0,
             "f93b8b384c6f5899e4997eab9531ed43a980fc5911486508c7f64ccd908935b2",
         ),
+        (("e2", "corpus/s1xs1.bisab.json"), 0, "d1d4ad399240c32b1121f9ca91c42468fc46ea7c58bbcd210f3a772eef6fa433"),
     ],
 )
 def test_corpus_reports_pinned(argv, code, digest, capsys, monkeypatch):

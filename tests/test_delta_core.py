@@ -178,7 +178,7 @@ def test_degenerate_subobject():
     L2, incl = degenerate_subobject(W, 2)
     assert incl.is_well_defined()
     # rank of L_2 equals rank s_0 W_1 + s_1 W_1 minus the shared V_0 copy
-    assert L2.free_rank() == 2 * W.rank(1) - W.rank(0)
+    assert L2.invariant_factors().count(0) == 2 * W.rank(1) - W.rank(0)
 
 
 def test_degenerate_subobject_zero():
@@ -210,7 +210,7 @@ def test_matching_rank_against_independent_oracle():
                 row[i * g + c] -= dj1.a[r][c]
             rows.append(row)
     constraint_rank = sympy.Matrix(rows).rank()
-    assert mo.group.free_rank() == 3 * g - constraint_rank
+    assert mo.group.invariant_factors().count(0) == 3 * g - constraint_rank
 
 
 def test_identity_violations_equal_the_reduced_differences():

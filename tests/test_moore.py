@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -281,8 +282,6 @@ def test_e2_page_builds_one_moore_complex_per_column(monkeypatch):
     """The columns' Moore complexes do not depend on t: one each per page,
     plus one per t for the homotopy of the vertical homotopy object and one
     for the diagonal when the page collapses."""
-    import os
-
     from delooper import moore, schemas
 
     path = os.path.join(os.path.dirname(__file__), "..", "corpus", "resolution.bisab.json")
@@ -368,3 +367,13 @@ def test_bisimplicial_verify_problems_pinned(family, key, pq, index, row, col, p
     got = schemas.bisab_from_json(data).verify()
     assert got == problems
     assert family in {kind for kind, _, _ in got}
+
+
+def test_corpus_s1xs1_grid_verifies():
+    """corpus/s1xs1.bisab.json, the external product of the reduced free
+    abelian S^1 with itself at cap 2, has generators at (1, 1) and passes
+    every row and column identity and every commuting square."""
+    path = os.path.join(os.path.dirname(__file__), "..", "corpus", "s1xs1.bisab.json")
+    B = schemas.bisab_from_json(schemas.load(path))
+    assert B.levels[1][1].ngens == 1
+    assert B.verify() == []

@@ -221,7 +221,7 @@ def test_proper_factors_length_three():
 
 def test_schema_hexagon_counts():
     sch = compatible_schema(FaceWord(3, (0, 0, 0)))
-    assert sch.constraint_count() == 6
+    assert len(sch.equations) == 6
     assert len(sch.assembly) == 6
     units = [u for u in sch.unit_constraints]
     assert all(len(w) == 1 for (w, _, _) in units)
@@ -235,7 +235,7 @@ def test_schema_hexagon_counts():
 
 def test_schema_interval():
     sch = compatible_schema(FaceWord(2, (0, 0)))
-    assert sch.constraint_count() == 0
+    assert len(sch.equations) == 0
     assert len(sch.assembly) == 2  # two boundary points
     assert len(sch.unit_constraints) == len(sch.slots)
 
@@ -256,18 +256,21 @@ def test_schema_constraint_count_matches_face_count():
             for p in ordered_partitions(range(1, k + 2))
             if 2 <= len(p) <= k
         )
-        assert sch.constraint_count() == expected
+        assert len(sch.equations) == expected
 
 
 def test_simplex_face_index_counts():
+    def of_dimension(idx, k):
+        return [w for w, verts in idx.faces.items() if len(verts) - 1 == k]
+
     idx1 = simplex_face_index(1)
-    assert {k: len(idx1.faces_of_dimension(k)) for k in range(2)} == {0: 2, 1: 1}
+    assert {k: len(of_dimension(idx1, k)) for k in range(2)} == {0: 2, 1: 1}
     idx2 = simplex_face_index(2)
-    assert {k: len(idx2.faces_of_dimension(k)) for k in range(3)} == {0: 3, 1: 3, 2: 1}
+    assert {k: len(of_dimension(idx2, k)) for k in range(3)} == {0: 3, 1: 3, 2: 1}
     idx3 = simplex_face_index(3)
-    assert {k: len(idx3.faces_of_dimension(k)) for k in range(4)} == {0: 4, 1: 6, 2: 4, 3: 1}
+    assert {k: len(of_dimension(idx3, k)) for k in range(4)} == {0: 4, 1: 6, 2: 4, 3: 1}
     for k in range(4):
-        assert len(idx3.faces_of_dimension(k)) == math.comb(4, k + 1)
+        assert len(of_dimension(idx3, k)) == math.comb(4, k + 1)
 
 
 def test_simplex_face_words_normal():

@@ -3,10 +3,10 @@ import pytest
 from delooper.simplicial import (
     BASE,
     FiniteSimplicialSet,
+    SimplicialSetMap,
     StructuralError,
     enumerate_pointed_maps,
     identity_cases,
-    identity_map,
     point,
     sphere,
     standard_simplex,
@@ -103,7 +103,7 @@ def test_swapped_faces_reported_not_raised():
 
 def test_identity_map_and_enumeration():
     S1 = sphere(1, 3)
-    ident = identity_map(S1)
+    ident = SimplicialSetMap(S1, S1, [{x: x for x in S1.elements[n]} for n in range(S1.cap + 1)])
     assert ident.is_valid()
     endos = enumerate_pointed_maps(S1, S1)
     # the identity and the constant collapse

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -997,3 +998,220 @@ def test_free_group_generators_are_built_once():
         for n in range(base.cap + 1):
             assert list(F.generators(n)) == [x for x in base.elements[n] if x != BASE]
             assert type(F.generators(n)) is tuple and F.generators(n) is F.generators(n)
+
+
+# ------------------------------------------------ references for the shared map check
+# The commuting loops that SimplicialSetMap.is_valid and GroupHomMap.is_valid
+# ran before both went through simplicial.is_simplicial_map, kept verbatim
+# (apart from the letterwise face and degeneracy of a word, written out here)
+# as the references the shared check is compared with. TargetMap's reference
+# is all_simplex_is_valid above.
+
+
+def reference_simplicial_set_map_is_valid(m):
+    if m.src.cap != m.dst.cap:
+        return False
+    for n in range(m.src.cap + 1):
+        if m.tables[n].get(BASE) != BASE:
+            return False
+        for x in m.src.elements[n]:
+            if m.tables[n].get(x) not in set(m.dst.elements[n]):
+                return False
+    for n in range(1, m.src.cap + 1):
+        for i in range(n + 1):
+            for x in m.src.elements[n]:
+                if m.tables[n - 1][m.src.face(n, i, x)] != m.dst.faces[n][i][m.tables[n][x]]:
+                    return False
+    for n in range(0, m.src.cap):
+        for j in range(n + 1):
+            for x in m.src.elements[n]:
+                if m.tables[n + 1][m.src.degeneracy(n, j, x)] != m.dst.degeneracies[n][j][m.tables[n][x]]:
+                    return False
+    return True
+
+
+def _letterwise(move, word):
+    """A face or degeneracy of a free-group word, applied letter by letter."""
+    return word_reduce([(y, e) for y, e in ((move(g), e) for g, e in word) if y != BASE])
+
+
+def reference_group_hom_is_valid(h):
+    for n in range(h.src.cap + 1):
+        for g in h.src.generators(n):
+            if g not in h.tables[n]:
+                return False
+    A, B = h.src.base, h.dst.base
+    for n in range(1, h.src.cap + 1):
+        for i in range(n + 1):
+            for g in h.src.generators(n):
+                lhs = h.apply(n - 1, _letterwise(lambda x: A.face(n, i, x), ((g, 1),)))
+                rhs = _letterwise(lambda x: B.face(n, i, x), h.apply(n, ((g, 1),)))
+                if lhs != rhs:
+                    return False
+    for n in range(0, h.src.cap):
+        for j in range(n + 1):
+            for g in h.src.generators(n):
+                lhs = h.apply(n + 1, _letterwise(lambda x: A.degeneracy(n, j, x), ((g, 1),)))
+                rhs = _letterwise(lambda x: B.degeneracy(n, j, x), h.apply(n, ((g, 1),)))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+@functools.cache
+def pointed_maps_and_perturbations():
+    """(A, B, tables) for every pointed map between S^1, Delta^1, S^2 and
+    Delta^2 at caps 2 and 3, and for each map, per level, the map with the
+    image of the level's first non-basepoint simplex (or of the basepoint,
+    on a level with no other simplex) changed to each other simplex of B."""
+    out = []
+    for cap in (2, 3):
+        spaces = [sphere(1, cap), standard_simplex(1, cap), sphere(2, cap), standard_simplex(2, cap)]
+        for A, B in itertools.product(spaces, repeat=2):
+            for m in enumerate_pointed_maps(A, B):
+                out.append((A, B, m.tables))
+                for n in range(cap + 1):
+                    x = next((x for x in A.elements[n] if x != BASE), BASE)
+                    for y in B.elements[n]:
+                        if y != m.tables[n][x]:
+                            tables = [dict(t) for t in m.tables]
+                            tables[n][x] = y
+                            out.append((A, B, tables))
+    return out
+
+
+def test_simplicial_set_map_check_matches_reference_loop():
+    from delooper.simplicial import SimplicialSetMap
+
+    verdicts = []
+    for A, B, tables in pointed_maps_and_perturbations():
+        m = SimplicialSetMap(A, B, tables)
+        verdicts.append(m.is_valid())
+        assert verdicts[-1] == reference_simplicial_set_map_is_valid(m)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_target_map_check_matches_all_simplex_loop_on_enumerated_maps():
+    """The pointed maps above, followed by A -> B -> Z[B] (the reduced free
+    abelian group), as TargetMaps into Z[B]."""
+    from delooper.delta_core import free_abelian
+
+    targets = {}
+    verdicts = []
+    for A, B, tables in pointed_maps_and_perturbations():
+        if id(B) not in targets:
+            targets[id(B)] = AbelianTarget(free_abelian(B))
+        K = targets[id(B)]
+        vectors = []
+        for n, table in enumerate(tables):
+            basis = [y for y in B.elements[n] if y != BASE]
+            vectors.append({x: K.from_generators(n, [int(z == y) for z in basis]) for x, y in table.items()})
+        tm = TargetMap(src=A, target=K, tables=vectors)
+        verdicts.append(tm.is_valid())
+        assert verdicts[-1] == all_simplex_is_valid(tm)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_group_hom_check_matches_reference_loop():
+    """F of the pointed maps above, and each with one generator's image
+    changed: to the empty word, to its square, to each generator of its
+    level, and to itself with a cancelling pair appended (the same
+    homomorphism, written unreduced)."""
+    free = {}
+    verdicts = []
+    for A, B, tables in pointed_maps_and_perturbations():
+        FA, FB = (free.setdefault(id(X), milnor_F(X)) for X in (A, B))
+        h = induced_hom(FA, FB, lambda n, x: tables[n][x])
+        homs = [h]
+        for n in range(A.cap + 1):
+            gens = FA.generators(n)
+            if not gens:
+                continue
+            g, word = gens[0], h.tables[n][gens[0]]
+            images = [(), word + word, *[((y, 1),) for y in FB.generators(n)]]
+            images += [word + ((y, 1), (y, -1)) for y in FB.generators(n)[:1]]
+            for image in images:
+                changed = [dict(t) for t in h.tables]
+                changed[n][g] = image
+                homs.append(GroupHomMap(FA, FB, changed))
+        for hom in homs:
+            verdicts.append(hom.is_valid())
+            assert verdicts[-1] == reference_group_hom_is_valid(hom)
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def reference_check_functoriality(e, f, g, h, K, L):
+    """check_functoriality before its first identity became condition (*)
+    for (e, f, g): star((f . e), g) against e's words evaluated on star(f, g)."""
+    ok, witness = is_strictly_multiplicative(h, K, L)
+    if not ok:
+        raise ValueError(f"map between targets is not strictly multiplicative at {witness}")
+    fe = f.compose(e)
+    lhs1 = star(fe, g, K)
+    fg = star(f, g, K)
+    C = e.src.base
+    for n in range(C.cap + 1):
+        for c in e.src.generators(n):
+            rhs = K.product(n, [(fg(n, x), ex) for x, ex in e.tables[n][c]])
+            if lhs1(n, c) != rhs:
+                return False
+    gh_tables = []
+    B = f.dst.base
+    for n in range(B.cap + 1):
+        gh_tables.append({x: h(n, g(n, x)) for x in B.elements[n]})
+    gh = TargetMap(src=B, target=L, tables=gh_tables)
+    lhs2 = star(f, gh, L)
+    A = f.src.base
+    for n in range(A.cap + 1):
+        for a in f.src.generators(n):
+            if lhs2(n, a) != h(n, fg(n, a)):
+                return False
+    return True
+
+
+@functools.cache
+def criterion_4_pool(cap, source):
+    """Acceptance criterion 4's endomorphism pool of F(S^1) or F(Delta^1)."""
+    A = sphere(1, cap) if source == "S1" else standard_simplex(1, cap)
+    F = milnor_F(A)
+    pool = [identity_hom(F), power_hom(F, 2), power_hom(F, -1), power_hom(F, 3)]
+    pool += [induced_hom(F, F, m) for m in enumerate_pointed_maps(A, A)]
+    return pool + [a.compose(b) for a in pool[:3] for b in pool[:2]]
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_check_functoriality_matches_reference_on_criterion_4_pools():
+    """Criterion 4's instances (pool homomorphisms e and f, a pointed map g
+    into a criterion-4 target, h multiplication by k in 0..3), and the same
+    with e's table changed at one generator so that e is no homomorphism of
+    simplicial groups: the same verdict or exception as the reference."""
+    rng = random.Random(4)
+    verdicts = collections.Counter()
+    for orders in CRITERION_4_SHAPES:
+        for source in ("S1", "D1"):
+            maps = valid_target_maps(orders, source)
+            if not maps:
+                continue
+            pool = criterion_4_pool(len(orders) - 1, source)
+            for _ in range(2):
+                e, f, g, k = rng.choice(pool), rng.choice(pool), rng.choice(maps), rng.randrange(4)
+                K = g.target
+
+                def h(n, x, k=k, K=K):
+                    return K.canon(n, [k * v for v in x])
+
+                tables = [dict(t) for t in e.tables]
+                n = rng.randrange(1, len(tables))
+                x = rng.choice(e.src.generators(n))
+                tables[n][x] = rng.choice([(), ((x, 1), (x, 1)), ((x, -1),)])
+                for hom in (e, GroupHomMap(e.src, e.dst, tables)):
+                    got = _outcome(check_functoriality, hom, f, g, h, K, K)
+                    assert got == _outcome(reference_check_functoriality, hom, f, g, h, K, K)
+                    verdicts[got] += 1
+    assert verdicts[True] > 0

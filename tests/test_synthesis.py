@@ -23,7 +23,6 @@ from delooper.synthesis import (
     SynthesisFailure,
     boundary_matrix,
     rho_map,
-    section_defects,
     split_complement,
     synthesize,
 )
@@ -134,13 +133,6 @@ def test_perturbation_really_changes_candidates():
         hdeg.maps[n][j] != W.degeneracy(n, j) for n in range(W.cap) for j in range(n + 1)
     )
     assert changed
-
-
-def test_section_defects_zero_for_exact():
-    rng = random.Random(5)
-    W = random_fibrant_strict_object(rng, 2)
-    V = underlying_delta(W)
-    assert section_defects(V, HomotopyDegeneracyData.from_simplicial(W)) == []
 
 
 def test_fibrancy_precondition():

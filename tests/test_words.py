@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delooper.delta_core import push_face_through
 from delooper.words import (
     DegeneracyWord,
     FaceWord,
@@ -65,6 +66,40 @@ def rewrite_degeneracy_normal_form(word):
                 letters[t], letters[t + 1] = b, a + 1
                 changed = True
     return DegeneracyWord(word.source_dim, tuple(letters))
+
+
+def rewrite_push_face_through(word, i):
+    """Reference: d_i . s_word rewritten letter by letter with the identities
+    d_i s_j = s_{j-1} d_i (i < j), d_j s_j = d_{j+1} s_j = id and
+    d_i s_j = s_j d_{i-1} (i > j + 1), as ('deg', word') or ('face', i', word')
+    meaning s_word' . d_i', each word' in rewrite normal form."""
+    letters = list(word.letters)
+    outer = []
+    while letters:
+        j = letters.pop()
+        if i < j:
+            outer.append(j - 1)
+        elif i in (j, j + 1):
+            remaining = DegeneracyWord(word.source_dim, tuple(letters + outer[::-1]))
+            return ("deg", rewrite_degeneracy_normal_form(remaining))
+        else:
+            outer.append(j)
+            i -= 1
+    return ("face", i, rewrite_degeneracy_normal_form(DegeneracyWord(word.source_dim - 1, tuple(outer[::-1]))))
+
+
+def test_push_face_through_matches_rewriting():
+    """The epi-mono factorisation of the surjection with position i removed
+    gives the rewrite loop's answer for every canonical word k -> n,
+    1 <= n <= 8, and every face d_i of level n."""
+    cases = 0
+    for n in range(1, 9):
+        for k in range(n + 1):
+            for w in canonical_degeneracy_words(k, n):
+                for i in range(n + 1):
+                    assert push_face_through(w, i) == rewrite_push_face_through(w, i), (w, i)
+                    cases += 1
+    assert cases == 4096
 
 
 def classes(source_dim, length):
