@@ -2,7 +2,7 @@
 
 Exit codes: 0 the verdict holds / object consistent, 1 a property fails
 or an obstruction was found (with a machine-recheckable witness), 2 a
-usage or input error.
+usage or input error, 3 an internal error (a bug; traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -27,23 +28,22 @@ from .delta_core import (
     underlying_delta,
     verify_identities,
 )
-from .jsontypes import entry
+from .jsontypes import InputError, entry
 from .moore import CollapseMismatch, e2_page, homotopy_groups
 from .permutohedron import (
-    ResourceError,
     build_permutohedron,
     compatible_schema,
     compatible_sequence_schema,
     label,
     simplex_face_index,
 )
-from .pi_algebra import NotAbelianError, Obstruction, SphereTable, deloop, validate
-from .simplicial import FiniteSimplicialSet, StructuralError
+from .pi_algebra import Obstruction, SphereTable, deloop, validate
+from .simplicial import FiniteSimplicialSet
 from .star import AbelianTarget, check_condition_star
-from .synthesis import FibrancyError, SynthesisFailure, synthesize
+from .synthesis import SynthesisFailure, synthesize
 from .words import FaceWord
 
-OK, FAIL, USAGE = 0, 1, 2
+OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 _LOADERS = {"sset": schemas.sset_from_json, "dsab": schemas.dsab_from_json, "bisab": schemas.bisab_from_json}
 
@@ -59,7 +59,15 @@ def _parse_word(text):
         letters = tuple(int(x) for x in letters_part.split(",")) if letters_part else ()
         return FaceWord(int(dim_part), letters)
     except (ValueError, IndexError) as exc:
-        raise StructuralError(f"malformed face word {text!r}; expected 'dim:i,j,...'") from exc
+        raise InputError(f"malformed face word {text!r}; expected 'dim:i,j,...'") from exc
+
+
+def _integer(text):
+    """The integer argument of perm enum and simplex index."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _degree(text):
@@ -86,17 +94,17 @@ def _load_object(path, kinds, cap=None):
     data = schemas.load(path)
     kind = data.get("kind")
     if kind not in kinds:
-        raise schemas.SchemaError(f"cannot load object of kind {kind!r} from {path}")
+        raise InputError(f"cannot load object of kind {kind!r} from {path}")
     obj = _parsed(path, _LOADERS[kind], data)
     return obj if cap is None else _truncate(obj, cap)
 
 
 def _parsed(path, loader, data, *args):
-    """loader(data, *args), where data was read from the file at path; a
-    SchemaError or StructuralError names the file."""
+    """loader(data, *args), where data was read from the file at path; an
+    InputError names the file."""
     try:
         return loader(data, *args)
-    except (schemas.SchemaError, StructuralError) as exc:
+    except InputError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -136,7 +144,7 @@ def cmd_moore(args):
     if args.window:
         lo, hi = args.window
         if lo > hi:
-            return USAGE, "input-error", [f"empty degree window {lo},{hi}: lo exceeds hi"], V.cap, {}
+            raise InputError(f"empty degree window {lo},{hi}: lo exceeds hi")
         degrees = range(lo, hi + 1)
     pis = homotopy_groups(V, degrees)
     return OK, "computed", [], V.cap, {"homotopy": {str(d): list(f) for d, f in pis.factors.items()}}
@@ -168,7 +176,7 @@ def cmd_extend(args):
 
 def cmd_perm(args):
     if args.action == "enum":
-        k = int(args.arg)
+        k = _integer(args.arg)
         lattice = build_permutohedron(k)
         return OK, "computed", [], None, {
             "k": k,
@@ -197,7 +205,7 @@ def cmd_perm(args):
 
 
 def cmd_simplex(args):
-    n = int(args.arg)
+    n = _integer(args.arg)
     seq = compatible_sequence_schema(n) if n >= 2 else None
     idx = seq.index if seq else simplex_face_index(n)
     counts = Counter(len(verts) - 1 for verts in idx.faces.values())
@@ -217,10 +225,7 @@ def cmd_deloop(args):
     rep = validate(frag, table)
     if not rep.ok:
         return USAGE, "invalid-fragment", rep.problems, None, {}
-    try:
-        result = deloop(frag, table)
-    except NotAbelianError as exc:
-        return USAGE, "input-error", [str(exc)], None, {}
+    result = deloop(frag, table)
     if isinstance(result, Obstruction):
         return FAIL, "obstruction", [result.describe()], None, {
             "degree": result.degree,
@@ -235,7 +240,7 @@ def _load_source(path, data, key, sources):
     """The simplicial set in the file named by data[key], a path relative to
     the file at path. sources holds each file already parsed, by path, so
     that one command reads each source once."""
-    name = entry(data, key, "a file name", f"{path}: {key}", schemas.SchemaError)
+    name = entry(data, key, "a file name", f"{path}: {key}")
     source = os.path.join(os.path.dirname(os.path.abspath(path)), name)
     if source not in sources:
         sources[source] = _parsed(source, schemas.sset_from_json, schemas.load(source))
@@ -247,7 +252,7 @@ def _load_hom(path, sources):
     src, dst = _load_source(path, data, "src", sources), _load_source(path, data, "dst", sources)
     hom = _parsed(path, schemas.freehom_from_json, data, src, dst)
     if not hom.is_valid():
-        raise StructuralError(f"{path}: tables do not define a simplicial homomorphism")
+        raise InputError(f"{path}: tables do not define a simplicial homomorphism")
     return hom
 
 
@@ -255,7 +260,7 @@ def _load_target_map(path, target, sources):
     data = schemas.load(path)
     tm = _parsed(path, schemas.targetmap_from_json, data, _load_source(path, data, "src", sources), target)
     if not tm.is_valid():
-        raise StructuralError(f"{path}: tables do not define a pointed simplicial map")
+        raise InputError(f"{path}: tables do not define a pointed simplicial map")
     return tm
 
 
@@ -263,8 +268,8 @@ def cmd_star_check(args):
     target_obj = _load_object(args.target, args.kinds)
     if not isinstance(target_obj, SAb):
         lacks = "it has no degeneracies" if isinstance(target_obj, DeltaSAb) else "it is not of kind 'dsab'"
-        raise StructuralError(f"{args.target}: star-check target must be a simplicial abelian group file "
-                              f"(kind 'dsab' with degeneracies); {lacks}")
+        raise InputError(f"{args.target}: star-check target must be a simplicial abelian group file "
+                         f"(kind 'dsab' with degeneracies); {lacks}")
     K = AbelianTarget(target_obj)
     sources = {}
     f = _load_hom(args.f, sources)
@@ -283,8 +288,6 @@ def cmd_synthesize(args):
     hdeg = _parsed(args.hdeg, schemas.hdeg_from_json, schemas.load(args.hdeg), V)
     try:
         result = synthesize(V, hdeg, strict_homotopy_tie=args.strict_tie)
-    except FibrancyError as exc:
-        return USAGE, "input-error", [str(exc)], V.cap, {}
     except SynthesisFailure as exc:
         return FAIL, "obstructed", [exc.describe()], V.cap, {"stage": exc.stage, "congruence": exc.congruence}
     return OK, "synthesized", [], V.cap, {"stage_log": result.stage_log, "object": schemas.dsab_to_json(result.object)}
@@ -390,10 +393,13 @@ def main(argv=None):
             "timing_s": round(time.perf_counter() - started, 3),
             **extra,
         }
-    except (StructuralError, schemas.SchemaError, ResourceError, OSError, KeyError, ValueError) as exc:
-        _emit(json.dumps({"command": args.command, "verdict": "input-error", "error": str(exc)}))
-        return USAGE
-    _emit(json.dumps(report, indent=1, default=str))
+        text = json.dumps(report, indent=1)
+    except (InputError, OSError) as exc:
+        code, text = USAGE, json.dumps({"command": args.command, "verdict": "input-error", "error": str(exc)})
+    except Exception as exc:
+        traceback.print_exc()
+        code, text = INTERNAL, json.dumps({"command": args.command, "verdict": "internal-error", "error": repr(exc)})
+    _emit(text)
     return code
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .abelian import Hom, PresentedGroup, coordinates, direct_sum, quotient, subgroup
 from .intlin import Mat, block_diagonal, kernel_mod_lattice, vstack_all
+from .jsontypes import InputError
 from .simplicial import BASE, FiniteSimplicialSet, Report, StructuralError, Violation, identity_cases, word_text
 from .words import DegeneracyWord, canonical_degeneracy_words
 
@@ -135,7 +136,7 @@ class MatchingObject:
 
 def matching_object(V, n):
     if not 1 <= n <= V.cap:
-        raise ValueError(f"matching object needs 1 <= n <= cap, got {n}")
+        raise InputError(f"matching object needs 1 <= n <= cap, got {n}")
     low = V.levels[n - 1]
     g = low.ngens
     ambient, offsets = direct_sum([low] * (n + 1))

@@ -1,13 +1,33 @@
-"""Typed access to decoded JSON input.
+"""Typed access to decoded JSON input, and the one input error.
 
 Every input file (the object formats of ``schemas`` and the sphere table)
-is checked through these accessors. The caller passes the full path text
-of the value it reads and the error class to raise; a value of the wrong
-JSON type is reported as ``<path>: expected <kind>, found <value>`` and a
-missing key as ``<path>: missing``.
+is read by ``load_object`` and checked through these accessors. A caller
+passes the full path text of the value it reads; a value of the wrong JSON
+type is reported as ``<path>: expected <kind>, found <value>`` and a
+missing key as ``<path>: missing``, each an InputError.
 """
 
 from __future__ import annotations
+
+import json
+
+
+class InputError(ValueError):
+    """Input the user can correct: a malformed or inconsistent file, or an argument
+    out of range. With a failed open, the one error the command line exits 2 on."""
+
+
+def load_object(path):
+    """The JSON object in the file at path. A file that is not UTF-8 JSON
+    text, or whose top level is another JSON value, is an InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise InputError(f"{path}: {exc}") from None
+    if type(data) is not dict:
+        raise InputError(f"{path}: expected a JSON object at the top level, found {type(data).__name__}")
+    return data
 
 
 def _is_letters(x):
@@ -33,28 +53,28 @@ KINDS = {
 }
 
 
-def typed(x, kind, where, error):
-    """x if it is of the kind named in KINDS; else an error naming where."""
+def typed(x, kind, where):
+    """x if it is of the kind named in KINDS; else an InputError naming where."""
     if not KINDS[kind](x):
-        raise error(f"{where}: expected {kind}, found {x!r}")
+        raise InputError(f"{where}: expected {kind}, found {x!r}")
     return x
 
 
-def entry(obj, key, kind, where, error):
+def entry(obj, key, kind, where):
     """obj[key], which must be present and, unless kind is None, of the
     given kind; where is the path text of obj[key]."""
     if key not in obj:
-        raise error(f"{where}: missing")
-    return obj[key] if kind is None else typed(obj[key], kind, where, error)
+        raise InputError(f"{where}: missing")
+    return obj[key] if kind is None else typed(obj[key], kind, where)
 
 
-def key_int(text, where, error):
+def key_int(text, where):
     """The integer n an object key names; the key must be exactly str(n),
-    so "01", "+1", " 1" and "0_1" raise error rather than alias 1."""
+    so "01", "+1", " 1" and "0_1" raise InputError rather than alias 1."""
     try:
         n = int(text)
         if str(n) == text:
             return n
     except ValueError:
         pass
-    raise error(f"{where}: a key must be the decimal digits of the integer it names")
+    raise InputError(f"{where}: a key must be the decimal digits of the integer it names")

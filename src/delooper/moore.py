@@ -25,6 +25,7 @@ from .abelian import (
 )
 from .delta_core import DeltaSAb, SAb, StructuralError, _first_difference, free_degeneracy_extension, verify_identities
 from .intlin import Mat
+from .jsontypes import InputError
 
 
 @dataclass
@@ -123,7 +124,7 @@ def homotopy_groups(G, degrees=None):
         degrees = list(reliable_range(G.cap))
     bad = [n for n in degrees if n not in reliable_range(G.cap)]
     if bad:
-        raise ValueError(f"degrees {bad} exceed the reliable range (cap {G.cap} supports < {G.cap})")
+        raise InputError(f"degrees {bad} exceed the reliable range (cap {G.cap} supports < {G.cap})")
     factors = {}
     for n in degrees:
         H = chain_homology(mc.complex, n)
@@ -302,7 +303,7 @@ def e2_page(B, smax=None, tmax=None):
     if tmax is None:
         tmax = B.vcap - 1
     if smax >= B.hcap or tmax >= B.vcap:
-        raise ValueError("window exceeds the reliable range of the caps")
+        raise InputError("window exceeds the reliable range of the caps")
     entries = {}
     collapsed = True
     cols = [B.column(p) for p in range(B.hcap + 1)]

@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .jsontypes import InputError
 from .words import FaceWord
 
 
-class ResourceError(ValueError):
+class ResourceError(InputError):
     """Request beyond the practical enumeration bound."""
 
 
@@ -139,7 +140,7 @@ def build_permutohedron(k):
     """Face lattice of P_k, its faces listed only when read; the boundary
     Euler characteristic of the face counts is checked."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InputError("k must be nonnegative")
     if k > PRACTICAL_K:
         raise ResourceError(f"P_{k} enumeration beyond practical bound {PRACTICAL_K}")
     lattice = FaceLattice(k=k)
@@ -212,7 +213,7 @@ def label(delta):
     delta = delta.normal_form()
     k = len(delta) - 1
     if k < 1:
-        raise ValueError("labeling needs a word of length at least 2")
+        raise InputError("labeling needs a word of length at least 2")
     lattice = build_permutohedron(k)
     cells = _BlockCells(delta)
     vertex_labels = {}
@@ -298,7 +299,7 @@ def compatible_schema(delta):
     delta = delta.normal_form()
     k = len(delta) - 1
     if k < 1:
-        raise ValueError("no higher operation for a word of length < 2")
+        raise InputError("no higher operation for a word of length < 2")
     if k > PRACTICAL_K:
         raise ResourceError(f"schema over P_{k} beyond practical bound {PRACTICAL_K}")
     collection = proper_factors(delta)
@@ -353,7 +354,7 @@ def simplex_face_index(n):
     PRACTICAL_SIMPLEX_N.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InputError("n must be nonnegative")
     if n > PRACTICAL_SIMPLEX_N:
         raise ResourceError(f"{n}-simplex face index beyond practical bound {PRACTICAL_SIMPLEX_N}")
     faces = {}

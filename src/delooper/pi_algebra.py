@@ -16,14 +16,10 @@ from importlib import resources
 
 from .abelian import PresentedGroup, kron, quotient
 from .intlin import Mat, SmithSolver, block_diagonal
-from .jsontypes import entry, key_int, typed
+from .jsontypes import InputError, entry, key_int, load_object, typed
 
 
-class TableError(ValueError):
-    """Reference to data the sphere table does not carry."""
-
-
-class NotAbelianError(ValueError):
+class NotAbelianError(InputError):
     """Delooping requires all recorded Whitehead values to vanish."""
 
 
@@ -41,35 +37,31 @@ class SphereTable:
     @staticmethod
     def load(path=None):
         if path is None:
-            text = resources.files("delooper").joinpath("data/spheres.json").read_text()
-            data = json.loads(text)
+            data = json.loads(resources.files("delooper").joinpath("data/spheres.json").read_text())
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        if not isinstance(data, dict):
-            raise TableError("a sphere table file must hold a JSON object")
+            data = load_object(path)
         if type(data.get("format")) is not int or data["format"] != 1:
-            raise TableError(f"unsupported sphere table format {data.get('format')!r}")
-        span_data = entry(data, "span", "an object", "sphere table span", TableError)
-        span = tuple(entry(span_data, key, "an integer", f"sphere table span.{key}", TableError)
+            raise InputError(f"unsupported sphere table format {data.get('format')!r}")
+        span_data = entry(data, "span", "an object", "sphere table span")
+        span = tuple(entry(span_data, key, "an integer", f"sphere table span.{key}")
                      for key in ("n_min", "n_max", "stem_max"))
         groups, declared, gens, location = {}, {}, {}, {}
-        for n_str, rows in entry(data, "groups", "an object", "sphere table groups", TableError).items():
-            n = key_int(n_str, f"sphere table groups.{n_str}", TableError)
-            for m_str, row in typed(rows, "an object", f"sphere table groups.{n_str}", TableError).items():
+        for n_str, rows in entry(data, "groups", "an object", "sphere table groups").items():
+            n = key_int(n_str, f"sphere table groups.{n_str}")
+            for m_str, row in typed(rows, "an object", f"sphere table groups.{n_str}").items():
                 where = f"sphere table groups.{n_str}.{m_str}"
-                m = key_int(m_str, where, TableError)
-                row = typed(row, "an object", where, TableError)
-                factors = entry(row, "factors", "a list of integers", f"{where}.factors", TableError)
-                names = entry(row, "gens", "a list of generator names", f"{where}.gens", TableError)
+                m = key_int(m_str, where)
+                row = typed(row, "an object", where)
+                factors = entry(row, "factors", "a list of integers", f"{where}.factors")
+                names = entry(row, "gens", "a list of generator names", f"{where}.gens")
                 if len(names) != len(factors):
-                    raise TableError(f"{where}: {len(names)} generator names for {len(factors)} factors")
+                    raise InputError(f"{where}: {len(names)} generator names for {len(factors)} factors")
                 groups[(n, m)] = PresentedGroup.from_factors(factors)
                 declared[(n, m)] = list(factors)
                 gens[(n, m)] = list(names)
                 for idx, name in enumerate(names):
                     if name in location:
-                        raise TableError(f"duplicate generator name {name}")
+                        raise InputError(f"duplicate generator name {name}")
                     location[name] = (n, m, idx)
         # each optional section is a list of objects: the generator names under
         # its keys (a pair, or the one generator of a suspension) and a value
@@ -77,11 +69,11 @@ class SphereTable:
         for section, keys in (("compositions", ("left", "right")), ("suspensions", ("gen",)),
                               ("whitehead", ("left", "right"))):
             values[section] = {}
-            for k, item in enumerate(typed(data.get(section, []), "a list", f"sphere table {section}", TableError)):
+            for k, item in enumerate(typed(data.get(section, []), "a list", f"sphere table {section}")):
                 where = f"sphere table {section}[{k}]"
-                typed(item, "an object", where, TableError)
-                names = tuple(entry(item, key, "a generator name", f"{where}.{key}", TableError) for key in keys)
-                value = entry(item, "value", "a list of integers", f"{where}.value", TableError)
+                typed(item, "an object", where)
+                names = tuple(entry(item, key, "a generator name", f"{where}.{key}") for key in keys)
+                value = entry(item, "value", "a list of integers", f"{where}.value")
                 values[section][names if len(names) > 1 else names[0]] = value
         table = SphereTable(
             span=span,
@@ -101,17 +93,17 @@ class SphereTable:
             n, m, _ = self.require(left)
             m2, r, _ = self.require(right)
             if m2 != m:
-                raise TableError(f"composition ({left}, {right}) has mismatched middle sphere")
+                raise InputError(f"composition ({left}, {right}) has mismatched middle sphere")
             if (n, r) not in self.groups:
-                raise TableError(f"composition ({left}, {right}) lands in pi_{r} S^{n}, outside the table")
+                raise InputError(f"composition ({left}, {right}) lands in pi_{r} S^{n}, outside the table")
             if len(value) != len(self.gens[(n, r)]):
-                raise TableError(f"composition ({left}, {right}) value has wrong length")
+                raise InputError(f"composition ({left}, {right}) value has wrong length")
         for gen, value in self.suspensions.items():
             n, m, _ = self.require(gen)
             if (n + 1, m + 1) not in self.groups:
-                raise TableError(f"suspension of {gen} leaves the table span")
+                raise InputError(f"suspension of {gen} leaves the table span")
             if len(value) != len(self.gens[(n + 1, m + 1)]):
-                raise TableError(f"suspension of {gen} has wrong value length")
+                raise InputError(f"suspension of {gen} has wrong value length")
         # E is multiplicative on recorded compositions, where all data exists
         for (left, right), value in self.compositions.items():
             if left not in self.suspensions or right not in self.suspensions:
@@ -125,21 +117,21 @@ class SphereTable:
             if rhs is None:
                 continue
             if not self._is_zero((n + 1, r + 1), [x - y for x, y in zip(lhs, rhs)]):
-                raise TableError(f"suspension is not multiplicative on ({left}, {right})")
+                raise InputError(f"suspension is not multiplicative on ({left}, {right})")
         # Whitehead values die under suspension, degreewise
         for (left, right), value in self.whitehead.items():
             n, p, _ = self.require(left)
             n2, q, _ = self.require(right)
             if n != n2:
-                raise TableError(f"Whitehead pair ({left}, {right}) on different spheres")
+                raise InputError(f"Whitehead pair ({left}, {right}) on different spheres")
             row = (n, p + q - 1)
             if row not in self.groups:
-                raise TableError(f"Whitehead product ({left}, {right}) lands in pi_{row[1]} S^{n}, outside the table")
+                raise InputError(f"Whitehead product ({left}, {right}) lands in pi_{row[1]} S^{n}, outside the table")
             if len(value) != len(self.gens[row]):
-                raise TableError(f"Whitehead product ({left}, {right}) value has wrong length")
+                raise InputError(f"Whitehead product ({left}, {right}) value has wrong length")
             img = self.suspend_element(row, value)
             if img is not None and not self._is_zero((n + 1, p + q), img):
-                raise TableError(f"Whitehead product ({left}, {right}) survives suspension")
+                raise InputError(f"Whitehead product ({left}, {right}) survives suspension")
 
     def _is_zero(self, key, v):
         """Whether v is zero in the group at key, read off its diagonal
@@ -148,12 +140,12 @@ class SphereTable:
 
     def require(self, gen):
         if gen not in self.location:
-            raise TableError(f"unknown sphere table generator {gen}")
+            raise InputError(f"unknown sphere table generator {gen}")
         return self.location[gen]
 
     def group(self, n, m):
         if (n, m) not in self.groups:
-            raise TableError(f"pi_{m} S^{n} outside the bundled span")
+            raise InputError(f"pi_{m} S^{n} outside the bundled span")
         return self.groups[(n, m)]
 
     def rows_for(self, n, m_max):
@@ -169,7 +161,7 @@ class SphereTable:
     def compose_elements(self, lkey, lvalue, rkey, rvalue):
         """Compose two elements where the table records all needed products."""
         if lkey[1] != rkey[0]:
-            raise TableError("composition keys do not chain")
+            raise InputError("composition keys do not chain")
         terms = (
             (lc * rc, self.compositions.get((lname, rname)))
             for lc, lname in zip(lvalue, self.gens[lkey])
@@ -242,7 +234,7 @@ def validate(G, table):
         theta, (deg, gen) = key
         try:
             n, m, idx = table.require(theta)
-        except TableError as exc:
+        except InputError as exc:
             note(str(exc))
             continue
         if deg != n:
@@ -319,7 +311,7 @@ def free_fragment(summands, table, window):
     rows = []  # (summand name, dim, m, theta) per row generator, in generator order
     for (name, dim) in summands:
         if not (n_min <= dim <= n_max):
-            raise TableError(f"sphere dimension {dim} outside table span")
+            raise InputError(f"sphere dimension {dim} outside table span")
         for m in table.rows_for(dim, min(d_hi, dim + stem_max)):
             if m < d_lo:
                 continue
@@ -526,8 +518,10 @@ def deloop(G, table):
     For every generator g' of the shifted fragment and every sphere row in
     range, solves for a homomorphism out of the row group matching every
     recorded suspension forcing; returns the shifted fragment with one
-    consistent choice (zero where free, minimal where constrained) or the
-    Obstruction witnessing an unsolvable congruence.
+    consistent choice (zero where unconstrained) or the Obstruction
+    witnessing an unsolvable congruence. The choice is the Smith solve's
+    particular solution, not reduced modulo the target's relations (ROADMAP
+    item 1), so a value may be far from its smallest representative.
     """
     if not is_abelian(G):
         raise NotAbelianError("recorded Whitehead values must vanish before delooping")

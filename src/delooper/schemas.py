@@ -11,7 +11,7 @@ import json
 from .abelian import PresentedGroup
 from .delta_core import DeltaSAb, SAb
 from .intlin import Mat
-from .jsontypes import entry, key_int, typed
+from .jsontypes import InputError, entry, key_int, load_object, typed
 from .moore import BisimplicialAbelianGroup
 from .pi_algebra import PiAlgebraFragment, _diagonal_factors
 from .simplicial import BASE, FiniteSimplicialSet
@@ -19,42 +19,39 @@ from .star import GroupHomMap, TargetMap, milnor_F
 from .synthesis import HomotopyDegeneracyData
 
 FORMAT = 1
-
-
-class SchemaError(ValueError):
-    pass
+load = load_object  # the JSON object in the file at a path
 
 
 def _check_format(data, kind):
     if data.get("format") != FORMAT:
-        raise SchemaError(f"{kind}: unsupported format {data.get('format')!r}, expected {FORMAT}")
+        raise InputError(f"{kind}: unsupported format {data.get('format')!r}, expected {FORMAT}")
     declared = data.get("kind")
     if declared is not None and declared != kind:
-        raise SchemaError(f"expected a {kind} file, found kind {declared!r}")
+        raise InputError(f"expected a {kind} file, found kind {declared!r}")
 
 
 def _level(text, cap, step, what):
     """The level n in the key of a map from level n to level n + step;
     both levels must lie in 0..cap."""
-    n = key_int(text, what, SchemaError)
+    n = key_int(text, what)
     if not (0 <= n <= cap and 0 <= n + step <= cap):
-        raise SchemaError(f"{what}: a map from level {n} to level {n + step} leaves levels 0..{cap}")
+        raise InputError(f"{what}: a map from level {n} to level {n + step} leaves levels 0..{cap}")
     return n
 
 
 def _per_level(rows, cap, what):
     """A list with one entry per level 0..cap."""
     if not isinstance(rows, list):
-        raise SchemaError(f"{what}: expected a list of {cap + 1} entries for cap {cap}, found {rows!r}")
+        raise InputError(f"{what}: expected a list of {cap + 1} entries for cap {cap}, found {rows!r}")
     if len(rows) != cap + 1:
-        raise SchemaError(f"{what}: expected {cap + 1} entries for cap {cap}, found {len(rows)}")
+        raise InputError(f"{what}: expected {cap + 1} entries for cap {cap}, found {len(rows)}")
     return rows
 
 
 def _family(data, key, cap, step):
     """(n, path text, value) for each entry of the object data[key], whose
     keys name the levels n of maps from level n to level n + step."""
-    for n_str, value in entry(data, key, "an object", key, SchemaError).items():
+    for n_str, value in entry(data, key, "an object", key).items():
         what = f"{key} key {n_str!r}"
         yield _level(n_str, cap, step, what), what, value
 
@@ -64,10 +61,9 @@ def mat_to_json(M):
 
 
 def mat_from_json(rows, r, c, what="matrix"):
-    if len(typed(rows, "a list of rows", what, SchemaError)) != r or any(len(row) != c for row in rows):
-        raise SchemaError(f"{what}: matrix shape mismatch: expected {r}x{c}")
-    return Mat(r, c, [list(typed(row, "a list of integers", f"{what}[{i}]", SchemaError))
-                      for i, row in enumerate(rows)])
+    if len(typed(rows, "a list of rows", what)) != r or any(len(row) != c for row in rows):
+        raise InputError(f"{what}: matrix shape mismatch: expected {r}x{c}")
+    return Mat(r, c, [list(typed(row, "a list of integers", f"{what}[{i}]")) for i, row in enumerate(rows)])
 
 
 def group_to_json(G):
@@ -75,17 +71,17 @@ def group_to_json(G):
 
 
 def group_from_json(data, what="group"):
-    g = entry(typed(data, "an object", what, SchemaError), "gens", "an integer", f"{what}: gens", SchemaError)
+    g = entry(typed(data, "an object", what), "gens", "an integer", f"{what}: gens")
     if g < 0:
-        raise SchemaError(f"{what}: gens: expected a generator count, found {g}")
-    rels = typed(data.get("relations", []), "a list of rows", f"{what}: relations", SchemaError)
+        raise InputError(f"{what}: gens: expected a generator count, found {g}")
+    rels = typed(data.get("relations", []), "a list of rows", f"{what}: relations")
     if not rels:
         return PresentedGroup(g, Mat(g, 0, [[] for _ in range(g)]))
     return PresentedGroup(g, mat_from_json(rels, g, len(rels[0]), f"{what}: relations"))
 
 
 def sset_to_json(K):
-    out = {
+    return {
         "format": FORMAT,
         "kind": "sset",
         "cap": K.cap,
@@ -100,28 +96,27 @@ def sset_to_json(K):
             for n in range(0, K.cap)
         },
     }
-    return out
 
 
 def sset_from_json(data):
     _check_format(data, "sset")
-    cap = entry(data, "cap", "an integer", "cap", SchemaError)
+    cap = entry(data, "cap", "an integer", "cap")
     basepoint = data.get("basepoint", BASE)
     if basepoint != BASE:
-        raise SchemaError(f"basepoint: expected {BASE!r}, found {basepoint!r}")
-    rows = _per_level(entry(data, "elements", None, "elements", SchemaError), cap, "elements")
-    elements = [[typed(x, "a name", f"elements[{n}]", SchemaError)
-                 for x in typed(row, "a list", f"elements[{n}]", SchemaError)] for n, row in enumerate(rows)]
+        raise InputError(f"basepoint: expected {BASE!r}, found {basepoint!r}")
+    rows = _per_level(entry(data, "elements", None, "elements"), cap, "elements")
+    elements = [[typed(x, "a name", f"elements[{n}]")
+                 for x in typed(row, "a list", f"elements[{n}]")] for n, row in enumerate(rows)]
 
     def load_family(key, step):
         out = {}
         for n, what, tables in _family(data, key, cap, step):
             out[n] = []
-            for i, table in enumerate(typed(tables, "a list of rows", what, SchemaError)):
+            for i, table in enumerate(typed(tables, "a list of rows", what)):
                 if len(table) != len(elements[n]):
-                    raise SchemaError(f"{what}[{i}]: expected {len(elements[n])} images, one per element of "
+                    raise InputError(f"{what}[{i}]: expected {len(elements[n])} images, one per element of "
                                       f"level {n}, found {len(table)}")
-                out[n].append({x: typed(img, "a name", what, SchemaError) for x, img in zip(elements[n], table)})
+                out[n].append({x: typed(img, "a name", what) for x, img in zip(elements[n], table)})
         return out
 
     return FiniteSimplicialSet(cap, elements, load_family("faces", -1), load_family("degeneracies", 1))
@@ -144,13 +139,13 @@ def dsab_to_json(V):
 
 def dsab_from_json(data):
     _check_format(data, "dsab")
-    cap = entry(data, "cap", "an integer", "cap", SchemaError)
-    rows = _per_level(entry(data, "levels", None, "levels", SchemaError), cap, "levels")
+    cap = entry(data, "cap", "an integer", "cap")
+    rows = _per_level(entry(data, "levels", None, "levels"), cap, "levels")
     levels = [group_from_json(g, f"levels[{n}]") for n, g in enumerate(rows)]
 
     def load_family(key, step):
         return {n: [mat_from_json(m, levels[n + step].ngens, levels[n].ngens, f"{what}[{i}]")
-                    for i, m in enumerate(typed(mats, "a list", what, SchemaError))]
+                    for i, m in enumerate(typed(mats, "a list", what))]
                 for n, what, mats in _family(data, key, cap, step)}
 
     if "degeneracies" in data:
@@ -174,28 +169,28 @@ def bisab_to_json(B):
 
 def bisab_from_json(data):
     _check_format(data, "bisab")
-    hcap = entry(data, "hcap", "an integer", "hcap", SchemaError)
-    vcap = entry(data, "vcap", "an integer", "vcap", SchemaError)
+    hcap = entry(data, "hcap", "an integer", "hcap")
+    vcap = entry(data, "vcap", "an integer", "vcap")
     levels = [
         [group_from_json(g, f"levels[{p}][{q}]") for q, g in enumerate(_per_level(column, vcap, f"levels[{p}]"))]
-        for p, column in enumerate(_per_level(entry(data, "levels", None, "levels", SchemaError), hcap, "levels"))
+        for p, column in enumerate(_per_level(entry(data, "levels", None, "levels"), hcap, "levels"))
     ]
 
     def load_family(key, dp, dq):
         out = {}
-        for pq, mats in entry(data, key, "an object", key, SchemaError).items():
+        for pq, mats in entry(data, key, "an object", key).items():
             what = f"{key} key {pq!r}"
             if pq.count(",") != 1:
-                raise SchemaError(f"{what}: expected a key \"p,q\" of two levels")
+                raise InputError(f"{what}: expected a key \"p,q\" of two levels")
             p_str, q_str = pq.split(",")
             p, q = _level(p_str, hcap, dp, what), _level(q_str, vcap, dq, what)
             out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens, f"{what}[{i}]")
-                           for i, m in enumerate(typed(mats, "a list", what, SchemaError))]
+                           for i, m in enumerate(typed(mats, "a list", what))]
         # every (p, q) whose map stays inside the grid needs its entry
         for p in range(max(0, -dp), hcap + 1 - max(0, dp)):
             for q in range(max(0, -dq), vcap + 1 - max(0, dq)):
                 if (p, q) not in out:
-                    raise SchemaError(f"{key} key '{p},{q}': missing")
+                    raise InputError(f"{key} key '{p},{q}': missing")
         return out
 
     h_faces = load_family("h_faces", -1, 0)
@@ -232,50 +227,47 @@ def _declared_factors(G):
     # fragment groups are kept in diagonal presentation (one factor per generator)
     factors = _diagonal_factors(G)
     if factors is None:
-        raise SchemaError("fragment group is not in diagonal presentation")
+        raise ValueError("fragment group is not in diagonal presentation")
     return factors
 
 
 def _generator(obj, key, what):
     """The (degree, name) of the JSON pair [degree, name] at obj[key]."""
-    degree, name = entry(obj, key, "[degree, generator]", what, SchemaError)
-    return (typed(degree, "an integer", f"{what} degree", SchemaError),
-            typed(name, "a name", f"{what} generator", SchemaError))
+    degree, name = entry(obj, key, "[degree, generator]", what)
+    return typed(degree, "an integer", f"{what} degree"), typed(name, "a name", f"{what} generator")
 
 
 def fragment_from_json(data):
     _check_format(data, "pialg")
-    degrees = entry(data, "degrees", "a list of integers", "degrees", SchemaError)
+    degrees = entry(data, "degrees", "a list of integers", "degrees")
     if len(degrees) != 2:
-        raise SchemaError(f"degrees: expected [lowest, highest], found {degrees!r}")
+        raise InputError(f"degrees: expected [lowest, highest], found {degrees!r}")
     d_lo, d_hi = degrees
     groups = {}
     gen_names = {}
-    for d_str, spec in entry(data, "groups", "an object", "groups", SchemaError).items():
-        d = key_int(d_str, f"groups key {d_str!r}", SchemaError)
+    for d_str, spec in entry(data, "groups", "an object", "groups").items():
+        d = key_int(d_str, f"groups key {d_str!r}")
         what = f"groups key {d_str!r}"
-        typed(spec, "an object", what, SchemaError)
-        groups[d] = PresentedGroup.from_factors(entry(spec, "factors", "a list of integers", f"{what}: factors",
-                                                      SchemaError))
-        gen_names[d] = [typed(x, "a name", f"{what}: gens", SchemaError)
-                        for x in entry(spec, "gens", "a list", f"{what}: gens", SchemaError)]
+        typed(spec, "an object", what)
+        groups[d] = PresentedGroup.from_factors(entry(spec, "factors", "a list of integers", f"{what}: factors"))
+        gen_names[d] = [typed(x, "a name", f"{what}: gens") for x in entry(spec, "gens", "a list", f"{what}: gens")]
         if len(gen_names[d]) != groups[d].ngens:
-            raise SchemaError(f"degree {d}: generator list does not match factor list")
+            raise InputError(f"degree {d}: generator list does not match factor list")
     action = {}
-    for i, item in enumerate(typed(data.get("action", []), "a list", "action", SchemaError)):
+    for i, item in enumerate(typed(data.get("action", []), "a list", "action")):
         what = f"action[{i}]"
-        typed(item, "an object", what, SchemaError)
-        degree = entry(item, "degree", "an integer", f"{what}: degree", SchemaError)
-        theta = entry(item, "theta", "a name", f"{what}: theta", SchemaError)
-        gen = entry(item, "gen", "a name", f"{what}: gen", SchemaError)
-        action[(theta, (degree, gen))] = list(entry(item, "value", "a list of integers", f"{what}: value", SchemaError))
+        typed(item, "an object", what)
+        degree = entry(item, "degree", "an integer", f"{what}: degree")
+        theta = entry(item, "theta", "a name", f"{what}: theta")
+        gen = entry(item, "gen", "a name", f"{what}: gen")
+        action[(theta, (degree, gen))] = list(entry(item, "value", "a list of integers", f"{what}: value"))
     whitehead = {}
-    for i, item in enumerate(typed(data.get("whitehead", []), "a list", "whitehead", SchemaError)):
+    for i, item in enumerate(typed(data.get("whitehead", []), "a list", "whitehead")):
         what = f"whitehead[{i}]"
-        typed(item, "an object", what, SchemaError)
+        typed(item, "an object", what)
         left = _generator(item, "left", f"{what}: left")
         right = _generator(item, "right", f"{what}: right")
-        whitehead[(left, right)] = list(entry(item, "value", "a list of integers", f"{what}: value", SchemaError))
+        whitehead[(left, right)] = list(entry(item, "value", "a list of integers", f"{what}: value"))
     return PiAlgebraFragment(
         d_lo=d_lo,
         d_hi=d_hi,
@@ -297,7 +289,7 @@ def hdeg_to_json(H, V):
 def hdeg_from_json(data, V):
     _check_format(data, "hdeg")
     maps = {n: [mat_from_json(m, V.rank(n + 1), V.rank(n), f"{what}[{i}]")
-                for i, m in enumerate(typed(mats, "a list", what, SchemaError))]
+                for i, m in enumerate(typed(mats, "a list", what))]
             for n, what, mats in _family(data, "maps", V.cap, 1)}
     return HomotopyDegeneracyData(maps=maps)
 
@@ -306,10 +298,10 @@ def _tables(data, cap, kind):
     """The tables of a star-check file: one object per level 0..cap, keyed by
     simplex, each of whose entries has the given kind."""
     tables = []
-    for n, level in enumerate(_per_level(entry(data, "tables", None, "tables", SchemaError), cap, "tables")):
+    for n, level in enumerate(_per_level(entry(data, "tables", None, "tables"), cap, "tables")):
         if type(level) is not dict:
-            raise SchemaError(f"level {n} must be an object keyed by simplex, found {level!r}")
-        tables.append({x: typed(value, kind, f"level {n}, simplex {x!r}", SchemaError) for x, value in level.items()})
+            raise InputError(f"level {n} must be an object keyed by simplex, found {level!r}")
+        tables.append({x: typed(value, kind, f"level {n}, simplex {x!r}") for x, value in level.items()})
     return tables
 
 
@@ -320,7 +312,7 @@ def freehom_from_json(data, src, dst):
     file names."""
     _check_format(data, "freehom")
     if dst.cap < src.cap:
-        raise SchemaError(f"target cap {dst.cap} is below the source cap {src.cap}")
+        raise InputError(f"target cap {dst.cap} is below the source cap {src.cap}")
     F_src, F_dst = milnor_F(src), milnor_F(dst)
     tables = [{x: tuple(map(tuple, word)) for x, word in level.items()}
               for level in _tables(data, src.cap, "a list of [generator, exponent] pairs, each exponent 1 or -1")]
@@ -328,10 +320,10 @@ def freehom_from_json(data, src, dst):
         sources, generators = set(F_src.generators(n)), set(F_dst.generators(n))
         for x, word in table.items():
             if x not in sources:
-                raise SchemaError(f"level {n} lists {x!r}, not a generator of the source")
+                raise InputError(f"level {n} lists {x!r}, not a generator of the source")
             for g, _ in word:
                 if g not in generators:
-                    raise SchemaError(f"level {n}, simplex {x!r}: {g!r} is not a generator of level {n} "
+                    raise InputError(f"level {n}, simplex {x!r}: {g!r} is not a generator of level {n} "
                                       f"of {data['dst']}")
     return GroupHomMap(F_src, F_dst, tables)
 
@@ -342,30 +334,21 @@ def targetmap_from_json(data, src, target):
     other than the basepoint; src is the simplicial set the file names."""
     _check_format(data, "targetmap")
     if src.cap > target.cap:
-        raise SchemaError(f"source cap {src.cap} exceeds the target's cap {target.cap}")
+        raise InputError(f"source cap {src.cap} exceeds the target's cap {target.cap}")
     tables = []
     for n, level in enumerate(_tables(data, src.cap, "a list of integers")):
         simplices = set(src.elements[n])
         ngens = target.sab.levels[n].ngens
         for x, vec in level.items():
             if x not in simplices:
-                raise SchemaError(f"level {n} lists {x!r}, not a simplex of the source")
+                raise InputError(f"level {n} lists {x!r}, not a simplex of the source")
             if len(vec) != ngens:
-                raise SchemaError(f"level {n}, simplex {x!r}: expected a vector of length {ngens}, found {vec!r}")
+                raise InputError(f"level {n}, simplex {x!r}: expected a vector of length {ngens}, found {vec!r}")
         for x in src.elements[n]:
             if x != BASE and x not in level:
-                raise SchemaError(f"level {n} does not list simplex {x!r}")
+                raise InputError(f"level {n} does not list simplex {x!r}")
         tables.append({x: target.from_generators(n, vec) for x, vec in level.items()})
     return TargetMap(src=src, target=target, tables=tables)
-
-
-def load(path):
-    """The JSON object in the file at path; any other top-level value is a SchemaError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object at the top level, found {type(data).__name__}")
-    return data
 
 
 def save(path, data):

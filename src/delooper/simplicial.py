@@ -11,6 +11,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
+from .jsontypes import InputError
 from .permutohedron import ResourceError
 
 
@@ -48,7 +49,7 @@ class Report:
         return f"{len(lines)} violation(s) up to cap {self.cap}:\n" + "\n".join(lines)
 
 
-class StructuralError(ValueError):
+class StructuralError(InputError):
     """Malformed data (missing tables, wrong index ranges), as opposed to
     a well-formed object that fails the simplicial identities."""
 

@@ -26,11 +26,12 @@ from .delta_core import (
     verify_identities,
 )
 from .intlin import Mat, SmithSolver, kernel_mod_lattice, vstack_all
+from .jsontypes import InputError
 from .simplicial import StructuralError, identity_cases
 from .words import DegeneracyWord, canonical_degeneracy_words
 
 
-class FibrancyError(ValueError):
+class FibrancyError(InputError):
     """The comparison map to a matching object is not surjective."""
 
 

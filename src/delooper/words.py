@@ -37,10 +37,6 @@ class FaceWord:
         if dim - len(self.letters) < -1:
             raise ValueError("word lowers dimension below -1")
 
-    @property
-    def target_dim(self):
-        return self.source_dim - len(self.letters)
-
     def __len__(self):
         return len(self.letters)
 
@@ -102,10 +98,6 @@ class DegeneracyWord:
             if not 0 <= j <= dim + t:
                 raise ValueError(f"letter s_{j} out of range at dimension {dim + t}")
 
-    @property
-    def target_dim(self):
-        return self.source_dim + len(self.letters)
-
     def __len__(self):
         return len(self.letters)
 
@@ -127,7 +119,7 @@ class DegeneracyWord:
         return self.letters[-1], DegeneracyWord(self.source_dim, self.letters[:-1])
 
     def as_surjection(self):
-        """The monotone surjection [target_dim] -> [source_dim] it represents."""
+        """The values of the monotone surjection [source_dim + len(self)] -> [source_dim] it represents."""
         values = list(range(self.source_dim + 1))
         for j in self.letters:
             values = values[: j + 1] + values[j:]

@@ -208,6 +208,80 @@ def test_exit_code_contract(args, expected):
 
 
 @pytest.mark.parametrize(
+    "argv,report",
+    [
+        (("match", "corpus/zs1.dsab.json", "-n", "7"),
+         '{"command": "match", "verdict": "input-error", "error": "matching object needs 1 <= n <= cap, got 7"}'),
+        (("perm", "enum", "-1"), '{"command": "perm", "verdict": "input-error", "error": "k must be nonnegative"}'),
+        (("perm", "enum", "x"),
+         '{"command": "perm", "verdict": "input-error", "error": "invalid literal for int() with base 10: \'x\'"}'),
+        (("perm", "label", "0:"),
+         '{"command": "perm", "verdict": "input-error", "error": "labeling needs a word of length at least 2"}'),
+        (("perm", "schema", "1:0"),
+         '{"command": "perm", "verdict": "input-error", "error": "no higher operation for a word of length < 2"}'),
+        (("simplex", "index", "-1"), '{"command": "simplex", "verdict": "input-error", "error": "n must be nonnegative"}'),
+        (("simplex", "index", "x"),
+         '{"command": "simplex", "verdict": "input-error", "error": "invalid literal for int() with base 10: \'x\'"}'),
+        (("--window", "5,5", "e2", "corpus/s1xs1.bisab.json"),
+         '{"command": "e2", "verdict": "input-error", "error": "window exceeds the reliable range of the caps"}'),
+        (("--window", "0,9", "moore", "corpus/zs1.dsab.json"),
+         '{"command": "moore", "verdict": "input-error", "error": "degrees [3, 4, 5, 6, 7, 8, 9] exceed the reliable '
+         'range (cap 3 supports < 3)"}'),
+    ],
+)
+def test_argument_out_of_range_report_pinned(argv, report, capsys, monkeypatch):
+    """An argument that argv hands straight to the library, out of its range
+    or not an integer, exits 2 with this input-error report byte for byte."""
+    from delooper import cli
+
+    monkeypatch.chdir(ROOT)
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().out == report + "\n"
+
+
+@pytest.mark.parametrize("error", [KeyError("boom"), ValueError("boom")])
+def test_internal_error_is_not_an_input_error(error, capsys, monkeypatch):
+    """An exception other than InputError that a command raises on good
+    input is a bug: exit 3, verdict internal-error, its type and text in
+    the report and its traceback on stderr."""
+    from delooper import cli
+
+    def broken(X):
+        raise error
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "verify_identities", broken)
+    assert cli.main(["verify", "corpus/zs1.dsab.json"]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"command": "verify", "verdict": "internal-error", "error": repr(error)}
+    assert captured.err.startswith("Traceback") and "in broken" in captured.err
+
+
+def test_handler_input_errors_share_the_input_error_report(tmp_path, capsys):
+    """An input error that a command finds only once its files are loaded (an
+    empty degree window, a fragment with a nonzero Whitehead value, an object
+    whose comparison maps are not onto) prints the one input-error report."""
+    from delooper import cli, schemas
+    from delooper.synthesis import HomotopyDegeneracyData
+
+    fragment = schemas.load(corpus("loop_s3.pialg.json"))
+    fragment["whitehead"] = [{"left": [2, "x"], "right": [2, "x"], "value": [1]}]
+    schemas.save(str(tmp_path / "whitehead.pialg.json"), fragment)
+    zs1 = schemas.dsab_from_json(schemas.load(corpus("zs1.dsab.json")))
+    hdeg = HomotopyDegeneracyData.from_simplicial(zs1)
+    schemas.save(str(tmp_path / "zs1.hdeg.json"), schemas.hdeg_to_json(hdeg, zs1))
+    for argv, command, error in [
+        (("--window", "3,1", "moore", corpus("zs1.dsab.json")), "moore", "empty degree window 3,1: lo exceeds hi"),
+        (("deloop", str(tmp_path / "whitehead.pialg.json")), "deloop",
+         "recorded Whitehead values must vanish before delooping"),
+        (("synthesize", "--input", corpus("zs1.dsab.json"), "--hdeg", str(tmp_path / "zs1.hdeg.json")), "synthesize",
+         "comparison map not surjective at degrees [2]"),
+    ]:
+        assert cli.main(list(argv)) == 2, argv
+        assert json.loads(capsys.readouterr().out) == {"command": command, "verdict": "input-error", "error": error}
+
+
+@pytest.mark.parametrize(
     "args,message",
     [
         (("verify", "tests/data/dsab_key_underscore.json"), "faces key '0_1': a key must be the decimal digits"),
@@ -400,6 +474,10 @@ def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
          "pialg_gens_name_int.json: groups key '4': gens: expected a name, found 7"),
         (("moore", "tests/data/dsab_float_entry.json"),
          "dsab_float_entry.json: faces key '2'[1][0]: expected a list of integers, found [1.9, 1]"),
+        # a file that is not UTF-8 JSON text, as an object file or a sphere table
+        (("verify", "tests/data/not_json.json"), "not_json.json: Expecting property name enclosed in double quotes"),
+        (("--table", "tests/data/not_utf8.json", "deloop", "corpus/loop_s3.pialg.json"),
+         "not_utf8.json: 'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_wrongly_typed_object_file_names_the_file_and_key(argv, message, capsys, monkeypatch):

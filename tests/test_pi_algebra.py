@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from delooper.abelian import PresentedGroup
 from delooper.intlin import Mat
+from delooper.jsontypes import InputError
 from delooper.pi_algebra import (
     DeloopResult,
     FragmentMap,
@@ -17,7 +18,6 @@ from delooper.pi_algebra import (
     Obstruction,
     PiAlgebraFragment,
     SphereTable,
-    TableError,
     comonad_T,
     counit_is_surjective,
     default_table,
@@ -48,7 +48,7 @@ def test_table_loads_and_selfchecks(table):
 
 
 def test_table_rejects_unknown_generator(table):
-    with pytest.raises(TableError):
+    with pytest.raises(InputError):
         table.require("nonexistent")
 
 
@@ -364,7 +364,7 @@ with open(os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data
     SPHERES = json.load(fh)
 
 
-# Every TableError of the table's own audit, each from one entry appended to
+# Every InputError of the table's own audit, each from one entry appended to
 # a section of the bundled table (a later entry replaces an earlier one).
 @pytest.mark.parametrize(
     "section,entry,message",
@@ -391,7 +391,7 @@ def test_table_audit_raises_each_error(tmp_path, section, entry, message):
     data[section].append(entry)
     path = tmp_path / "table.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(TableError) as info:
+    with pytest.raises(InputError) as info:
         SphereTable.load(str(path))
     assert message in str(info.value)
 
@@ -402,7 +402,7 @@ def test_compose_and_suspend_elements_are_bilinear(table):
     # (e3, nu4) is not recorded: needed for a nonzero pair of coefficients only
     assert table.compose_elements((3, 4), [0], (4, 7), [1, 1]) == [0]
     assert table.compose_elements((3, 4), [1], (4, 7), [1, 0]) is None
-    with pytest.raises(TableError, match="do not chain"):
+    with pytest.raises(InputError, match="do not chain"):
         table.compose_elements((3, 4), [1], (5, 6), [1])
     assert table.suspend_element((3, 6), [2]) == [0, 2]
     assert table.suspend_element((2, 5), [3]) == [18]
@@ -436,7 +436,7 @@ def _ref_free_fragment(summands, table, window):
     origin = {}
     for (name, dim) in summands:
         if not (n_min <= dim <= n_max):
-            raise TableError(f"sphere dimension {dim} outside table span")
+            raise InputError(f"sphere dimension {dim} outside table span")
         for m in table.rows_for(dim, min(d_hi, dim + stem_max)):
             if m < d_lo:
                 continue
@@ -591,8 +591,8 @@ WINDOWS = st.tuples(st.integers(1, 9), st.integers(0, 5)).map(lambda t: (t[0], t
 def test_free_fragment_matches_reference(table, summands, window):
     try:
         R = _ref_free_fragment(summands, table, window)
-    except TableError as exc:
-        with pytest.raises(TableError, match=re.escape(str(exc))):
+    except InputError as exc:
+        with pytest.raises(InputError, match=re.escape(str(exc))):
             free_fragment(summands, table, window)
         return
     _same_fragment(free_fragment(summands, table, window), R)

@@ -6,6 +6,7 @@ import pytest
 from delooper import schemas
 from delooper.delta_core import free_abelian, underlying_delta, verify_identities
 from delooper.generators import random_fibrant_strict_object, random_resolution_grid
+from delooper.jsontypes import InputError
 from delooper.moore import e2_page, homotopy_groups
 from delooper.pi_algebra import default_table, eta_chain_fragment, fragments_equal
 from delooper.simplicial import sphere, standard_simplex
@@ -71,18 +72,18 @@ def test_hdeg_roundtrip(tmp_path):
 
 def test_format_version_checked(tmp_path):
     bad = {"format": 99, "kind": "sset"}
-    with pytest.raises(schemas.SchemaError):
+    with pytest.raises(InputError):
         schemas.sset_from_json(bad)
 
 
 def test_matrix_shape_checked():
-    with pytest.raises(schemas.SchemaError):
+    with pytest.raises(InputError):
         schemas.mat_from_json([[1, 2]], 2, 2)
 
 
 @pytest.mark.parametrize("entry", [1.9, 1.0, "1", True, None])
 def test_matrix_entries_must_be_json_integers(entry):
-    with pytest.raises(schemas.SchemaError, match="expected a list of integers"):
+    with pytest.raises(InputError, match="expected a list of integers"):
         schemas.mat_from_json([[1, entry]], 1, 2)
 
 
@@ -94,10 +95,10 @@ def test_matrix_rows_are_copied():
 
 def test_scalar_fields_must_be_json_integers():
     data = schemas.sset_to_json(sphere(1, 2))
-    with pytest.raises(schemas.SchemaError, match="cap: expected an integer, found '2'"):
+    with pytest.raises(InputError, match="cap: expected an integer, found '2'"):
         schemas.sset_from_json({**data, "cap": "2"})
     data = schemas.fragment_to_json(eta_chain_fragment())
     degree = next(iter(data["groups"]))
     groups = {**data["groups"], degree: {**data["groups"][degree], "factors": [2.0]}}
-    with pytest.raises(schemas.SchemaError, match="factors: expected a list of integers"):
+    with pytest.raises(InputError, match="factors: expected a list of integers"):
         schemas.fragment_from_json({**data, "groups": groups})
