@@ -12,7 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .intlin import Mat, SmithSolver, block_diagonal, column_basis, kernel_mod_lattice, vstack_all
+from .intlin import Mat, SmithSolver, block_diagonal, column_basis, kernel_mod_lattice, kron, vstack_all
 
 
 class PresentedGroup:
@@ -152,15 +152,6 @@ def joint_kernel(maps, groups):
     return kernel_mod_lattice(vstack_all(maps), block_diagonal([g.rels for g in groups]))
 
 
-def coordinates(lattice, ambient, img):
-    """Coordinates over the columns of lattice of the columns of img, modulo
-    ambient's relations, or None if some column of img leaves the lattice."""
-    sol = SmithSolver(lattice.hstack(ambient.rels)).solve_columns(img)
-    if sol is None:
-        return None
-    return Mat(lattice.c, img.c, sol.a[: lattice.c])
-
-
 def quotient(G, gens):
     """Quotient of G by the subgroup generated by the columns of gens."""
     Q = PresentedGroup(G.ngens, G.rels.hstack(gens))
@@ -222,32 +213,15 @@ def homology(incoming, outgoing):
 
 def induced_on_homology(h_src, h_dst, f):
     """Map induced by the ambient hom f between two Subquotients."""
-    cols = f.mat @ h_src.lift
-    out = Mat(h_dst.group.ngens, h_src.group.ngens)
-    for j in range(cols.c):
-        cls = h_dst.classify(cols.col(j))
-        for i in range(h_dst.group.ngens):
-            out.a[i][j] = cls[i]
-    return Hom(h_src.group, h_dst.group, out)
+    images = (f.mat @ h_src.lift).transpose()
+    classes = Mat(images.r, h_dst.group.ngens, [h_dst.classify(v) for v in images.a])
+    return Hom(h_src.group, h_dst.group, classes.transpose())
 
 
 def direct_sum(groups):
     """Direct sum with offset bookkeeping: returns (G, offsets)."""
     ends = list(itertools.accumulate([0] + [g.ngens for g in groups]))
     return PresentedGroup(ends[-1], block_diagonal([g.rels for g in groups])), ends[:-1]
-
-
-def kron(A, B):
-    """Kronecker product (tensor of matrices on chosen bases)."""
-    out = Mat(A.r * B.r, A.c * B.c)
-    for i in range(A.r):
-        for j in range(A.c):
-            v = A.a[i][j]
-            if v:
-                for k in range(B.r):
-                    for l in range(B.c):
-                        out.a[i * B.r + k][j * B.c + l] = v * B.a[k][l]
-    return out
 
 
 def tensor(G, H):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -48,11 +47,6 @@ OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 _LOADERS = {"sset": schemas.sset_from_json, "dsab": schemas.dsab_from_json, "bisab": schemas.bisab_from_json}
 
 
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
 def _parse_word(text):
     try:
         dim_part, letters_part = text.split(":")
@@ -89,14 +83,22 @@ def _window(text):
     return tuple(_degree(x) for x in parts)
 
 
-def _load_object(path, kinds, cap=None):
-    """Load an object file whose kind is one of `kinds`, truncated to `cap` if given."""
+def _read(args, path):
+    """The JSON object in the input file at path. The digest of the bytes it
+    was parsed from goes to args.digests for the report."""
     data = schemas.load(path)
+    args.digests[path] = data.digest
+    return data
+
+
+def _load_object(args, path):
+    """Load an object file whose kind is one of args.kinds, truncated to --cap if given."""
+    data = _read(args, path)
     kind = data.get("kind")
-    if kind not in kinds:
+    if kind not in args.kinds:
         raise InputError(f"cannot load object of kind {kind!r} from {path}")
     obj = _parsed(path, _LOADERS[kind], data)
-    return obj if cap is None else _truncate(obj, cap)
+    return obj if args.cap is None else _truncate(obj, args.cap)
 
 
 def _parsed(path, loader, data, *args):
@@ -108,9 +110,9 @@ def _parsed(path, loader, data, *args):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _load_delta(path, kinds, cap=None):
+def _load_delta(args, path):
     """Load an object file as a face-only object, dropping any degeneracies."""
-    V = _load_object(path, kinds, cap)
+    V = _load_object(args, path)
     return underlying_delta(V) if isinstance(V, SAb) else V
 
 
@@ -134,12 +136,12 @@ def _identities(X, caps, extra):
 
 
 def cmd_verify(args):
-    X = _load_object(args.file, args.kinds, args.cap)
+    X = _load_object(args, args.file)
     return _identities(X, X.cap, {})
 
 
 def cmd_moore(args):
-    V = _load_object(args.file, args.kinds, args.cap)
+    V = _load_object(args, args.file)
     degrees = None
     if args.window:
         lo, hi = args.window
@@ -151,7 +153,7 @@ def cmd_moore(args):
 
 
 def cmd_match(args):
-    V = _load_delta(args.file, args.kinds, args.cap)
+    V = _load_delta(args, args.file)
     mo = matching_object(V, args.n)
     return OK, "computed", [], V.cap, {
         "n": args.n,
@@ -161,14 +163,14 @@ def cmd_match(args):
 
 
 def cmd_reedy(args):
-    V = _load_delta(args.file, args.kinds, args.cap)
+    V = _load_delta(args, args.file)
     rep = is_reedy_fibrant(V)
     witnesses = [{"degree": n, "missed_tuple": w} for n, w in sorted(rep.witnesses.items())]
     return (OK if rep.fibrant else FAIL), ("fibrant" if rep.fibrant else "not-fibrant"), witnesses, V.cap, {}
 
 
 def cmd_extend(args):
-    V = _load_delta(args.file, args.kinds, args.cap)
+    V = _load_delta(args, args.file)
     ext = free_degeneracy_extension(V)
     extra = {"object": schemas.dsab_to_json(ext.object)} if args.emit else {}
     return _identities(ext.object, V.cap, extra)
@@ -221,7 +223,7 @@ def cmd_simplex(args):
 
 def cmd_deloop(args):
     table = SphereTable.load(args.table)
-    frag = _parsed(args.file, schemas.fragment_from_json, schemas.load(args.file))
+    frag = _parsed(args.file, schemas.fragment_from_json, _read(args, args.file))
     rep = validate(frag, table)
     if not rep.ok:
         return USAGE, "invalid-fragment", rep.problems, None, {}
@@ -247,8 +249,8 @@ def _load_source(path, data, key, sources):
     return sources[source]
 
 
-def _load_hom(path, sources):
-    data = schemas.load(path)
+def _load_hom(args, path, sources):
+    data = _read(args, path)
     src, dst = _load_source(path, data, "src", sources), _load_source(path, data, "dst", sources)
     hom = _parsed(path, schemas.freehom_from_json, data, src, dst)
     if not hom.is_valid():
@@ -256,8 +258,8 @@ def _load_hom(path, sources):
     return hom
 
 
-def _load_target_map(path, target, sources):
-    data = schemas.load(path)
+def _load_target_map(args, path, target, sources):
+    data = _read(args, path)
     tm = _parsed(path, schemas.targetmap_from_json, data, _load_source(path, data, "src", sources), target)
     if not tm.is_valid():
         raise InputError(f"{path}: tables do not define a pointed simplicial map")
@@ -265,16 +267,16 @@ def _load_target_map(path, target, sources):
 
 
 def cmd_star_check(args):
-    target_obj = _load_object(args.target, args.kinds)
+    target_obj = _load_object(args, args.target)
     if not isinstance(target_obj, SAb):
         lacks = "it has no degeneracies" if isinstance(target_obj, DeltaSAb) else "it is not of kind 'dsab'"
         raise InputError(f"{args.target}: star-check target must be a simplicial abelian group file "
                          f"(kind 'dsab' with degeneracies); {lacks}")
     K = AbelianTarget(target_obj)
     sources = {}
-    f = _load_hom(args.f, sources)
-    g = _load_hom(args.g, sources)
-    h = _load_target_map(args.h, K, sources)
+    f = _load_hom(args, args.f, sources)
+    g = _load_hom(args, args.g, sources)
+    h = _load_target_map(args, args.h, K, sources)
     ok, witness = check_condition_star(f, g, h, K)
     if ok:
         return OK, "holds", [], target_obj.cap, {}
@@ -284,8 +286,8 @@ def cmd_star_check(args):
 
 
 def cmd_synthesize(args):
-    V = _load_delta(args.input, args.kinds)
-    hdeg = _parsed(args.hdeg, schemas.hdeg_from_json, schemas.load(args.hdeg), V)
+    V = _load_delta(args, args.input)
+    hdeg = _parsed(args.hdeg, schemas.hdeg_from_json, _read(args, args.hdeg), V)
     try:
         result = synthesize(V, hdeg, strict_homotopy_tie=args.strict_tie)
     except SynthesisFailure as exc:
@@ -294,7 +296,7 @@ def cmd_synthesize(args):
 
 
 def cmd_e2(args):
-    B = _load_object(args.file, args.kinds)
+    B = _load_object(args, args.file)
     smax, tmax = args.window or (None, None)
     try:
         page = e2_page(B, smax, tmax)
@@ -379,13 +381,14 @@ def main(argv=None):
                if getattr(args, flag) is not None and flag not in COMMANDS[args.command].flags]
     if ignored:
         parser.error(f"{args.command} does not read {', '.join(ignored)}")
+    args.digests = {}  # input path -> digest of the bytes its load parsed
     try:
         code, verdict, witnesses, caps, extra = args.func(args)
         action = getattr(args, "action", None)
         paths = [getattr(args, name) for name in args.inputs]
         report = {
             "command": f"{args.command}-{action}" if action else args.command,
-            "inputs": {os.path.basename(p): _digest(p) for p in paths},
+            "inputs": {os.path.basename(p): args.digests[p][:16] for p in paths},
             "verdict": verdict,
             "witnesses": witnesses,
             "caps": caps,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .abelian import Hom, PresentedGroup, coordinates, direct_sum, quotient, subgroup
-from .intlin import Mat, block_diagonal, kernel_mod_lattice, vstack_all
+from .abelian import Hom, PresentedGroup, direct_sum, quotient, subgroup
+from .intlin import Mat, add_block, block_diagonal, kernel_mod_lattice, solve_modulo, vstack_all
 from .jsontypes import InputError
 from .simplicial import BASE, FiniteSimplicialSet, Report, StructuralError, Violation, identity_cases, word_text
 from .words import DegeneracyWord, canonical_degeneracy_words
@@ -147,21 +147,14 @@ def matching_object(V, n):
         pairs = [ij for _, degree, ij, *_ in identity_cases(n, degeneracies=False) if degree == n]
         rows = Mat(len(pairs) * lower.ngens, ambient.ngens)
         for p, (i, j) in enumerate(pairs):
-            di = V.face(n - 1, i)
-            dj1 = V.face(n - 1, j - 1)
-            for r in range(lower.ngens):
-                for c in range(g):
-                    rows.a[p * lower.ngens + r][offsets[j] + c] += di.a[r][c]
-                    rows.a[p * lower.ngens + r][offsets[i] + c] -= dj1.a[r][c]
+            add_block(rows, p * lower.ngens, offsets[j], V.face(n - 1, i))
+            add_block(rows, p * lower.ngens, offsets[i], -V.face(n - 1, j - 1))
         lattice = kernel_mod_lattice(rows, block_diagonal([lower.rels] * len(pairs)))
     group, incl = subgroup(ambient, lattice)
-    delta_mat = coordinates(lattice, ambient, vstack_all(V.faces[n]))
+    delta_mat = solve_modulo(lattice, vstack_all(V.faces[n]), ambient.rels)
     if delta_mat is None:
         raise StructuralError("face tuple map does not land in the matching object")
-    projections = []
-    for i in range(n + 1):
-        proj = Mat(g, group.ngens, [incl.mat.a[offsets[i] + r][:] for r in range(g)])
-        projections.append(proj)
+    projections = [Mat(g, group.ngens, [row[:] for row in incl.mat.a[off : off + g]]) for off in offsets]
     return MatchingObject(
         n=n,
         ambient=ambient,
@@ -252,15 +245,6 @@ def free_degeneracy_extension(V):
         for n in range(V.cap + 1)
     ]
     eye = [Mat.eye(V.rank(k)) for k in range(V.cap + 1)]
-
-    def block_write(target, roff, coff, block):
-        for r in range(block.r):
-            row = target.a[roff + r]
-            brow = block.a[r]
-            for c in range(block.c):
-                if brow[c]:
-                    row[coff + c] = brow[c]
-
     faces = {}
     for n in range(1, V.cap + 1):
         faces[n] = []
@@ -268,7 +252,7 @@ def free_degeneracy_extension(V):
             out = Mat(layout[n - 1][1], layout[n][1])
             for (w, k, off) in layout[n][0]:
                 if w is None:
-                    block_write(out, word_offset[n - 1][None], off, V.face(n, i))
+                    add_block(out, word_offset[n - 1][None], off, V.face(n, i))
                     continue
                 result = push_face_through(w, i)
                 if result[0] == "deg":
@@ -276,7 +260,7 @@ def free_degeneracy_extension(V):
                 else:
                     _, i2, w2 = result
                     block = V.face(k, i2)
-                block_write(out, word_offset[n - 1][w2.letters or None], off, block)
+                add_block(out, word_offset[n - 1][w2.letters or None], off, block)
             faces[n].append(out)
     degs = {}
     for n in range(0, V.cap):
@@ -285,21 +269,14 @@ def free_degeneracy_extension(V):
             out = Mat(layout[n + 1][1], layout[n][1])
             for (w, k, off) in layout[n][0]:
                 w2 = DegeneracyWord(n, (j,)) if w is None else w.prefixed_by(j)
-                block_write(out, word_offset[n + 1][w2.letters], off, eye[k])
+                add_block(out, word_offset[n + 1][w2.letters], off, eye[k])
             degs[n].append(out)
-    iota = []
-    retraction = []
-    for n in range(V.cap + 1):
-        total = layout[n][1]
-        inc = Mat(total, V.rank(n))
-        ret = Mat(V.rank(n), total)
-        for r in range(V.rank(n)):
-            inc.a[r][r] = 1
-            ret.a[r][r] = 1
-        iota.append(inc)
-        retraction.append(ret)
+    iota = [Mat(total, V.rank(n)) for n, (_, total) in enumerate(layout)]
+    for inc, e in zip(iota, eye):
+        add_block(inc, 0, 0, e)
+    retraction = [inc.transpose() for inc in iota]
     Y = SAb(levels, faces, degs, V.cap)
-    return Extension(object=Y, iota=iota, retraction=retraction, summands=[layout[n][0] for n in range(V.cap + 1)])
+    return Extension(object=Y, iota=iota, retraction=retraction, summands=[entries for entries, _ in layout])
 
 
 def degeneracy_word_matrix(V, degeneracies, word):
@@ -320,10 +297,7 @@ def extension_counit(ext, W):
         total = sum(W.rank(k) for (_, k, _) in ext.summands[n])
         out = Mat(W.rank(n), total)
         for (w, k, off) in ext.summands[n]:
-            block = degeneracy_word_matrix(W, W.degeneracies, DegeneracyWord(n, ()) if w is None else w)
-            for r in range(block.r):
-                for c in range(block.c):
-                    out.a[r][off + c] = block.a[r][c]
+            add_block(out, 0, off, degeneracy_word_matrix(W, W.degeneracies, DegeneracyWord(n, ()) if w is None else w))
         mats.append(out)
     return mats
 
@@ -332,9 +306,4 @@ def degenerate_subobject(W, n):
     """Image subgroup L_n generated by all degeneracies into level n."""
     if n < 1 or n > W.cap:
         raise ValueError("degenerate subobject needs 1 <= n <= cap")
-    gens = None
-    for j in range(n):
-        s = W.degeneracy(n - 1, j)
-        gens = s if gens is None else gens.hstack(s)
-    L, incl = subgroup(W.levels[n], gens)
-    return L, incl
+    return subgroup(W.levels[n], functools.reduce(Mat.hstack, W.degeneracies[n - 1]))

@@ -13,7 +13,7 @@ import math
 
 from .abelian import PresentedGroup
 from .delta_core import SAb
-from .intlin import Mat
+from .intlin import Mat, add_block
 from .moore import ChainComplex, dold_kan, external_product
 from .synthesis import HomotopyDegeneracyData, boundary_matrix
 
@@ -56,9 +56,7 @@ def random_acyclic_complex(cap, rng, max_rank=2, max_cones=3):
             if cm != m:
                 continue
             U, _ = random_unimodular(r, rng, steps=3)
-            for a in range(r):
-                for b in range(r):
-                    D.a[boff + a][off_used + b] = U.a[a][b]
+            add_block(D, boff, off_used, U)
             off_used += r
             boff += r
         diffs[m] = D

@@ -4,6 +4,14 @@ Everything downstream (group presentations, Moore complexes, lifting
 systems) reduces to Smith normal form over the integers, so this module
 keeps matrices as plain lists of Python ints: no overflow, no floats.
 Shapes are carried explicitly so zero-dimensional edges stay well typed.
+
+This module is also the one home of how an integer system is laid out.
+An unknown r-by-c matrix X is read row-major (entry (u, v) is unknown
+u*c + v; ``unvec`` reads X back), and P·X·Q = B gives one row per entry of
+B in the same order, so X ↦ P·X·Q is ``vec_block(P, Q)`` = kron(P, Qᵀ). A
+congruence modulo the columns of R takes slack unknowns S in one more
+term, −R·S, or, alone in its system, R's columns beside A
+(``solve_modulo``). ``add_block`` places every block.
 """
 
 from __future__ import annotations
@@ -55,10 +63,8 @@ class Mat:
             raise ValueError(f"hstack shape mismatch {self.r} vs {other.r}")
         return Mat(self.r, self.c + other.c, [ra + rb for ra, rb in zip(self.a, other.a)])
 
-    def vstack(self, other):
-        if self.c != other.c:
-            raise ValueError(f"vstack shape mismatch {self.c} vs {other.c}")
-        return Mat(self.r + other.r, self.c, [row[:] for row in self.a] + [row[:] for row in other.a])
+    def transpose(self):
+        return Mat(self.c, self.r, [list(col) for col in zip(*self.a)] or [[] for _ in range(self.c)])
 
     def __matmul__(self, other):
         if self.c != other.r:
@@ -295,16 +301,50 @@ def vstack_all(mats):
     return Mat.from_rows([row for M in mats for row in M.a], c=mats[0].c)
 
 
+def add_block(M, r0, c0, B):
+    """Add B into M in place with its top-left entry at (r0, c0), skipping
+    B's zero entries."""
+    if r0 + B.r > M.r or c0 + B.c > M.c:
+        raise ValueError(f"a {B.r}x{B.c} block at ({r0}, {c0}) leaves a {M.r}x{M.c} matrix")
+    rows = M.a
+    for i, brow in enumerate(B.a, r0):
+        row = rows[i]
+        for c, x in enumerate(brow, c0):
+            if x:
+                row[c] += x
+
+
 def block_diagonal(mats):
     """The block-diagonal matrix with the given blocks, in order."""
     out = Mat(sum(M.r for M in mats), sum(M.c for M in mats))
     r0 = c0 = 0
     for M in mats:
-        for i, row in enumerate(M.a):
-            out.a[r0 + i][c0 : c0 + M.c] = row
+        add_block(out, r0, c0, M)
         r0 += M.r
         c0 += M.c
     return out
+
+
+def kron(A, B):
+    """Kronecker product: entry ((i, k), (j, l)) is A[i][j]·B[k][l]."""
+    return Mat(A.r * B.r, A.c * B.c, [[x * y for x in ra for y in rb] for ra in A.a for rb in B.a])
+
+
+def vec_block(P, Q):
+    """The matrix of X ↦ P·X·Q on the row-major entries of X: kron(P, Qᵀ)."""
+    return kron(P, Q.transpose())
+
+
+def unvec(v, r, c):
+    """The r-by-c matrix whose row-major entries are the list v."""
+    return Mat(r, c, [v[u * c : (u + 1) * c] for u in range(r)])
+
+
+def solve_modulo(A, B, R):
+    """X with A·X ≡ B modulo the column lattice of R, or None: the first
+    A.c rows of a solution Y of [A | R]·Y = B."""
+    sol = SmithSolver(A.hstack(R)).solve_columns(B)
+    return None if sol is None else Mat(A.c, B.c, sol.a[: A.c])
 
 
 def kernel_mod_lattice(A, L):

@@ -9,6 +9,7 @@ missing key as ``<path>: missing``, each an InputError.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 
@@ -17,17 +18,28 @@ class InputError(ValueError):
     out of range. With a failed open, the one error the command line exits 2 on."""
 
 
+class Document(dict):
+    """The top-level object of a JSON file, with ``digest``, the SHA-256 hex
+    digest of the bytes it was parsed from."""
+
+    def __init__(self, data, digest):
+        super().__init__(data)
+        self.digest = digest
+
+
 def load_object(path):
-    """The JSON object in the file at path. A file that is not UTF-8 JSON
-    text, or whose top level is another JSON value, is an InputError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-            raise InputError(f"{path}: {exc}") from None
+    """The JSON object in the file at path, as a Document. A file that is
+    not UTF-8 JSON text, or whose top level is another JSON value, is an
+    InputError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise InputError(f"{path}: {exc}") from None
     if type(data) is not dict:
         raise InputError(f"{path}: expected a JSON object at the top level, found {type(data).__name__}")
-    return data
+    return Document(data, hashlib.sha256(raw).hexdigest())
 
 
 def _is_letters(x):

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 from .abelian import (
     Hom,
     PresentedGroup,
-    coordinates,
     direct_sum,
     homology,
     induced_on_homology,
     joint_kernel,
-    kron,
     subgroup,
     tensor,
 )
 from .delta_core import DeltaSAb, SAb, StructuralError, _first_difference, free_degeneracy_extension, verify_identities
-from .intlin import Mat
+from .intlin import Mat, add_block, kron, solve_modulo
 from .jsontypes import InputError
 
 
@@ -88,7 +86,7 @@ def moore_complex(G):
         groups.append(subgroup(G.levels[n], K)[0])
     diffs = {}
     for n in range(1, cap + 1):
-        diffs[n] = coordinates(lifts[n - 1], G.levels[n - 1], G.face(n, 0) @ lifts[n])
+        diffs[n] = solve_modulo(lifts[n - 1], G.face(n, 0) @ lifts[n], G.levels[n - 1].rels)
         if diffs[n] is None:
             raise StructuralError(f"d_0 does not preserve the Moore subgroup at degree {n}")
     cpx = ChainComplex(groups=groups, diffs=diffs)
@@ -258,7 +256,7 @@ def vertical_homotopy_object(B, t, cols, moores):
 
     def induce(mat, p_src, p_dst):
         """Induced map pi_t(column p_src) -> pi_t(column p_dst) from a level map."""
-        on_moore = coordinates(moores[p_dst].lifts[t], cols[p_dst].levels[t], mat @ moores[p_src].lifts[t])
+        on_moore = solve_modulo(moores[p_dst].lifts[t], mat @ moores[p_src].lifts[t], cols[p_dst].levels[t].rels)
         if on_moore is None:
             raise StructuralError("induced map does not preserve Moore cycles")
         f = Hom(subs[p_src].ambient, subs[p_dst].ambient, on_moore)
@@ -363,7 +361,7 @@ def double_moore_total_complex(B):
             groups[(p, q)], _ = subgroup(G, K)
 
     def express(p, q, img):
-        blk = coordinates(lattices[(p, q)], B.levels[p][q], img)
+        blk = solve_modulo(lattices[(p, q)], img, B.levels[p][q].rels)
         if blk is None:
             raise StructuralError("double Moore boundary leaves the bicomplex")
         return blk
@@ -384,18 +382,11 @@ def double_moore_total_complex(B):
         for k, (p, q) in enumerate(cells):
             off = offsets[k]
             if p >= 1 and (p - 1, q) in pos_lo:
-                img = B.h_faces[(p, q)][0] @ lattices[(p, q)]
-                blk = express(p - 1, q, img)
-                for r in range(blk.r):
-                    for c in range(blk.c):
-                        out.a[pos_lo[(p - 1, q)] + r][off + c] += blk.a[r][c]
+                blk = express(p - 1, q, B.h_faces[(p, q)][0] @ lattices[(p, q)])
+                add_block(out, pos_lo[(p - 1, q)], off, blk)
             if q >= 1 and (p, q - 1) in pos_lo:
-                img = B.v_faces[(p, q)][0] @ lattices[(p, q)]
-                blk = express(p, q - 1, img)
-                sign = -1 if p % 2 else 1
-                for r in range(blk.r):
-                    for c in range(blk.c):
-                        out.a[pos_lo[(p, q - 1)] + r][off + c] += sign * blk.a[r][c]
+                blk = express(p, q - 1, B.v_faces[(p, q)][0] @ lattices[(p, q)])
+                add_block(out, pos_lo[(p, q - 1)], off, -blk if p % 2 else blk)
         diffs[n] = out
     cpx = ChainComplex(groups=tot_groups, diffs=diffs)
     bad = cpx.verify_dd()

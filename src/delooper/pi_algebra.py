@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .abelian import PresentedGroup, kron, quotient
-from .intlin import Mat, SmithSolver, block_diagonal
+from .abelian import PresentedGroup, quotient
+from .intlin import Mat, SmithSolver, solve_modulo, unvec, vec_block
 from .jsontypes import InputError, entry, key_int, load_object, typed
 
 
@@ -569,20 +569,21 @@ def _solve_row_hom(row, target, constraints):
     """A homomorphism h: row -> target as a matrix, with h(coeffs) = forced
     in target for every (coeffs, forced) in constraints, or None.
 
-    Unknown h(gen_i)_t sits in column i*T + t (T = target.ngens). Each
-    constraint, then each relation of row (forced to 0), is one block of T
-    equations with its own slack over target's relations.
+    The unknown is X = hᵀ, read row-major: h(gen_i)_t is unknown i*T + t
+    (T = target.ngens). Each constraint, then each relation of row (forced
+    to 0), is a row of C, and C·X ≡ F holds row by row modulo target's
+    relations R: the slack term S·Rᵀ.
     """
     T = target.ngens
     rows = [coeffs for coeffs, _ in constraints] + [row.rels.col(rc) for rc in range(row.rels.c)]
     if not rows or not T:
         return Mat(T, row.ngens)
-    A = kron(Mat.from_rows(rows), Mat.eye(T)).hstack(block_diagonal([target.rels] * len(rows)))
-    rhs = [x for _, forced in constraints for x in forced] + [0] * (T * row.rels.c)
-    sol = SmithSolver(A).solve_columns(Mat.column(rhs))
-    if sol is None:
+    F = [x for _, forced in constraints for x in forced] + [0] * (T * row.rels.c)
+    slack = vec_block(Mat.eye(len(rows)), target.rels.transpose())
+    X = solve_modulo(vec_block(Mat.from_rows(rows), Mat.eye(T)), Mat.column(F), slack)
+    if X is None:
         return None
-    return Mat(T, row.ngens, [[sol.a[i * T + t][0] for i in range(row.ngens)] for t in range(T)])
+    return unvec(X.col(0), row.ngens, T).transpose()
 
 
 def _describe_failing_congruence(table, k, m, gen, constraints, target):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .abelian import PresentedGroup
+from .abelian import Hom, PresentedGroup
 from .delta_core import DeltaSAb, SAb
 from .intlin import Mat
 from .jsontypes import InputError, entry, key_int, load_object, typed
@@ -54,6 +54,14 @@ def _family(data, key, cap, step):
     for n_str, value in entry(data, key, "an object", key).items():
         what = f"{key} key {n_str!r}"
         yield _level(n_str, cap, step, what), what, value
+
+
+def _check_well_defined(mat, src, dst, what, names):
+    """An InputError naming what unless mat sends every relation of the level
+    src to zero in dst (names: the two levels). A free src takes no Smith form."""
+    if src.rels.c and not Hom(src, dst, mat).is_well_defined():
+        raise InputError(f"{what}: not well defined: it sends a relation of level {names[0]} "
+                         f"to a nonzero element of level {names[1]}")
 
 
 def mat_to_json(M):
@@ -144,9 +152,13 @@ def dsab_from_json(data):
     levels = [group_from_json(g, f"levels[{n}]") for n, g in enumerate(rows)]
 
     def load_family(key, step):
-        return {n: [mat_from_json(m, levels[n + step].ngens, levels[n].ngens, f"{what}[{i}]")
-                    for i, m in enumerate(typed(mats, "a list", what))]
-                for n, what, mats in _family(data, key, cap, step)}
+        out = {}
+        for n, what, mats in _family(data, key, cap, step):
+            out[n] = [mat_from_json(m, levels[n + step].ngens, levels[n].ngens, f"{what}[{i}]")
+                      for i, m in enumerate(typed(mats, "a list", what))]
+            for i, m in enumerate(out[n]):
+                _check_well_defined(m, levels[n], levels[n + step], f"{what}[{i}]", (n, n + step))
+        return out
 
     if "degeneracies" in data:
         return SAb(levels, load_family("faces", -1), load_family("degeneracies", 1), cap)
@@ -186,6 +198,12 @@ def bisab_from_json(data):
             p, q = _level(p_str, hcap, dp, what), _level(q_str, vcap, dq, what)
             out[(p, q)] = [mat_from_json(m, levels[p + dp][q + dq].ngens, levels[p][q].ngens, f"{what}[{i}]")
                            for i, m in enumerate(typed(mats, "a list", what))]
+            count = p + 1 if dp else q + 1  # d_0..d_p or s_0..s_p horizontally, ..q vertically
+            if len(out[(p, q)]) != count:
+                raise InputError(f"{what}: expected {count} matrices, found {len(out[(p, q)])}")
+            for i, m in enumerate(out[(p, q)]):
+                _check_well_defined(m, levels[p][q], levels[p + dp][q + dq], f"{what}[{i}]",
+                                    (pq, f"{p + dp},{q + dq}"))
         # every (p, q) whose map stays inside the grid needs its entry
         for p in range(max(0, -dp), hcap + 1 - max(0, dp)):
             for q in range(max(0, -dq), vcap + 1 - max(0, dq)):

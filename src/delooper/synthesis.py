@@ -25,7 +25,7 @@ from .delta_core import (
     push_face_through,
     verify_identities,
 )
-from .intlin import Mat, SmithSolver, kernel_mod_lattice, vstack_all
+from .intlin import Mat, SmithSolver, add_block, kernel_mod_lattice, unvec, vec_block, vstack_all
 from .jsontypes import InputError
 from .simplicial import StructuralError, identity_cases
 from .words import DegeneracyWord, canonical_degeneracy_words
@@ -95,11 +95,8 @@ def split_complement(V, n, state):
     state: dict level -> list of chosen degeneracy matrices. Fails loudly
     when the degenerate subgroup is not split over the integers.
     """
-    gens = None
-    for s in state[n - 1]:
-        gens = s if gens is None else gens.hstack(s)
     level = V.levels[n]
-    L, incl = subgroup(level, gens)
+    L, incl = subgroup(level, functools.reduce(Mat.hstack, state[n - 1]))
     gL, gV = L.ngens, level.ngens
     # retraction r: level -> L with r . incl = id and r well-defined, found
     # as one integer system in the entries of r (slack for L's relations)
@@ -173,32 +170,20 @@ class _StageSystem:
             self.total += nrows * ncols
 
     def add_equation(self, terms, rhs, target_rels=None):
-        """sum P @ X_name @ Q = rhs, modulo the column lattice of target_rels."""
-        slack_name = None
+        """sum P @ X_name @ Q = rhs, modulo the column lattice of target_rels:
+        each term is the block vec_block(P, Q) under its unknown, and the
+        relations enter as one more term -target_rels @ S @ I in a slack
+        unknown S of their own."""
         if target_rels is not None and target_rels.c:
             slack_name = ("slack", self._slacks)
             self._slacks += 1
             self.add_unknown(slack_name, target_rels.c, rhs.c)
-        for a in range(rhs.r):
-            for b in range(rhs.c):
-                line = [0] * self.total
-                for (P, name, Q) in terms:
-                    (xr, xc, off) = self.unknowns[name]
-                    for u in range(xr):
-                        pau = P.a[a][u]
-                        if pau:
-                            base = off + u * xc
-                            Qrow = Q
-                            for v in range(xc):
-                                if Q.a[v][b]:
-                                    line[base + v] += pau * Q.a[v][b]
-                if slack_name is not None:
-                    (xr, xc, off) = self.unknowns[slack_name]
-                    for u in range(xr):
-                        if target_rels.a[a][u]:
-                            line[off + u * xc + b] -= target_rels.a[a][u]
-                self.rows.append(line)
-                self.rhs.append(rhs.a[a][b])
+            terms = [*terms, (-target_rels, slack_name, Mat.eye(rhs.c))]
+        band = Mat(rhs.r * rhs.c, self.total)
+        for P, name, Q in terms:
+            add_block(band, 0, self.unknowns[name][2], vec_block(P, Q))
+        self.rows += band.a
+        self.rhs += [x for row in rhs.a for x in row]
 
     def solve(self):
         """(matrix per unknown, None), or (None, a residue naming the first
@@ -214,10 +199,8 @@ class _StageSystem:
                 y = sum(u * b for u, b in zip(solver.U.a[i], self.rhs))
                 return None, f"congruence {y} = 0 (mod {d}) fails; residue {x}"
             return None, f"equation 0 = {x} fails; residue {x}"
-        out = {}
-        for name, (xr, xc, off) in self.unknowns.items():
-            out[name] = Mat(xr, xc, [[sol.a[off + u * xc + v][0] for v in range(xc)] for u in range(xr)])
-        return out, None
+        x = sol.col(0)
+        return {name: unvec(x[off : off + xr * xc], xr, xc) for name, (xr, xc, off) in self.unknowns.items()}, None
 
 
 @dataclass

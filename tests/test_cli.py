@@ -478,6 +478,22 @@ def test_sphere_table_of_a_wrong_type_is_an_input_error(data):
         (("verify", "tests/data/not_json.json"), "not_json.json: Expecting property name enclosed in double quotes"),
         (("--table", "tests/data/not_utf8.json", "deloop", "corpus/loop_s3.pialg.json"),
          "not_utf8.json: 'utf-8' codec can't decode byte 0xff"),
+        # corpus/resolution.bisab.json with the last matrix of h_faces "2,0" dropped
+        (("e2", "tests/data/bisab_h_faces_short.json"),
+         "tests/data/bisab_h_faces_short.json: h_faces key '2,0': expected 3 matrices, found 2"),
+        # corpus/star_target.dsab.json with the relation Z/4 of level 2 made Z/2,
+        # which d_0 at level 2 sends to a nonzero element of level 1
+        (("verify", "tests/data/dsab_relation_not_respected.json"),
+         "tests/data/dsab_relation_not_respected.json: faces key '2'[0]: not well defined: "
+         "it sends a relation of level 2 to a nonzero element of level 1"),
+        (star_check(target="tests/data/dsab_relation_not_respected.json"),
+         "tests/data/dsab_relation_not_respected.json: faces key '2'[0]: not well defined: "
+         "it sends a relation of level 2 to a nonzero element of level 1"),
+        # corpus/s1xs1.bisab.json with level (1, 1) made Z/2, which the
+        # degeneracies out of it send to a nonzero element of level (2, 1)
+        (("e2", "tests/data/bisab_relation_not_respected.json"),
+         "tests/data/bisab_relation_not_respected.json: h_degeneracies key '1,1'[0]: not well defined: "
+         "it sends a relation of level 1,1 to a nonzero element of level 2,1"),
     ],
 )
 def test_wrongly_typed_object_file_names_the_file_and_key(argv, message, capsys, monkeypatch):

@@ -6,16 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delooper.generators import random_unimodular
+from delooper import synthesis
+from delooper.delta_core import underlying_delta
+from delooper.generators import perturb_degeneracies, random_fibrant_strict_object, random_unimodular
 from delooper.intlin import (
     Mat,
     SmithSolver,
+    add_block,
     block_diagonal,
     column_basis,
     kernel_mod_lattice,
+    kron,
     nullspace,
     smith_normal_form,
     solve,
+    solve_modulo,
+    vec_block,
 )
 from delooper.synthesis import _StageSystem
 
@@ -262,8 +268,50 @@ def test_kernel_mod_lattice_runs_no_second_snf():
         assert K.contains_column(list(x)) == lattice.contains_column(A.apply(list(x)))
 
 
-def random_stage_system(rng):
-    system = _StageSystem()
+def block_write(target, roff, coff, block):
+    """Reference: the hand-written block placement of the free degeneracy
+    extension before add_block (it assigned; every target was zero there)."""
+    for r in range(block.r):
+        row = target.a[roff + r]
+        brow = block.a[r]
+        for c in range(block.c):
+            if brow[c]:
+                row[coff + c] = brow[c]
+
+
+class ReferenceStageSystem(_StageSystem):
+    """Reference: the stage system with the coefficient loops that
+    add_equation ran before it placed vec_block blocks."""
+
+    def add_equation(self, terms, rhs, target_rels=None):
+        slack_name = None
+        if target_rels is not None and target_rels.c:
+            slack_name = ("slack", self._slacks)
+            self._slacks += 1
+            self.add_unknown(slack_name, target_rels.c, rhs.c)
+        for a in range(rhs.r):
+            for b in range(rhs.c):
+                line = [0] * self.total
+                for (P, name, Q) in terms:
+                    (xr, xc, off) = self.unknowns[name]
+                    for u in range(xr):
+                        pau = P.a[a][u]
+                        if pau:
+                            base = off + u * xc
+                            for v in range(xc):
+                                if Q.a[v][b]:
+                                    line[base + v] += pau * Q.a[v][b]
+                if slack_name is not None:
+                    (xr, xc, off) = self.unknowns[slack_name]
+                    for u in range(xr):
+                        if target_rels.a[a][u]:
+                            line[off + u * xc + b] -= target_rels.a[a][u]
+                self.rows.append(line)
+                self.rhs.append(rhs.a[a][b])
+
+
+def random_stage_system(rng, system_class=_StageSystem):
+    system = system_class()
     for k in range(rng.randint(1, 2)):
         system.add_unknown(("x", k), rng.randint(1, 2), rng.randint(1, 2))
     for _ in range(rng.randint(1, 3)):
@@ -290,3 +338,90 @@ def test_stage_system_residues_pinned():
             digest.update(residue.encode() + b"\n")
     assert infeasible == 325
     assert digest.hexdigest() == "9015ae801958f6f4c8cf52ced0dd69a465bb2a3513ed7fdd3f68ed64b37d8112"
+
+
+def test_stage_system_rows_match_the_coefficient_loops():
+    """Every row and right-hand side of the 400 seeded systems of the
+    residue pin, feasible and infeasible alike, is the one the coefficient
+    loops assembled, entry for entry and of the same length."""
+    rng, reference_rng = random.Random(2024), random.Random(2024)
+    feasible = 0
+    for _ in range(400):
+        system = random_stage_system(rng)
+        reference = random_stage_system(reference_rng, ReferenceStageSystem)
+        assert (system.rows, system.rhs) == (reference.rows, reference.rhs)
+        feasible += system.solve()[0] is not None
+    assert feasible == 75
+
+
+def test_synthesis_systems_match_the_coefficient_loops(monkeypatch):
+    """The systems synthesize solves, with several terms to an equation and
+    a slack to each congruence, are the ones the coefficient loops built."""
+
+    def systems(system_class):
+        seen = []
+
+        class Recording(system_class):
+            def solve(self):
+                seen.append((self.rows, self.rhs))
+                return super().solve()
+
+        monkeypatch.setattr(synthesis, "_StageSystem", Recording)
+        for seed in range(20):
+            rng = random.Random(200 + seed)
+            W = random_fibrant_strict_object(rng, rng.choice([2, 3]))
+            synthesis.synthesize(underlying_delta(W), perturb_degeneracies(W, rng))
+        return seen
+
+    built = systems(_StageSystem)
+    assert len(built) > 40 and built == systems(ReferenceStageSystem)
+
+
+def test_add_block_adds_what_block_write_wrote():
+    rng = random.Random(31)
+    for _ in range(200):
+        M = Mat(rng.randint(0, 5), rng.randint(0, 5))
+        B = random_matrix(rng, rng.randint(0, M.r), rng.randint(0, M.c), -2, 2)
+        r0, c0 = rng.randint(0, M.r - B.r), rng.randint(0, M.c - B.c)
+        want = M.copy()
+        block_write(want, r0, c0, B)
+        add_block(M, r0, c0, B)
+        assert M == want
+        add_block(M, r0, c0, B)
+        assert M == want.scale(2)
+    with pytest.raises(ValueError):
+        add_block(Mat(2, 2), 1, 0, Mat(2, 1))
+
+
+def test_vec_block_is_the_map_on_row_major_entries():
+    """P·X·Q flattened row-major is vec_block(P, Q) applied to X flattened
+    row-major, and kron(A, B) has entry A[i][j]·B[k][l] at ((i, k), (j, l))."""
+    rng = random.Random(37)
+    for _ in range(100):
+        a, u, v, b = (rng.randint(0, 3) for _ in range(4))
+        P, X, Q = random_matrix(rng, a, u), random_matrix(rng, u, v), random_matrix(rng, v, b)
+        assert vec_block(P, Q).apply([x for row in X.a for x in row]) == [y for row in (P @ X @ Q).a for y in row]
+        A, B = random_matrix(rng, a, u), random_matrix(rng, v, b)
+        K = kron(A, B)
+        assert (K.r, K.c) == (a * v, u * b)
+        assert all(K.a[i * v + k][j * b + l] == A.a[i][j] * B.a[k][l]
+                   for i in range(a) for j in range(u) for k in range(v) for l in range(b))
+
+
+def test_solve_modulo_solves_the_congruence():
+    rng = random.Random(41)
+    solved = 0
+    for _ in range(100):
+        m = rng.randint(1, 3)
+        A, R = random_matrix(rng, m, rng.randint(0, 3)), random_matrix(rng, m, rng.randint(0, 2), -6, 6)
+        B = random_matrix(rng, m, rng.randint(1, 2))
+        X = solve_modulo(A, B, R)
+        lattice = SmithSolver(R)
+        if X is None:
+            # some column of B leaves A's column lattice plus R's
+            assert solve(A.hstack(R), B) is None
+            continue
+        solved += 1
+        assert (X.r, X.c) == (A.c, B.c)
+        assert all(lattice.contains_column(col) for col in zip(*(A @ X - B).a))
+    assert 0 < solved < 100
