@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from delooper import schemas
 from delooper.delta_core import free_abelian, underlying_delta
-from delooper.generators import random_fibrant_strict_object, random_resolution_grid
+from delooper.generators import perturb_degeneracies, random_fibrant_strict_object, random_resolution_grid
 from delooper.moore import external_product
 from delooper.pi_algebra import eta_chain_fragment, loop_space_s3_fragment
 from delooper.simplicial import sphere, standard_simplex
@@ -38,6 +38,14 @@ def main():
     put("fibrant_full.dsab.json", schemas.dsab_to_json(W))
     hdeg = HomotopyDegeneracyData.from_simplicial(W)
     put("fibrant.hdeg.json", schemas.hdeg_to_json(hdeg, underlying_delta(W)))
+    # perturbed candidates on a cap-3 object (the draw of the round-trip
+    # tests' seed 202): synthesize takes tier exact at stage 0, tie at
+    # stage 1 and lift at the top stage 2
+    rng = random.Random(202)
+    W = random_fibrant_strict_object(rng, rng.choice([2, 3]))
+    V = underlying_delta(W)
+    put("perturbed.dsab.json", schemas.dsab_to_json(V))
+    put("perturbed.hdeg.json", schemas.hdeg_to_json(perturb_degeneracies(W, rng), V))
 
     B, _, _ = random_resolution_grid(random.Random(20260811))
     put("resolution.bisab.json", schemas.bisab_to_json(B))

@@ -126,12 +126,6 @@ class Hom:
     def is_well_defined(self):
         return self.dst.first_nonzero_column(self.mat @ self.src.rels) is None
 
-    def compose(self, other):
-        """self after other."""
-        if other.dst is not self.src and other.dst.ngens != self.src.ngens:
-            raise ValueError("hom composition mismatch")
-        return Hom(other.src, self.dst, self.mat @ other.mat)
-
     def apply(self, v):
         return self.mat.apply(v)
 

@@ -85,7 +85,8 @@ def _window(text):
 
 def _read(args, path):
     """The JSON object in the input file at path. The digest of the bytes it
-    was parsed from goes to args.digests for the report."""
+    was parsed from goes to args.digests, which the report lists in read
+    order."""
     data = schemas.load(path)
     args.digests[path] = data.digest
     return data
@@ -238,20 +239,20 @@ def cmd_deloop(args):
     return OK, "delooped", [], None, {"fragment": schemas.fragment_to_json(result.fragment)}
 
 
-def _load_source(path, data, key, sources):
+def _load_source(args, path, data, key, sources):
     """The simplicial set in the file named by data[key], a path relative to
     the file at path. sources holds each file already parsed, by path, so
     that one command reads each source once."""
     name = entry(data, key, "a file name", f"{path}: {key}")
     source = os.path.join(os.path.dirname(os.path.abspath(path)), name)
     if source not in sources:
-        sources[source] = _parsed(source, schemas.sset_from_json, schemas.load(source))
+        sources[source] = _parsed(source, schemas.sset_from_json, _read(args, source))
     return sources[source]
 
 
 def _load_hom(args, path, sources):
     data = _read(args, path)
-    src, dst = _load_source(path, data, "src", sources), _load_source(path, data, "dst", sources)
+    src, dst = _load_source(args, path, data, "src", sources), _load_source(args, path, data, "dst", sources)
     hom = _parsed(path, schemas.freehom_from_json, data, src, dst)
     if not hom.is_valid():
         raise InputError(f"{path}: tables do not define a simplicial homomorphism")
@@ -260,7 +261,7 @@ def _load_hom(args, path, sources):
 
 def _load_target_map(args, path, target, sources):
     data = _read(args, path)
-    tm = _parsed(path, schemas.targetmap_from_json, data, _load_source(path, data, "src", sources), target)
+    tm = _parsed(path, schemas.targetmap_from_json, data, _load_source(args, path, data, "src", sources), target)
     if not tm.is_valid():
         raise InputError(f"{path}: tables do not define a pointed simplicial map")
     return tm
@@ -321,7 +322,6 @@ class Command(NamedTuple):
     help: str
     kinds: tuple = ()  # object kinds the handler's object file may have
     arguments: dict = FILE  # flag -> add_argument options
-    inputs: tuple = ("file",)  # dests of the arguments that name input files, in report order
     flags: tuple = ()  # the GLOBAL_FLAGS the handler reads; setting any other one is a usage error
 
 
@@ -338,15 +338,15 @@ COMMANDS = {
                                           "help": "include the extended object in the report"}}, flags=("cap",)),
     "perm": Command(cmd_perm, "permutohedron lattices, labelings, schemas", (),
                     {"action": {"choices": ["enum", "label", "schema"]},
-                     "arg": {"help": "k for enum; 'dim:i,j,...' word otherwise"}}, ()),
+                     "arg": {"help": "k for enum; 'dim:i,j,...' word otherwise"}}),
     "simplex": Command(cmd_simplex, "simplex face indexing and gluing schemas", (),
-                       {"action": {"choices": ["index"]}, "arg": {"help": "the simplex dimension n"}}, ()),
+                       {"action": {"choices": ["index"]}, "arg": {"help": "the simplex dimension n"}}),
     "deloop": Command(cmd_deloop, "attempt the degree shift of a fragment", flags=("table",)),
     "star-check": Command(cmd_star_check, "associativity condition for derived composition", tuple(_LOADERS),
-                          {f"--{name}": {"required": True} for name in STAR_FILES}, STAR_FILES),
+                          {f"--{name}": {"required": True} for name in STAR_FILES}),
     "synthesize": Command(cmd_synthesize, "strict degeneracies from up-to-homotopy data", DSAB,
                           {"--input": {"required": True}, "--hdeg": {"required": True},
-                           "--strict-tie": {"action": "store_true", "dest": "strict_tie"}}, ("input", "hdeg")),
+                           "--strict-tie": {"action": "store_true", "dest": "strict_tie"}}),
     "e2": Command(cmd_e2, "levelwise-homotopy page of a bisimplicial grid", ("bisab",), flags=("window",)),
 }
 
@@ -366,7 +366,7 @@ def build_parser():
         sp = sub.add_parser(name, help=command.help)
         for flag, options in command.arguments.items():
             sp.add_argument(flag, **options)
-        sp.set_defaults(func=command.handler, inputs=command.inputs, kinds=command.kinds)
+        sp.set_defaults(func=command.handler, kinds=command.kinds)
     return p
 
 
@@ -381,14 +381,13 @@ def main(argv=None):
                if getattr(args, flag) is not None and flag not in COMMANDS[args.command].flags]
     if ignored:
         parser.error(f"{args.command} does not read {', '.join(ignored)}")
-    args.digests = {}  # input path -> digest of the bytes its load parsed
+    args.digests = {}  # input path -> digest of the bytes its load parsed, in read order
     try:
         code, verdict, witnesses, caps, extra = args.func(args)
         action = getattr(args, "action", None)
-        paths = [getattr(args, name) for name in args.inputs]
         report = {
             "command": f"{args.command}-{action}" if action else args.command,
-            "inputs": {os.path.basename(p): args.digests[p][:16] for p in paths},
+            "inputs": {os.path.basename(p): digest[:16] for p, digest in args.digests.items()},
             "verdict": verdict,
             "witnesses": witnesses,
             "caps": caps,

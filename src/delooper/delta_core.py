@@ -168,15 +168,8 @@ def matching_object(V, n):
 @dataclass
 class ReedyReport:
     fibrant: bool
-    cap: int
     witnesses: dict = field(default_factory=dict)  # degree -> ambient coset vector
     matching: dict = field(default_factory=dict, repr=False, compare=False)  # degree -> MatchingObject
-
-    def describe(self):
-        if self.fibrant:
-            return f"Reedy fibrant (delta_n surjective for 1 <= n <= {self.cap})"
-        degrees = sorted(self.witnesses)
-        return "not Reedy fibrant at degrees " + ", ".join(map(str, degrees))
 
 
 def is_reedy_fibrant(V):
@@ -191,7 +184,7 @@ def is_reedy_fibrant(V):
                 if not coker.is_zero_elt(v):
                     witnesses[n] = mo.inclusion.apply(v)
                     break
-    return ReedyReport(fibrant=not witnesses, cap=V.cap, witnesses=witnesses, matching=matching)
+    return ReedyReport(fibrant=not witnesses, witnesses=witnesses, matching=matching)
 
 
 @functools.cache

@@ -41,14 +41,6 @@ class GradedAbelianGroup:
         keys = set(self.factors) | set(other.factors)
         return all(self[k] == other[k] for k in keys)
 
-    def describe(self):
-        parts = []
-        for d in sorted(self.factors):
-            facs = self.factors[d]
-            if facs:
-                parts.append(f"pi_{d} = " + " + ".join("Z" if f == 0 else f"Z/{f}" for f in facs))
-        return "; ".join(parts) if parts else "trivial"
-
 
 @dataclass
 class ChainComplex:
@@ -161,9 +153,6 @@ class BisimplicialAbelianGroup:
         self.v_degs = v_degs  # v_degs[(p, q)][j]: (p,q) -> (p,q+1)
         self.hcap = hcap
         self.vcap = vcap
-
-    def group(self, p, q):
-        return self.levels[p][q]
 
     def row(self, q):
         """The simplicial abelian group p -> B_{p,q} (horizontal structure)."""
@@ -281,17 +270,6 @@ class E2Page:
     collapsed: bool  # every entry with s > 0 vanishes in the window
     window: tuple
     collapse_certified: bool = False  # diagonal comparison ran and agreed
-
-    def describe(self):
-        lines = []
-        smax, tmax = self.window
-        for t in range(tmax, -1, -1):
-            row = []
-            for s in range(smax + 1):
-                facs = self.entries.get((s, t), ())
-                row.append("0" if not facs else "+".join("Z" if f == 0 else f"Z/{f}" for f in facs))
-            lines.append(f"t={t}: " + "  ".join(row))
-        return "\n".join(lines)
 
 
 def e2_page(B, smax=None, tmax=None):

@@ -387,12 +387,6 @@ class CompatibleSequenceSchema:
     assembly: list  # (facet index i, description) for the boundary map
     index: SimplexFaceIndex  # the face index the equations glue over
 
-    def describe(self):
-        lines = [f"slots h_0 .. h_{self.n - 1}"]
-        lines += [eq.describe() for eq in self.equations]
-        lines += [f"hbar on facet d_{i}: h_{self.n - 1} . (id x d_{i})" for i, _ in self.assembly]
-        return "\n".join(lines)
-
 
 def compatible_sequence_schema(n):
     """Gluing equations for boundary-compatible sequences over the n-simplex.

@@ -1,13 +1,13 @@
 """Synthesizing strict degeneracies on a Reedy-fibrant face-only object.
 
-Stage n chooses the level-n degeneracy matrices jointly: their face
-tuples must match the prescription assembled from lower stages (one
-integer linear system per stage), the cross identities with the previous
-stage's degeneracies are imposed, and the solution is tied to the given
-up-to-homotopy degeneracies through mapping-complex boundary unknowns
-wherever the truncation can express them. Solutions on longer degeneracy
-words are forced by composition and re-verified, so a successful run is
-strict by construction and is checked exhaustively at the end.
+Stage n chooses the level-n degeneracy matrices jointly. Its equations are
+stated once: faces against the prescription assembled from lower stages,
+cross identities with the previous stage's degeneracies, well-definedness
+on the level relations. The candidates are checked against them as they
+stand, else solved for, tied to the candidates through mapping-complex
+boundary unknowns where the truncation can express them. Solutions on longer
+degeneracy words are forced by composition and re-verified, so a successful
+run is strict by construction and is checked exhaustively at the end.
 """
 
 from __future__ import annotations
@@ -222,13 +222,13 @@ class SynthesisResult:
 def synthesize(V, hdeg, strict_homotopy_tie=False):
     """Equip a Reedy-fibrant face-only object with strict degeneracies.
 
-    Per stage: take the candidates verbatim when they already satisfy the
-    stage identities; otherwise solve the lifting system tied to the
-    candidates by mapping-complex boundary and fiber unknowns; where the
-    truncation cannot express the tie (the top stage) or the tie alone is
-    infeasible, fall back to the bare lifting system unless
-    strict_homotopy_tie is set, in which case that infeasibility is
-    reported as the synthesis obstruction.
+    Each stage states its equations once (_stage_equations) and takes the
+    first tier that satisfies all of them: "exact", the candidates
+    verbatim; "tie", the candidates moved along mapping-complex boundary
+    and fiber directions, tried only below the top stage, where the
+    truncation holds the boundaries from level n + 2; "lift", any solution.
+    strict_homotopy_tie=True reports a tie that was tried and failed as the
+    synthesis obstruction instead of falling back to "lift".
     """
     hdeg.check_shapes(V)
     reedy = is_reedy_fibrant(V)
@@ -250,27 +250,27 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
                 entry["degenerate_split"] = False
                 entry["torsion"] = exc.torsion
         candidates = hdeg.maps[n]
-        if _stage_strict_ok(V, state, rho, candidates, n):
-            state[n] = [s.copy() for s in candidates]
-            entry["tier"] = "exact"
-            log.append(entry)
-            continue
-        sol, residue = _solve_stage(V, state, rho, candidates, n, with_tie=True)
-        if sol is not None:
-            state[n] = sol
-            entry["tier"] = "tie"
-            log.append(entry)
-            continue
-        if strict_homotopy_tie:
-            raise SynthesisFailure(stage=n, congruence=residue, detail="homotopy-tied lifting system inconsistent")
-        sol2, residue2 = _solve_stage(V, state, rho, candidates, n, with_tie=False)
-        if sol2 is not None:
-            state[n] = sol2
-            entry["tier"] = "lift"
-            entry["tie_residue"] = residue
-            log.append(entry)
-            continue
-        raise SynthesisFailure(stage=n, congruence=residue2, detail="no strict lift exists at this stage")
+        equations = _stage_equations(V, state, rho, n)
+        sol, tie_residue = None, None
+        if all(_first_difference(level, _evaluate(terms, candidates), rhs) is None
+               for terms, rhs, level in equations):
+            tier, sol = "exact", [s.copy() for s in candidates]
+        elif n + 2 <= V.cap:
+            tier = "tie"
+            sol, tie_residue = _solve_stage(V, n, equations, candidates, _tie_directions(V, n))
+            if sol is None and strict_homotopy_tie:
+                raise SynthesisFailure(stage=n, congruence=tie_residue,
+                                       detail="homotopy-tied lifting system inconsistent")
+        if sol is None:
+            tier = "lift"
+            sol, residue = _solve_stage(V, n, equations, None, [("X", None, None)])
+            if sol is None:
+                raise SynthesisFailure(stage=n, congruence=residue, detail="no strict lift exists at this stage")
+        state[n] = sol
+        entry["tier"] = tier
+        if tie_residue is not None:
+            entry["tie_residue"] = tie_residue
+        log.append(entry)
     # eq (9) holds on every degeneracy-word summand by construction; re-verify
     for n, rho in enumerate(rhos):
         for w, comps in rho.items():
@@ -289,93 +289,82 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
     return SynthesisResult(object=W, stage_log=log)
 
 
-def _stage_strict_ok(V, state, rho, candidates, n):
+def _stage_equations(V, state, rho, n):
+    """Stage n's equations in its unknowns X_j : level n -> level n + 1, each
+    (terms, rhs, level): the sum over the terms (j, P, Q) of P·X_j·Q equals
+    rhs modulo the relations of level, where a factor None is an identity.
+    In order: the faces d_i X_j against rho; the identities X_b s_a = X_d s_c
+    with stage n - 1, in the order of identity_cases; and, where level n has
+    relations, well-definedness: X_j carries them into those of level n + 1."""
+    equations = []
     for j in range(n + 1):
         comps = rho[DegeneracyWord(n, (j,))]
-        for i in range(n + 2):
-            if _first_difference(V.levels[n], V.face(n + 1, i) @ candidates[j], comps[i]) is not None:
-                return False
-    for (a, b), (c, d) in _ss_pairs(V.cap, n):
-        lhs, rhs = candidates[b] @ state[n - 1][a], candidates[d] @ state[n - 1][c]
-        if _first_difference(V.levels[n + 1], lhs, rhs) is not None:
-            return False
-    return True
+        equations += [([(j, V.face(n + 1, i), None)], comps[i], V.levels[n]) for i in range(n + 2)]
+    for family, m, _, lhs, rhs, _ in identity_cases(V.cap):
+        if family == "ss" and m == n - 1:  # s_b s_a = s_d s_c, s_a and s_c of stage n - 1
+            ((_, _, a), (_, _, b)), ((_, _, c), (_, _, d)) = lhs, rhs
+            terms = [(b, None, state[n - 1][a]), (d, None, -state[n - 1][c])]
+            equations.append((terms, Mat(V.rank(n + 1), V.rank(n - 1)), V.levels[n + 1]))
+    rels = V.levels[n].rels
+    if rels.c:
+        equations += [([(j, None, rels)], Mat(V.rank(n + 1), rels.c), V.levels[n + 1]) for j in range(n + 1)]
+    return equations
 
 
-def _ss_pairs(cap, n):
-    """The identities s_i s_j = s_{j+1} s_i from level n - 1 to level n + 1,
-    in the order of identity_cases: each as ((a, b), (c, d)), the words
-    s_b s_a = s_d s_c, where s_a and s_c act on level n - 1 and s_b and s_d
-    are stage n's unknowns."""
-    return [((lhs[0][2], lhs[1][2]), (rhs[0][2], rhs[1][2]))
-            for family, m, _, lhs, rhs, _ in identity_cases(cap) if family == "ss" and m == n - 1]
+def _product(*factors):
+    """The product of the factors from left to right, skipping each None (an
+    identity); None when every factor is."""
+    out = None
+    for M in factors:
+        if M is not None:
+            out = M if out is None else out @ M
+    return out
 
 
-def _solve_stage(V, state, rho, candidates, n, with_tie):
-    rn, rn1 = V.rank(n), V.rank(n + 1)
-    Irn = Mat.eye(rn)
-    Irn1 = Mat.eye(rn1)
+def _evaluate(terms, X):
+    """The sum over the terms (key, P, Q) of P·X[key]·Q."""
+    out = None
+    for key, P, Q in terms:
+        term = _product(P, X[key], Q)
+        out = term if out is None else out + term
+    return out
+
+
+def _tie_directions(V, n):
+    """The directions (name, L, R) in which the tie moves a candidate at a
+    stage n below the top one: boundaries from level n + 2, boundaries into
+    level n - 1 (from stage 1 on) and the fiber of the faces at level n + 1."""
+    directions = [("A", boundary_matrix(V, n + 2), None)]
+    if n >= 1:
+        directions.append(("B", None, boundary_matrix(V, n)))
+    fiber = fiber_lattice(V, n + 1)
+    if fiber.c:
+        directions.append(("C", fiber, None))
+    return directions
+
+
+def _solve_stage(V, n, equations, base, directions):
+    """Solve stage n's equations for X_j = base_j + Σ L·Y·R over the
+    directions (name, L, R), in one unknown Y = (name, j) per direction and
+    j; base None is zero and a factor None an identity. ([X_0 .. X_n], None),
+    or (None, the residue of the system's first failing equation)."""
     sys_ = _StageSystem()
-    have_A = with_tie and (n + 2 <= V.cap)
-    have_B = with_tie and n >= 1
-    tie = with_tie and have_A  # the tie is representable only below the cap
-    fiber = None
-    if tie:
-        fiber = fiber_lattice(V, n + 1)
-        if fiber.c == 0:
-            fiber = None
     for j in range(n + 1):
-        if tie:
-            sys_.add_unknown(("A", j), V.rank(n + 2), rn)
-            if have_B:
-                sys_.add_unknown(("B", j), rn1, V.rank(n - 1))
-            if fiber is not None:
-                sys_.add_unknown(("C", j), fiber.c, rn)
-        else:
-            sys_.add_unknown(("X", j), rn1, rn)
-
-    bdry_up = boundary_matrix(V, n + 2) if have_A else None
-    bdry_dn = boundary_matrix(V, n) if n >= 1 else None
-
-    def xterms(j, P, Q):
-        if not tie:
-            return [(P, ("X", j), Q)], Mat(P.r, Q.c)
-        terms = [(P @ bdry_up, ("A", j), Q)]
-        if have_B:
-            terms.append((P, ("B", j), bdry_dn @ Q))
-        if fiber is not None:
-            terms.append((P @ fiber, ("C", j), Q))
-        return terms, (P @ candidates[j]) @ Q
-
-    for j in range(n + 1):
-        w = DegeneracyWord(n, (j,))
-        comps = rho[w]
-        for i in range(n + 2):
-            terms, const = xterms(j, V.face(n + 1, i), Irn)
-            sys_.add_equation(terms, comps[i] - const, target_rels=V.levels[n].rels)
-    for (a, b), (c, d) in _ss_pairs(V.cap, n):
-        t1, c1 = xterms(b, Irn1, state[n - 1][a])
-        t2, c2 = xterms(d, Irn1, state[n - 1][c])
-        t2n = [(-P, nm, Q) for (P, nm, Q) in t2]
-        sys_.add_equation(t1 + t2n, c2 - c1, target_rels=V.levels[n + 1].rels)
-    if V.levels[n].rels.c or V.levels[n + 1].rels.c:
-        # well-definedness modulo relations: X_j . rels(src) inside rels(dst)
-        for j in range(n + 1):
-            terms, const = xterms(j, Irn1, V.levels[n].rels)
-            sys_.add_equation(terms, Mat(rn1, V.levels[n].rels.c) - const, target_rels=V.levels[n + 1].rels)
+        for name, L, R in directions:
+            sys_.add_unknown((name, j), V.rank(n + 1) if L is None else L.c, V.rank(n) if R is None else R.r)
+    for terms, rhs, level in equations:
+        if base is not None:
+            rhs = rhs - _evaluate(terms, base)
+        unknown_terms = []
+        for j, P, Q in terms:
+            for name, L, R in directions:
+                xr, xc, _ = sys_.unknowns[(name, j)]
+                left, right = _product(P, L), _product(R, Q)
+                unknown_terms.append((Mat.eye(xr) if left is None else left, (name, j),
+                                      Mat.eye(xc) if right is None else right))
+        sys_.add_equation(unknown_terms, rhs, target_rels=level.rels)
     sol, residue = sys_.solve()
     if sol is None:
         return None, residue
-    out = []
-    for j in range(n + 1):
-        if tie:
-            X = candidates[j].copy()
-            X = X + bdry_up @ sol[("A", j)]
-            if have_B:
-                X = X + sol[("B", j)] @ bdry_dn
-            if fiber is not None:
-                X = X + fiber @ sol[("C", j)]
-        else:
-            X = sol[("X", j)]
-        out.append(X)
-    return out, None
+    moves = [_evaluate([((name, j), L, R) for name, L, R in directions], sol) for j in range(n + 1)]
+    return (moves if base is None else [s + move for s, move in zip(base, moves)]), None

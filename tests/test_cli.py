@@ -200,6 +200,12 @@ def star_check(**files):
         (("deloop", "tests/data/pialg_factors_string.json"), 2),
         # the bisimplicial corpus file with nonzero levels
         (("e2", "corpus/s1xs1.bisab.json"), 0),
+        # levels Z/2 and Z + Z/2, faces (1, 0) and (0, 1): the candidate
+        # s_0 = (1, 1) meets both face equations but sends the relation 2 to
+        # (2, 2), no relation of level 1, and no s_0 meets all three, so
+        # synthesis is obstructed (not an object that verify refuses)
+        (("synthesize", "--input", "tests/data/synth_not_well_defined.dsab.json",
+          "--hdeg", "tests/data/synth_not_well_defined.hdeg.json"), 1),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -784,7 +790,7 @@ def test_combinatorial_reports_pinned(argv, digest, capsys):
         (("simplex", "index", "2"), 0, "9b3fd3cde46e57d9e22de1837f7a966e6866b281cf6fa857bf13186a636b534d"),
         (("deloop", "corpus/eta_chain.pialg.json"), 1, "38bf5144b4b0e9ddea4fab71119ebefbc51947e1c0ea18cffe5fca6b2d480269"),
         (("deloop", "corpus/loop_s3.pialg.json"), 0, "dca7b26ea591140a1cba962714a295d96c946776806ed2c85c60d06a5542c7da"),
-        (star_check(), 0, "97f08a6360fb5e49266ad9086fa65f6a4cfaf130a91d9da9036ffb2a6d3eb357"),
+        (star_check(), 0, "5a0d2d994ddb877bbc4465dd0ffdff370bf872aa56a022b1caff61e2337a8004"),
         (
             ("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"),
             0,
@@ -797,6 +803,11 @@ def test_combinatorial_reports_pinned(argv, digest, capsys):
             "f93b8b384c6f5899e4997eab9531ed43a980fc5911486508c7f64ccd908935b2",
         ),
         (("e2", "corpus/s1xs1.bisab.json"), 0, "d1d4ad399240c32b1121f9ca91c42468fc46ea7c58bbcd210f3a772eef6fa433"),
+        (
+            ("synthesize", "--input", "corpus/perturbed.dsab.json", "--hdeg", "corpus/perturbed.hdeg.json"),
+            0,
+            "e4e150557fed290033b362b02e2c70b9f1c75d6c35656dc3ae8b3f7041290430",
+        ),
     ],
 )
 def test_corpus_reports_pinned(argv, code, digest, capsys, monkeypatch):

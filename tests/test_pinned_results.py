@@ -108,7 +108,7 @@ def deloop_actions():
         (moore_diffs, "ece67f3fdf63ab9dbd9d4df066dd4a1e6d1f18607f922705d264f94525190059"),
         (matching_deltas, "714ec708bc00d48ae7e51a2fecc8a4d6015e7d625e0c47caffd039a27d836cb9"),
         (double_moore_diffs, "5b3caaa8b6bb16964837a7caab6068cf9896ff24ad453aa862dbee8875874022"),
-        (synthesized_degeneracies, "19f742cabbc7b003be3593e6b8985bcd4f75363a012e861d1aa0d2c35e3cedd9"),
+        (synthesized_degeneracies, "5f1a027e0ad49447943d9d9add7c317afb83e3e6605026bba5354b9259084153"),
         (deloop_actions, "90925f103137dd1d6b8b18e3ce4eb98b27d27385907a595ebc50e4e6d8a2c76a"),
     ],
     ids=lambda x: getattr(x, "__name__", "digest"),

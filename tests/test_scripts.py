@@ -50,7 +50,7 @@ def test_build_corpus_reproduces_committed_corpus(tmp_path):
     assert r.stderr == ""
     committed = os.path.join(ROOT, "corpus")
     names = sorted(os.listdir(committed))
-    assert len(names) == 14
+    assert len(names) == 16
     assert sorted(os.listdir(tmp_path / "corpus")) == names
     match, mismatch, errors = filecmp.cmpfiles(committed, tmp_path / "corpus", names, shallow=False)
     assert (mismatch, errors) == ([], [])
