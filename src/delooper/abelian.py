@@ -46,9 +46,6 @@ class PresentedGroup:
         cols = [[factors[i] if i == j else 0 for j in range(n)] for i in range(n)]
         return PresentedGroup(n, Mat(n, n, cols))
 
-    def zero(self):
-        return [0] * self.ngens
-
     def basis_vector(self, i):
         v = [0] * self.ngens
         v[i] = 1
@@ -126,9 +123,6 @@ class Hom:
     def is_well_defined(self):
         return self.dst.first_nonzero_column(self.mat @ self.src.rels) is None
 
-    def apply(self, v):
-        return self.mat.apply(v)
-
 
 def subgroup(G, gens):
     """Subgroup of G generated by the columns of gens.
@@ -150,20 +144,6 @@ def quotient(G, gens):
     """Quotient of G by the subgroup generated by the columns of gens."""
     Q = PresentedGroup(G.ngens, G.rels.hstack(gens))
     return Q, Hom(G, Q, Mat.eye(G.ngens))
-
-
-def kernel(f):
-    """Kernel of f as (K, incl: K -> src)."""
-    lat = kernel_mod_lattice(f.mat, f.dst.rels)
-    return subgroup(f.src, lat)
-
-
-def image(f):
-    return subgroup(f.dst, f.mat)
-
-
-def cokernel(f):
-    return quotient(f.dst, f.mat)
 
 
 @dataclass

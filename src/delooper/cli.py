@@ -223,7 +223,7 @@ def cmd_simplex(args):
 
 
 def cmd_deloop(args):
-    table = SphereTable.load(args.table)
+    table = SphereTable.load() if args.table is None else SphereTable.from_json(_read(args, args.table))
     frag = _parsed(args.file, schemas.fragment_from_json, _read(args, args.file))
     rep = validate(frag, table)
     if not rep.ok:
@@ -387,7 +387,7 @@ def main(argv=None):
         action = getattr(args, "action", None)
         report = {
             "command": f"{args.command}-{action}" if action else args.command,
-            "inputs": {os.path.basename(p): digest[:16] for p, digest in args.digests.items()},
+            "inputs": _input_keys(args.digests),
             "verdict": verdict,
             "witnesses": witnesses,
             "caps": caps,
@@ -403,6 +403,17 @@ def main(argv=None):
         code, text = INTERNAL, json.dumps({"command": args.command, "verdict": "internal-error", "error": repr(exc)})
     _emit(text)
     return code
+
+
+def _input_keys(digests):
+    """The report's inputs: each file's digest under its base name; when an
+    earlier file of the command took that name, under its path as read (or
+    its absolute path, when that path is the taken name)."""
+    inputs = {}
+    for path, digest in digests.items():
+        key = next(k for k in (os.path.basename(path), path, os.path.abspath(path)) if k not in inputs)
+        inputs[key] = digest[:16]
+    return inputs
 
 
 def _emit(text):

@@ -82,7 +82,7 @@ def verify_identities(X):
     simplicial sets alike."""
     if isinstance(X, FiniteSimplicialSet):
         return X.verify_identities()
-    report = Report(cap=X.cap)
+    report = Report()
     add = report.violations.append
     maps = {"d": X.faces, "s": getattr(X, "degeneracies", {})}
     for family, n, indices, lhs, rhs, m in identity_cases(X.cap, isinstance(X, SAb)):

@@ -1,9 +1,9 @@
 """Seeded random objects for the property and acceptance suites.
 
 Strict simplicial abelian groups come from the inverse Dold-Kan applied
-to small chain complexes, optionally conjugated by levelwise unimodular
-changes of basis so the instances do not expose the summand structure.
-Acyclic complexes built from invertible cones give exactly the
+to small chain complexes; the fibrant ones are conjugated by levelwise
+unimodular changes of basis so the instances do not expose the summand
+structure. Acyclic complexes built from invertible cones give exactly the
 Reedy-fibrant inputs the degeneracy synthesis expects.
 """
 
@@ -66,39 +66,36 @@ def random_acyclic_complex(cap, rng, max_rank=2, max_cones=3):
     return ChainComplex(groups=[PresentedGroup.free(r) for r in ranks], diffs=diffs)
 
 
-def random_finite_complex(cap, rng, orders=(2, 3, 4), max_terms=2):
+def random_finite_complex(cap, rng):
     """Chain complex of finite cyclic groups with zero differentials; its
     inverse Dold-Kan has finite levels with prescribed homotopy."""
     groups = []
     for m in range(cap + 1):
         if rng.random() < 0.6:
-            groups.append(PresentedGroup.cyclic(rng.choice(orders)))
+            groups.append(PresentedGroup.cyclic(rng.choice((2, 3, 4))))
         else:
             groups.append(PresentedGroup.free(0))
     diffs = {m: Mat(groups[m - 1].ngens, groups[m].ngens) for m in range(1, cap + 1)}
     return ChainComplex(groups=groups, diffs=diffs)
 
 
-def conjugate_simplicial(W, rng, steps=5):
+def conjugate_simplicial(W, rng):
     """Conjugate a strict object by levelwise unimodular automorphisms."""
-    T, Tinv = zip(*[random_unimodular(W.rank(n), rng, steps=steps) for n in range(W.cap + 1)])
+    T, Tinv = zip(*[random_unimodular(W.rank(n), rng, steps=5) for n in range(W.cap + 1)])
     faces = {n: [(T[n - 1] @ W.face(n, i)) @ Tinv[n] for i in range(n + 1)] for n in range(1, W.cap + 1)}
     degs = {n: [(T[n + 1] @ W.degeneracy(n, j)) @ Tinv[n] for j in range(n + 1)] for n in range(0, W.cap)}
     return SAb(W.levels, faces, degs, W.cap)
 
 
-def random_fibrant_strict_object(rng, cap, rank_limit=6, twist=True):
+def random_fibrant_strict_object(rng, cap, rank_limit=6):
     """A strict simplicial abelian group, acyclic in the reliable range,
-    with every level rank at most rank_limit."""
+    with every level rank at most rank_limit, conjugated levelwise."""
     while True:
         cpx = random_acyclic_complex(cap, rng, max_rank=2, max_cones=3)
         level_ranks = _gamma_ranks(cpx, cap)
         if max(level_ranks) <= rank_limit and max(level_ranks) > 0:
             break
-    W = dold_kan(cpx, cap)
-    if twist:
-        W = conjugate_simplicial(W, rng)
-    return W
+    return conjugate_simplicial(dold_kan(cpx, cap), rng)
 
 
 def _gamma_ranks(cpx, cap):
@@ -108,7 +105,7 @@ def _gamma_ranks(cpx, cap):
     return out
 
 
-def perturb_degeneracies(W, rng, magnitude=1):
+def perturb_degeneracies(W, rng):
     """Candidates s'_j = s_j + boundary . A + B . boundary, the
     chain-homotopic perturbation used in round-trip tests."""
     maps = {}
@@ -120,14 +117,14 @@ def perturb_degeneracies(W, rng, magnitude=1):
                 A = Mat(
                     W.rank(n + 2),
                     W.rank(n),
-                    [[rng.choice([-magnitude, 0, 0, magnitude]) for _ in range(W.rank(n))] for _ in range(W.rank(n + 2))],
+                    [[rng.choice([-1, 0, 0, 1]) for _ in range(W.rank(n))] for _ in range(W.rank(n + 2))],
                 )
                 X = X + boundary_matrix(W, n + 2) @ A
             if n >= 1:
                 B = Mat(
                     W.rank(n + 1),
                     W.rank(n - 1),
-                    [[rng.choice([-magnitude, 0, 0, magnitude]) for _ in range(W.rank(n - 1))] for _ in range(W.rank(n + 1))],
+                    [[rng.choice([-1, 0, 0, 1]) for _ in range(W.rank(n - 1))] for _ in range(W.rank(n + 1))],
                 )
                 X = X + B @ boundary_matrix(W, n)
             row.append(X)
@@ -135,10 +132,10 @@ def perturb_degeneracies(W, rng, magnitude=1):
     return HomotopyDegeneracyData(maps=maps)
 
 
-def augmented_acyclic_complex(cap, rng, base_rank=1, max_cones=2):
+def augmented_acyclic_complex(cap, rng, base_rank=1):
     """Free complex with homology Z^base_rank in degree 0 and none above;
     the chain-level model of a resolution of a free group."""
-    acyclic = random_acyclic_complex(cap, rng, max_rank=1, max_cones=max_cones)
+    acyclic = random_acyclic_complex(cap, rng, max_rank=1, max_cones=2)
     groups = [PresentedGroup.free(acyclic.groups[0].ngens + base_rank)] + acyclic.groups[1:]
     diffs = {}
     for m in range(1, cap + 1):
@@ -158,24 +155,25 @@ def augmented_acyclic_complex(cap, rng, base_rank=1, max_cones=2):
     return cpx
 
 
-def random_resolution_grid(rng, hcap=2, vcap=2, rank_limit=8):
-    """Bisimplicial grid whose rows resolve a free group: the external
-    product of an augmented-acyclic horizontal object with a finite
-    vertical object. Its levelwise-homotopy page is concentrated in the
-    base column."""
+def random_resolution_grid(rng):
+    """Bisimplicial grid of caps (2, 2) whose rows resolve a free group:
+    the external product of an augmented-acyclic horizontal object, each
+    level of rank at most 4, with a finite vertical object. Its
+    levelwise-homotopy page is concentrated in the base column."""
     while True:
-        ch = augmented_acyclic_complex(hcap, rng, base_rank=rng.randint(1, 2))
-        if max(_gamma_ranks(ch, hcap)) <= rank_limit // 2:
+        ch = augmented_acyclic_complex(2, rng, base_rank=rng.randint(1, 2))
+        if max(_gamma_ranks(ch, 2)) <= 4:
             break
-    cv = random_finite_complex(vcap, rng)
-    H = dold_kan(ch, hcap)
-    G = dold_kan(cv, vcap)
+    cv = random_finite_complex(2, rng)
+    H = dold_kan(ch, 2)
+    G = dold_kan(cv, 2)
     return external_product(H, G), H, G
 
 
-def random_small_strict_object(rng, cap, rank_limit=5, torsion=False):
+def random_small_strict_object(rng, cap, torsion=False):
     """A strict object with arbitrary small homotopy (not necessarily
-    fibrant); used by identity and Moore property tests."""
+    fibrant), every level of rank at most 5; used by identity and Moore
+    property tests."""
     while True:
         if torsion:
             cpx = random_finite_complex(cap, rng)
@@ -194,5 +192,5 @@ def random_small_strict_object(rng, cap, rank_limit=5, torsion=False):
                 continue
             cpx = ChainComplex(groups=groups, diffs=diffs)
         ranks = _gamma_ranks(cpx, cap)
-        if 0 < max(ranks) <= rank_limit:
+        if 0 < max(ranks) <= 5:
             return dold_kan(cpx, cap)

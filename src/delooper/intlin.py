@@ -287,11 +287,6 @@ def _columns(M, lo, hi):
     return Mat(M.r, hi - lo, [row[lo:hi] for row in M.a])
 
 
-def solve(A, B):
-    """One-shot A X = B; returns particular solution or None."""
-    return SmithSolver(A).solve_columns(B)
-
-
 def nullspace(A):
     return SmithSolver(A).nullspace()
 

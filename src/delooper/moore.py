@@ -64,7 +64,6 @@ class ChainComplex:
 class MooreComplex:
     complex: ChainComplex
     lifts: list  # lifts[n]: Mat, columns embed N_n into level n
-    source_cap: int
 
 
 def moore_complex(G):
@@ -85,7 +84,7 @@ def moore_complex(G):
     bad = cpx.verify_dd()
     if bad:
         raise StructuralError(f"Moore boundary does not square to zero at degrees {bad}")
-    return MooreComplex(complex=cpx, lifts=lifts, source_cap=cap)
+    return MooreComplex(complex=cpx, lifts=lifts)
 
 
 def chain_homology(cpx, n):
@@ -215,13 +214,6 @@ def external_product(A, B):
             if q < vcap:
                 v_degs[(p, q)] = [kron(IA, B.degeneracy(q, j)) for j in range(q + 1)]
     return BisimplicialAbelianGroup(levels, h_faces, v_faces, h_degs, v_degs, hcap, vcap)
-
-
-def constant_vertical(G, vcap):
-    """Bisimplicial grid, vertically constant on the simplicial group G."""
-    groups = [PresentedGroup.free(1)] + [PresentedGroup.free(0)] * vcap
-    diffs = {q: Mat(groups[q - 1].ngens, 0) for q in range(1, vcap + 1)}
-    return external_product(G, dold_kan(ChainComplex(groups, diffs)))
 
 
 def diagonal(B):

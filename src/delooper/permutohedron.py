@@ -64,14 +64,6 @@ def ordered_partitions(elements):
 class PermutohedronFace:
     partition: tuple  # ordered partition, blocks are sorted tuples
 
-    @property
-    def k(self):
-        return sum(len(b) for b in self.partition) - 1
-
-    @property
-    def dimension(self):
-        return self.k + 1 - len(self.partition)
-
     def refines(self, other):
         """True if this face is contained in other (partition refinement)."""
         mine = list(self.partition)
@@ -256,11 +248,6 @@ def proper_factors(delta):
     return ProperFactorCollection(delta=delta, factors=frozenset(FaceWord.from_deleted(d, mid) for d, mid in keys))
 
 
-@dataclass(frozen=True)
-class SlotSpec:
-    word: FaceWord
-
-
 @dataclass
 class FaceEquation:
     """The constraint on one face: its restriction equals the composite of
@@ -279,7 +266,7 @@ class FaceEquation:
 @dataclass
 class CompatibleCollectionSchema:
     delta: FaceWord
-    slots: dict  # FaceWord -> SlotSpec
+    slots: frozenset  # the proper factors of delta, normal-form FaceWords
     unit_constraints: list  # (FaceWord, pinned face index, level)
     equations: list  # FaceEquation per positive-codimension non-vertex face
     assembly: list  # facets: (partition, blocks) covering the boundary sphere
@@ -303,9 +290,9 @@ def compatible_schema(delta):
     if k > PRACTICAL_K:
         raise ResourceError(f"schema over P_{k} beyond practical bound {PRACTICAL_K}")
     collection = proper_factors(delta)
-    slots = {w: SlotSpec(w) for w in collection.factors}
+    slots = collection.factors
     unit_constraints = []
-    for w in collection.factors:
+    for w in slots:
         if len(w) == 1:
             unit_constraints.append((w, w.letters[0], w.source_dim))
     cells = _BlockCells(delta, slots)

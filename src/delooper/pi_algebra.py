@@ -36,10 +36,16 @@ class SphereTable:
 
     @staticmethod
     def load(path=None):
+        """The table in the file at path, or the bundled table."""
         if path is None:
             data = json.loads(resources.files("delooper").joinpath("data/spheres.json").read_text())
         else:
             data = load_object(path)
+        return SphereTable.from_json(data)
+
+    @staticmethod
+    def from_json(data):
+        """The table in a decoded sphere-table file, checked."""
         if type(data.get("format")) is not int or data["format"] != 1:
             raise InputError(f"unsupported sphere table format {data.get('format')!r}")
         span_data = entry(data, "span", "an object", "sphere table span")
@@ -210,9 +216,6 @@ class PiAlgebraFragment:
 
     def degrees(self):
         return range(self.d_lo, self.d_hi + 1)
-
-    def is_free(self):
-        return bool(self.free_summands)
 
 
 @dataclass
@@ -419,7 +422,7 @@ def counit_is_surjective(G, counit, window=None):
 
 def indecomposables(F):
     """Q of a free fragment: one Z per sphere summand, in its dimension."""
-    if not F.is_free():
+    if not F.free_summands:
         raise ValueError("indecomposables requires a fragment built free")
     factors = {}
     for (_, dim) in F.free_summands:
@@ -484,14 +487,20 @@ def retract_complement(i_map, r_map):
 
 @dataclass
 class Obstruction:
+    """A row (n, m) of the table whose suspension constraints h(c) = f admit
+    no homomorphism h from the row group into the target group: one
+    constraint that fails alone, or else all of them. coefficients holds
+    each c in turn (one entry per row generator), forced_value each f (one
+    entry per target generator), target_factors the target's factors."""
+
     degree: int
     generator: str
     relation: str
     forced_description: str
     table_row: tuple  # (n, m)
-    coefficients: list = None  # the forced combination of row generators
-    forced_value: list = None  # its prescribed image in the target group
-    target_factors: tuple = None  # invariant factors of the target group
+    coefficients: list
+    forced_value: list
+    target_factors: tuple
 
     def describe(self):
         return (
@@ -500,11 +509,14 @@ class Obstruction:
         )
 
     def recheck(self, table):
-        """Re-solve just this congruence from its stored coordinates."""
-        if self.coefficients is None:
-            return True
+        """Whether the stored constraints, solved afresh, still admit no
+        homomorphism."""
+        row = table.group(*self.table_row)
         target = PresentedGroup.from_factors(list(self.target_factors))
-        return _solve_row_hom(table.group(*self.table_row), target, [(self.coefficients, self.forced_value)]) is None
+        R, T = row.ngens, target.ngens
+        constraints = [(self.coefficients[i * R : (i + 1) * R], self.forced_value[i * T : (i + 1) * T])
+                       for i in range(len(self.forced_value) // T)]
+        return _solve_row_hom(row, target, constraints) is None
 
 
 @dataclass
@@ -587,8 +599,10 @@ def _solve_row_hom(row, target, constraints):
 
 
 def _describe_failing_congruence(table, k, m, gen, constraints, target):
-    # find a single unsatisfiable congruence for the witness if one exists
+    """The Obstruction of an unsatisfiable system: a single unsatisfiable
+    constraint for the witness if one exists, else all of them."""
     row = table.group(k, m)
+    factors = tuple(_diagonal_factors(target) or target.invariant_factors())
     for coeffs, forced in constraints:
         if _solve_row_hom(row, target, [(coeffs, forced)]) is None:
             nz = [(i, c) for i, c in enumerate(coeffs) if c]
@@ -605,7 +619,7 @@ def _describe_failing_congruence(table, k, m, gen, constraints, target):
                 table_row=(k, m),
                 coefficients=list(coeffs),
                 forced_value=list(forced),
-                target_factors=tuple(_diagonal_factors(target) or target.invariant_factors()),
+                target_factors=factors,
             )
     return Obstruction(
         degree=m,
@@ -613,6 +627,9 @@ def _describe_failing_congruence(table, k, m, gen, constraints, target):
         relation="joint suspension constraints unsatisfiable",
         forced_description="the full congruence system over the row group has no solution",
         table_row=(k, m),
+        coefficients=[c for coeffs, _ in constraints for c in coeffs],
+        forced_value=[x for _, forced in constraints for x in forced],
+        target_factors=factors,
     )
 
 

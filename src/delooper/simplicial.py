@@ -35,18 +35,11 @@ class Violation:
 
 @dataclass
 class Report:
-    cap: int
     violations: list = field(default_factory=list)
 
     @property
     def ok(self):
         return not self.violations
-
-    def describe(self):
-        if self.ok:
-            return f"all simplicial identities hold up to cap {self.cap}"
-        lines = [v.describe() for v in self.violations]
-        return f"{len(lines)} violation(s) up to cap {self.cap}:\n" + "\n".join(lines)
 
 
 class StructuralError(InputError):
@@ -112,7 +105,7 @@ class FiniteSimplicialSet:
 
     def verify_identities(self):
         """Exhaustive check of the five identity families and pointedness."""
-        report = Report(cap=self.cap)
+        report = Report()
         add = report.violations.append
         for n in range(1, self.cap + 1):
             for i in range(n + 1):
@@ -232,13 +225,6 @@ def zero_sphere(cap):
     elements = [[BASE, "p"] for _ in range(cap + 1)]
     faces = {n: [{BASE: BASE, "p": "p"} for _ in range(n + 1)] for n in range(1, cap + 1)}
     degeneracies = {n: [{BASE: BASE, "p": "p"} for _ in range(n + 1)] for n in range(0, cap)}
-    return FiniteSimplicialSet(cap, elements, faces, degeneracies)
-
-
-def point(cap):
-    elements = [[BASE] for _ in range(cap + 1)]
-    faces = {n: [{BASE: BASE} for _ in range(n + 1)] for n in range(1, cap + 1)}
-    degeneracies = {n: [{BASE: BASE} for _ in range(n + 1)] for n in range(0, cap)}
     return FiniteSimplicialSet(cap, elements, faces, degeneracies)
 
 

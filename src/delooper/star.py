@@ -45,10 +45,6 @@ def word_reduce(letters):
     return tuple(out)
 
 
-def word_mul(a, b):
-    return word_reduce(list(a) + list(b))
-
-
 def word_inv(a):
     return tuple((g, -e) for g, e in reversed(a))
 
@@ -536,7 +532,7 @@ def conjugation_hom(F, base_word):
     tables = []
     for n in range(F.cap + 1):
         w = towers[n]
-        tables.append({g: word_mul(word_mul(w, ((g, 1),)), word_inv(w)) for g in F.generators(n)})
+        tables.append({g: word_reduce(w + ((g, 1),) + word_inv(w)) for g in F.generators(n)})
     return GroupHomMap(F, F, tables)
 
 

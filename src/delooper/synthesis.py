@@ -150,7 +150,7 @@ def rho_map(V, state, n, matching=None):
     solver = SmithSolver(mo.inclusion.hstack(mo.ambient.rels))
     for w, comps in components.items():
         if solver.solve_columns(vstack_all(comps)) is None:
-            raise StructuralError(f"face prescription for word {w.describe()} leaves the matching object")
+            raise StructuralError(f"face prescription for {w} leaves the matching object")
     return components
 
 
@@ -279,7 +279,7 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
                 if _first_difference(V.levels[n], V.face(n + 1, i) @ mat, comps[i]) is not None:
                     raise SynthesisFailure(
                         stage=n,
-                        congruence=f"face d_{i} of word {w.describe()} disagrees with its prescription",
+                        congruence=f"face d_{i} of {w} disagrees with its prescription",
                         detail="post-solve verification failed",
                     )
     W = SAb(V.levels, V.faces, {n: state[n] for n in range(V.cap)}, V.cap)

@@ -52,9 +52,6 @@ class FaceWord:
         """The word that deletes the same vertices in ascending order."""
         return FaceWord.from_deleted(self.source_dim, self.deleted_vertices())
 
-    def is_normal(self):
-        return all(self.letters[t] <= self.letters[t + 1] for t in range(len(self.letters) - 1))
-
     def factorizations(self):
         """All ways of writing the composite as single face maps: one word
         per order of deleting its vertices, where a vertex's letter is its
@@ -105,18 +102,9 @@ class DegeneracyWord:
         """The word with strictly increasing letters for the same surjection."""
         return DegeneracyWord.from_surjection(self.as_surjection())
 
-    def is_normal(self):
-        return all(self.letters[t] < self.letters[t + 1] for t in range(len(self.letters) - 1))
-
     def prefixed_by(self, j):
         """Normal form of s_j applied after this word."""
         return DegeneracyWord(self.source_dim, self.letters + (j,)).normal_form()
-
-    def peel(self):
-        """Split a normal-form word as (last applied letter, remaining word)."""
-        if not self.letters:
-            raise ValueError("cannot peel the empty word")
-        return self.letters[-1], DegeneracyWord(self.source_dim, self.letters[:-1])
 
     def as_surjection(self):
         """The values of the monotone surjection [source_dim + len(self)] -> [source_dim] it represents."""
@@ -131,11 +119,6 @@ class DegeneracyWord:
         given by its values: s_t for each t that it sends to the same value
         as t + 1."""
         return DegeneracyWord(values[-1], tuple(t for t in range(len(values) - 1) if values[t] == values[t + 1]))
-
-    def describe(self):
-        if not self.letters:
-            return f"id_{self.source_dim}"
-        return "".join(f"s{j}" for j in reversed(self.letters)) + f"@{self.source_dim}"
 
 
 def canonical_degeneracy_words(k, n):

@@ -280,13 +280,13 @@ def test_criterion_6_synthesis_round_trips():
         exact = HomotopyDegeneracyData.from_simplicial(W)
         res1 = synthesize(V, exact)
         rep1 = verify_identities(res1.object)
-        assert rep1.ok, rep1.describe()
+        assert rep1.ok, rep1.violations
         assert homotopy_groups(res1.object) == reference
 
         perturbed = perturb_degeneracies(W, rng)
         res2 = synthesize(V, perturbed)
         rep2 = verify_identities(res2.object)
-        assert rep2.ok, rep2.describe()
+        assert rep2.ok, rep2.violations
         assert homotopy_groups(res2.object) == reference
         count += 1
     assert count >= 100

@@ -206,6 +206,8 @@ def star_check(**files):
         # synthesis is obstructed (not an object that verify refuses)
         (("synthesize", "--input", "tests/data/synth_not_well_defined.dsab.json",
           "--hdeg", "tests/data/synth_not_well_defined.hdeg.json"), 1),
+        # suspension constraints that each admit a homomorphism and jointly do not
+        (("deloop", "tests/data/pialg_joint_obstruction.json"), 1),
     ],
 )
 def test_exit_code_contract(args, expected):
@@ -1018,3 +1020,45 @@ def test_star_check_reads_each_file_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "holds"
     counts = collections.Counter(paths)
     assert len(counts) == 5 and set(counts.values()) == {1}, counts
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def test_table_is_listed_in_inputs(tmp_path, capsys, monkeypatch):
+    """--table is an input: the report lists its digest before the
+    fragment's, and the table is read once."""
+    from delooper import cli, schemas
+
+    monkeypatch.chdir(ROOT)
+    table = shutil.copy(os.path.join(ROOT, "src", "delooper", "data", "spheres.json"), tmp_path)
+    paths = []
+    load = schemas.load
+
+    def counted(path):
+        paths.append(path)
+        return load(path)
+
+    monkeypatch.setattr(schemas, "load", counted)
+    assert cli.main(["--table", table, "deloop", "corpus/loop_s3.pialg.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "delooped"
+    assert report["inputs"] == {"spheres.json": _digest(table), "loop_s3.pialg.json": _digest(corpus("loop_s3.pialg.json"))}
+    assert paths == [table, "corpus/loop_s3.pialg.json"]
+
+
+def test_same_named_inputs_keep_both_digests(tmp_path, capsys, monkeypatch):
+    """Two input files with one base name: the second is listed under its
+    path as read, so neither digest is lost."""
+    from delooper import cli
+
+    for sub, name in (("a", "fibrant.dsab.json"), ("b", "fibrant.hdeg.json")):
+        os.mkdir(tmp_path / sub)
+        shutil.copy(corpus(name), tmp_path / sub / "x.json")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synthesize", "--input", "a/x.json", "--hdeg", "b/x.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == {"x.json": _digest(corpus("fibrant.dsab.json")),
+                                "b/x.json": _digest(corpus("fibrant.hdeg.json"))}

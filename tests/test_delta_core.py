@@ -317,4 +317,3 @@ def test_identity_violation_texts_pinned(kind):
     X = {"dsab": _perturbed_zs1, "delta": lambda: underlying_delta(_perturbed_zs1()), "sset": _perturbed_delta1}[kind]()
     report = verify_identities(X)
     assert [v.describe() for v in report.violations] == PINNED_VIOLATIONS[kind]
-    assert report.describe().splitlines()[0] == f"{len(PINNED_VIOLATIONS[kind])} violation(s) up to cap 3:"

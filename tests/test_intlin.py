@@ -19,7 +19,6 @@ from delooper.intlin import (
     kron,
     nullspace,
     smith_normal_form,
-    solve,
     solve_modulo,
     vec_block,
 )
@@ -87,7 +86,7 @@ def test_solve_and_nullspace():
         A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         x = Mat(A.c, 1, [[rng.randint(-3, 3)] for _ in range(A.c)])
         b = A @ x
-        sol = solve(A, b)
+        sol = SmithSolver(A).solve_columns(b)
         assert sol is not None
         assert A @ sol == b
         N = nullspace(A)
@@ -99,7 +98,7 @@ def test_solve_and_nullspace():
 def test_solve_unsolvable():
     A = Mat.from_rows([[2, 0], [0, 2]])
     b = Mat.column([1, 0])
-    assert solve(A, b) is None
+    assert SmithSolver(A).solve_columns(b) is None
 
 
 def test_column_basis_spans_same_lattice():
@@ -419,7 +418,7 @@ def test_solve_modulo_solves_the_congruence():
         lattice = SmithSolver(R)
         if X is None:
             # some column of B leaves A's column lattice plus R's
-            assert solve(A.hstack(R), B) is None
+            assert SmithSolver(A.hstack(R)).solve_columns(B) is None
             continue
         solved += 1
         assert (X.r, X.c) == (A.c, B.c)

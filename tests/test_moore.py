@@ -16,7 +16,6 @@ from delooper.moore import (
     ChainComplex,
     certify_collapse,
     chain_homology_factors,
-    constant_vertical,
     diagonal,
     dold_kan,
     double_moore_total_complex,
@@ -26,6 +25,14 @@ from delooper.moore import (
     moore_complex,
 )
 from delooper.simplicial import sphere, standard_simplex
+
+
+def constant_vertical(G, vcap):
+    """Bisimplicial grid, vertically constant on the simplicial group G:
+    the external product of G with the inverse Dold-Kan of Z in degree 0."""
+    groups = [PresentedGroup.free(1)] + [PresentedGroup.free(0)] * vcap
+    diffs = {q: Mat(groups[q - 1].ngens, 0) for q in range(1, vcap + 1)}
+    return external_product(G, dold_kan(ChainComplex(groups, diffs)))
 
 
 def test_moore_of_circle():

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,25 @@ def test_obstruction_witness_recheck_is_standalone(table):
         target_factors=(12,),
     )
     assert not satisfiable.recheck(table)
+
+
+def test_joint_obstruction_rechecks_its_constraints(table):
+    """x in degree 4 with nu4 -> [1] and a4 -> [0] into Z/4 in degree 7: on
+    the row pi_8 S^5 = Z/24 the suspensions force h(nu5) = 1 and
+    h(2 nu5) = 0. Each alone admits a homomorphism, the pair does not, so
+    the obstruction stores both and its recheck solves both; forcing
+    h(2 nu5) = 2 instead makes the pair consistent."""
+    from delooper import schemas
+
+    path = os.path.join(os.path.dirname(__file__), "data", "pialg_joint_obstruction.json")
+    G = schemas.fragment_from_json(schemas.load(path))
+    ob = deloop(G, table)
+    assert isinstance(ob, Obstruction)
+    assert (ob.relation, ob.table_row, ob.degree) == ("joint suspension constraints unsatisfiable", (5, 8), 8)
+    assert (ob.coefficients, ob.forced_value, ob.target_factors) == ([1, 2], [1, 0], (4,))
+    assert ob.recheck(table)
+    assert reverify_obstruction(ob, G, table)
+    assert not replace(ob, forced_value=[1, 2]).recheck(table)
 
 
 def test_deloop_multiple_generators_per_degree(table):

@@ -15,15 +15,15 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
+# (script, arguments, text of its last line); test_reach.py runs these too
+SMOKE_RUNS = [
+    ("perm_census.py", ["--kmax", "3", "--dim-max", "4", "--len-max", "3"], "all match the vertex counts"),
+    ("synthesis_roundtrip.py", ["--seeds", "2"], "perturbed stage tier"),
+    ("deloop_demo.py", [], "matches the bundled 3-sphere rows: True"),
+]
 
-@pytest.mark.parametrize(
-    "script,args,last_line",
-    [
-        ("perm_census.py", ["--kmax", "3", "--dim-max", "4", "--len-max", "3"], "all match the vertex counts"),
-        ("synthesis_roundtrip.py", ["--seeds", "2"], "perturbed stage tier"),
-        ("deloop_demo.py", [], "matches the bundled 3-sphere rows: True"),
-    ],
-)
+
+@pytest.mark.parametrize("script,args,last_line", SMOKE_RUNS)
 def test_script_runs(script, args, last_line):
     r = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *args],

@@ -38,7 +38,6 @@ from delooper.star import (
     retraction_mbar,
     star,
     word_inv,
-    word_mul,
     word_reduce,
 )
 
@@ -120,9 +119,9 @@ def all_target_maps(A, K):
 
 def test_word_arithmetic():
     assert word_reduce([("a", 1), ("a", -1)]) == ()
-    assert word_mul((("a", 1),), (("a", -1), ("b", 1))) == (("b", 1),)
+    assert word_reduce((("a", 1),) + (("a", -1), ("b", 1))) == (("b", 1),)
     w = (("a", 1), ("b", -1))
-    assert word_mul(w, word_inv(w)) == ()
+    assert word_reduce(w + word_inv(w)) == ()
 
 
 def test_milnor_f_ranks():
@@ -332,7 +331,7 @@ def test_smith_coordinates_agree_with_generator_coordinates(orders, seed):
         elements = K.elements(n)
         assert elements == [G.canon(v) for v in G.elements()]
         assert len(set(elements)) == len(elements) == G.order()
-        assert K.identity(n) == K.from_generators(n, G.zero())
+        assert K.identity(n) == K.from_generators(n, [0] * G.ngens)
         for _ in range(6):
             a, b = rng.choice(elements), rng.choice(elements)
             va, vb = K.to_generators(n, a), K.to_generators(n, b)
@@ -771,7 +770,7 @@ def test_apply_equals_iterated_word_mul(data):
     word = data.draw(st.lists(letters, max_size=8))
     expected = ()
     for g, e in word:
-        expected = word_mul(expected, table[g] if e == 1 else word_inv(table[g]))
+        expected = word_reduce(expected + (table[g] if e == 1 else word_inv(table[g])))
     assert GroupHomMap(None, None, [table]).apply(0, word) == expected
 
 
