@@ -1,8 +1,8 @@
 """Command-line surface: batch verification and JSON report emission.
 
-Exit codes: 0 the verdict holds / object consistent, 1 a property fails
-or an obstruction was found (with a machine-recheckable witness), 2 a
-usage or input error, 3 an internal error (a bug; traceback on stderr).
+Exit codes (EXIT_CODES gives each verdict's code): 0 the verdict holds,
+1 a property fails or an obstruction was found, 2 a usage or input
+error, 3 an internal error (a bug; traceback on stderr).
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ from .synthesis import SynthesisFailure, synthesize
 from .words import FaceWord
 
 OK, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
+
+# verdict -> exit code, looked up by main: a verdict missing here is a bug (exit 3)
+EXIT_CODES = {**dict.fromkeys(("consistent", "computed", "fibrant", "delooped", "holds", "synthesized"), OK),
+              **dict.fromkeys(("violations", "not-fibrant", "obstruction", "obstructed", "collapse-mismatch"), FAIL)}
 
 _LOADERS = {"sset": schemas.sset_from_json, "dsab": schemas.dsab_from_json, "bisab": schemas.bisab_from_json}
 
@@ -132,8 +136,7 @@ def _truncate(obj, cap):
 def _identities(X, caps, extra):
     """The result of checking every simplicial identity of X."""
     rep = verify_identities(X)
-    verdict = "consistent" if rep.ok else "violations"
-    return (OK if rep.ok else FAIL), verdict, [v.describe() for v in rep.violations], caps, extra
+    return ("consistent" if rep.ok else "violations"), [v.describe() for v in rep.violations], caps, extra
 
 
 def cmd_verify(args):
@@ -150,13 +153,13 @@ def cmd_moore(args):
             raise InputError(f"empty degree window {lo},{hi}: lo exceeds hi")
         degrees = range(lo, hi + 1)
     pis = homotopy_groups(V, degrees)
-    return OK, "computed", [], V.cap, {"homotopy": {str(d): list(f) for d, f in pis.factors.items()}}
+    return "computed", [], V.cap, {"homotopy": {str(d): list(f) for d, f in pis.factors.items()}}
 
 
 def cmd_match(args):
     V = _load_delta(args, args.file)
     mo = matching_object(V, args.n)
-    return OK, "computed", [], V.cap, {
+    return "computed", [], V.cap, {
         "n": args.n,
         "matching_invariants": list(mo.group.invariant_factors()),
         "delta_well_defined": mo.delta.is_well_defined(),
@@ -167,7 +170,7 @@ def cmd_reedy(args):
     V = _load_delta(args, args.file)
     rep = is_reedy_fibrant(V)
     witnesses = [{"degree": n, "missed_tuple": w} for n, w in sorted(rep.witnesses.items())]
-    return (OK if rep.fibrant else FAIL), ("fibrant" if rep.fibrant else "not-fibrant"), witnesses, V.cap, {}
+    return ("fibrant" if rep.fibrant else "not-fibrant"), witnesses, V.cap, {}
 
 
 def cmd_extend(args):
@@ -181,7 +184,7 @@ def cmd_perm(args):
     if args.action == "enum":
         k = _integer(args.arg)
         lattice = build_permutohedron(k)
-        return OK, "computed", [], None, {
+        return "computed", [], None, {
             "k": k,
             "face_counts": {str(d): n for d, n in lattice.face_counts.items()},
             "faces": [[list(b) for b in f.partition] for f in lattice.faces] if k <= 3 else "suppressed",
@@ -189,13 +192,13 @@ def cmd_perm(args):
     word = _parse_word(args.arg)
     if args.action == "label":
         lab = label(word)
-        return OK, "computed", [], None, {
+        return "computed", [], None, {
             "delta": word.normal_form().describe(),
             "vertices": {str(i): w.describe() for i, w in enumerate(sorted(lab.vertex_labels.values(), key=lambda x: x.letters))},
             "vertex_count": len(lab.vertex_labels),
         }
     sch = compatible_schema(word)
-    return OK, "computed", [], None, {
+    return "computed", [], None, {
         "delta": sch.delta.describe(),
         "slots": sorted(w.describe() for w in sch.slots),
         "unit_constraints": [
@@ -219,7 +222,7 @@ def cmd_simplex(args):
     }
     if seq:
         extra["gluing_equations"] = [eq.describe() for eq in seq.equations]
-    return OK, "computed", [], None, extra
+    return "computed", [], None, extra
 
 
 def cmd_deloop(args):
@@ -227,16 +230,16 @@ def cmd_deloop(args):
     frag = _parsed(args.file, schemas.fragment_from_json, _read(args, args.file))
     rep = validate(frag, table)
     if not rep.ok:
-        return USAGE, "invalid-fragment", rep.problems, None, {}
+        raise InputError(f"{args.file}: {'; '.join(rep.problems)}")
     result = deloop(frag, table)
     if isinstance(result, Obstruction):
-        return FAIL, "obstruction", [result.describe()], None, {
+        return "obstruction", [result.describe()], None, {
             "degree": result.degree,
             "generator": result.generator,
             "relation": result.relation,
             "table_row": list(result.table_row),
         }
-    return OK, "delooped", [], None, {"fragment": schemas.fragment_to_json(result.fragment)}
+    return "delooped", [], None, {"fragment": schemas.fragment_to_json(result.fragment)}
 
 
 def _load_source(args, path, data, key, sources):
@@ -279,11 +282,9 @@ def cmd_star_check(args):
     g = _load_hom(args, args.g, sources)
     h = _load_target_map(args, args.h, K, sources)
     ok, witness = check_condition_star(f, g, h, K)
-    if ok:
-        return OK, "holds", [], target_obj.cap, {}
-    n, a, lhs, rhs = witness
-    witness = (n, a, tuple(K.to_generators(n, lhs)), tuple(K.to_generators(n, rhs)))
-    return FAIL, "fails", [str(witness)], target_obj.cap, {}
+    if not ok:  # condition (*) is a theorem on a group target
+        raise RuntimeError(f"the two star tables differ on a group target: {witness}")
+    return "holds", [], target_obj.cap, {}
 
 
 def cmd_synthesize(args):
@@ -292,8 +293,8 @@ def cmd_synthesize(args):
     try:
         result = synthesize(V, hdeg, strict_homotopy_tie=args.strict_tie)
     except SynthesisFailure as exc:
-        return FAIL, "obstructed", [exc.describe()], V.cap, {"stage": exc.stage, "congruence": exc.congruence}
-    return OK, "synthesized", [], V.cap, {"stage_log": result.stage_log, "object": schemas.dsab_to_json(result.object)}
+        return "obstructed", [exc.describe()], V.cap, {"stage": exc.stage, "congruence": exc.congruence}
+    return "synthesized", [], V.cap, {"stage_log": result.stage_log, "object": schemas.dsab_to_json(result.object)}
 
 
 def cmd_e2(args):
@@ -302,8 +303,8 @@ def cmd_e2(args):
     try:
         page = e2_page(B, smax, tmax)
     except CollapseMismatch as exc:
-        return FAIL, "collapse-mismatch", [str(exc)], None, {}
-    return OK, "computed", [], None, {
+        return "collapse-mismatch", [str(exc)], None, {}
+    return "computed", [], None, {
         "window": list(page.window),
         "entries": {f"{s},{t}": list(f) for (s, t), f in page.entries.items()},
         "collapsed": page.collapsed,
@@ -318,7 +319,7 @@ GLOBAL_FLAGS = ("cap", "window", "table")  # --seed is read by every subcommand
 
 
 class Command(NamedTuple):
-    handler: Callable  # args -> (exit code, verdict, witnesses, caps, extra report keys); prints nothing
+    handler: Callable  # args -> (verdict, witnesses, caps, extra report keys); prints nothing
     help: str
     kinds: tuple = ()  # object kinds the handler's object file may have
     arguments: dict = FILE  # flag -> add_argument options
@@ -383,7 +384,8 @@ def main(argv=None):
         parser.error(f"{args.command} does not read {', '.join(ignored)}")
     args.digests = {}  # input path -> digest of the bytes its load parsed, in read order
     try:
-        code, verdict, witnesses, caps, extra = args.func(args)
+        verdict, witnesses, caps, extra = args.func(args)
+        code = EXIT_CODES[verdict]
         action = getattr(args, "action", None)
         report = {
             "command": f"{args.command}-{action}" if action else args.command,

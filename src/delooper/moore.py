@@ -294,12 +294,13 @@ def e2_page(B, smax=None, tmax=None):
 
 def certify_collapse(B, page):
     """When the page is concentrated in s = 0, the diagonal's homotopy must
-    equal the base column degreewise; returns (holds, details)."""
+    equal the base column in each total degree t <= min(smax, tmax), where
+    the window holds every E2_(s,t-s); returns (holds, details)."""
     if not page.collapsed:
         return False, "page not concentrated in s = 0"
     smax, tmax = page.window
     diag = diagonal(B)
-    top = min(tmax, diag.cap - 1)
+    top = min(tmax, smax, diag.cap - 1)
     pis = homotopy_groups(diag, range(top + 1))
     for t in range(top + 1):
         if pis[t] != page.entries[(0, t)]:

@@ -228,7 +228,8 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
     and fiber directions, tried only below the top stage, where the
     truncation holds the boundaries from level n + 2; "lift", any solution.
     strict_homotopy_tie=True reports a tie that was tried and failed as the
-    synthesis obstruction instead of falling back to "lift".
+    synthesis obstruction instead of falling back to "lift". Raises
+    SynthesisFailure when a stage has no solution, RuntimeError on a bug.
     """
     hdeg.check_shapes(V)
     reedy = is_reedy_fibrant(V)
@@ -277,15 +278,11 @@ def synthesize(V, hdeg, strict_homotopy_tie=False):
             mat = degeneracy_word_matrix(V, state, w)
             for i in range(n + 2):
                 if _first_difference(V.levels[n], V.face(n + 1, i) @ mat, comps[i]) is not None:
-                    raise SynthesisFailure(
-                        stage=n,
-                        congruence=f"face d_{i} of {w} disagrees with its prescription",
-                        detail="post-solve verification failed",
-                    )
+                    raise RuntimeError(f"stage {n}: face d_{i} of {w} disagrees with its prescription")
     W = SAb(V.levels, V.faces, {n: state[n] for n in range(V.cap)}, V.cap)
     report = verify_identities(W)
     if not report.ok:
-        raise SynthesisFailure(stage=V.cap, congruence=report.violations[0].describe(), detail="identity audit failed")
+        raise RuntimeError(f"synthesized object fails an identity: {report.violations[0].describe()}")
     return SynthesisResult(object=W, stage_log=log)
 
 

@@ -543,13 +543,41 @@ STAR_FILES = ("star_f.freehom.json", "star_g.freehom.json", "star_h.targetmap.js
               "s1.sset.json")
 # the verdicts each command may report with each exit code
 VERDICTS = {
-    "star-check": {0: ("holds",), 1: ("fails",), 2: ("input-error",)},
+    "star-check": {0: ("holds",), 2: ("input-error",)},
     "verify": {0: ("consistent",), 1: ("violations",), 2: ("input-error",)},
-    "deloop": {0: ("delooped",), 1: ("obstruction",), 2: ("input-error", "invalid-fragment")},
+    "deloop": {0: ("delooped",), 1: ("obstruction",), 2: ("input-error",)},
     "e2": {0: ("computed",), 2: ("input-error",)},
     "synthesize": {0: ("synthesized",), 1: ("obstructed",), 2: ("input-error",)},
     "moore": {0: ("computed",), 2: ("input-error",)},
 }
+
+
+def test_verdicts_take_their_exit_codes():
+    """Each verdict the fuzzers accept from a command has the exit code that
+    cli.EXIT_CODES gives it; input-error alone has code 2."""
+    from delooper import cli
+
+    for by_code in VERDICTS.values():
+        for code, verdicts in by_code.items():
+            for verdict in verdicts:
+                assert (2 if verdict == "input-error" else cli.EXIT_CODES[verdict]) == code, verdict
+    assert 2 not in cli.EXIT_CODES.values()
+
+
+def test_readme_verdict_table_matches_exit_codes():
+    """README's table of verdicts lists every subcommand once and every
+    verdict of cli.EXIT_CODES under its exit code."""
+    from delooper import cli
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        table = fh.read().split("| Command | Exit 0 | Exit 1 |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    commands, listed = [], set()
+    for line in table.splitlines():
+        names, *by_code = (cell.strip() for cell in line.strip("|").split("|"))
+        commands += re.findall(r"`([^`]+)`", names)
+        listed |= {(re.fullmatch(r"`([^`]+)`", cell)[1], code) for code, cell in enumerate(by_code) if cell}
+    assert sorted(commands) == sorted(cli.COMMANDS)
+    assert listed == set(cli.EXIT_CODES.items())
 
 
 @functools.cache
@@ -622,8 +650,8 @@ FRAGMENT_VALUES = [
 @given(st.data())
 def test_fragment_value_of_a_wrong_length_is_invalid(data):
     """One action or Whitehead value of a corpus fragment lengthened or
-    shortened: deloop exits 2 with an invalid-fragment report, and no
-    exception leaves main."""
+    shortened: deloop exits 2 with an input-error report naming the file,
+    and no exception leaves main."""
     from delooper import cli
 
     name, section, i = data.draw(st.sampled_from(FRAGMENT_VALUES))
@@ -641,7 +669,9 @@ def test_fragment_value_of_a_wrong_length_is_invalid(data):
         with contextlib.redirect_stdout(out):
             code = cli.main(["deloop", path])
     assert code == 2, (name, section, i, value, out.getvalue())
-    assert json.loads(out.getvalue())["verdict"] == "invalid-fragment"
+    report = json.loads(out.getvalue())
+    assert report["verdict"] == "input-error"
+    assert report["error"].startswith(f"{path}: ") and "has wrong length" in report["error"], report
 
 
 # the other loaders, each with a command that reads its file
@@ -902,6 +932,16 @@ def test_moore_window_flag():
     assert rep["homotopy"] == {"0": [], "1": [0]}
 
 
+def test_e2_window_below_the_diagonal_degrees_is_computed():
+    """--window 0,2 on the S^1 x S^1 grid at cap 3 holds no E2 term off the
+    base column, so the page is compared with pi_0(diag) alone: exit 0,
+    not a collapse mismatch at pi_2(diag) = Z."""
+    rc, out = run("--window", "0,2", "e2", "tests/data/s1xs1_cap3.bisab.json")
+    rep = json.loads(out)
+    assert rc == 0, out
+    assert rep["verdict"] == "computed" and rep["collapse_certified"]
+
+
 def test_global_cap_flag_truncates():
     rc, out = run("--cap", "2", "moore", "corpus/zs1.dsab.json")
     rep = json.loads(out)
@@ -968,24 +1008,36 @@ def test_star_check_reads_generator_coordinates(tmp_path):
     assert json.loads(out)["verdict"] == "holds"
 
 
-def test_star_check_failure_witness_in_generator_coordinates(tmp_path, monkeypatch, capsys):
-    """Condition (*) holds on every group target. With inversion replaced by
-    doubling the retraction is no longer multiplicative: f # g sends the
-    cell to h(cell) while f . (g . h) sends it to 4 h(cell), and the report
-    must give both in the files' generator coordinates."""
+def test_star_check_table_mismatch_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    """Condition (*) holds on every group target, so two star tables that
+    differ are a bug: exit 3, with the witness in the error. With inversion
+    replaced by doubling the retraction is no longer multiplicative, and
+    f # g sends the cell to h(cell) while f . (g . h) sends it to 4 h(cell)."""
     from delooper import cli
     from delooper.star import AbelianTarget
 
-    argv, target, cell = _star_bundle(tmp_path)
+    argv, _, cell = _star_bundle(tmp_path)
     monkeypatch.setattr(AbelianTarget, "inv", lambda self, n, a: self.mul(n, a, a))
-    assert cli.main(argv) == 1
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["verdict"] == "fails"
-    n, a, lhs, rhs = ast.literal_eval(rep["witnesses"][0])
-    assert (n, a) == (1, cell)
-    G = target.levels[1]
-    assert list(lhs) == G.canon_vector([4, 4]) != list(G.canon([4, 4]))
-    assert list(rhs) == G.canon_vector([1, 1]) != list(G.canon([1, 1]))
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "internal-error"
+    assert captured.err.startswith("Traceback")
+    assert f"RuntimeError: the two star tables differ on a group target: (1, {cell!r}, " in captured.err
+
+
+def test_synthesis_audit_failure_is_an_internal_error(monkeypatch, capsys):
+    """A synthesized object that fails its final identity audit is a bug,
+    not an obstruction: exit 3."""
+    from delooper import cli, synthesis
+    from delooper.simplicial import Report, Violation
+
+    violation = Violation("ss", 1, (1, 0), "planted")
+    monkeypatch.setattr(synthesis, "verify_identities", lambda W: Report([violation]))
+    monkeypatch.chdir(ROOT)
+    assert cli.main(["synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "internal-error"
+    assert violation.describe() in report["error"]
 
 
 @pytest.mark.parametrize("argv", [("perm", "enum", "3"), ("simplex", "index", "3"), ("verify", "corpus/nope.json")])

@@ -2,6 +2,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delooper import schemas
 from delooper.abelian import PresentedGroup
@@ -25,6 +27,7 @@ from delooper.moore import (
     moore_complex,
 )
 from delooper.simplicial import sphere, standard_simplex
+from delooper.synthesis import boundary_matrix
 
 
 def constant_vertical(G, vcap):
@@ -162,6 +165,38 @@ def test_e2_resolution_collapse():
     assert page.collapsed
     holds, detail = certify_collapse(B, page)
     assert holds, detail
+
+
+S1XS1_CAP3 = os.path.join(os.path.dirname(__file__), "data", "s1xs1_cap3.bisab.json")
+
+
+def test_s1xs1_cap3_fixture_is_the_built_grid():
+    """tests/data/s1xs1_cap3.bisab.json is the external product of the
+    reduced free abelian S^1 at cap 3 with itself, and a valid grid."""
+    A = free_abelian(sphere(1, 3))
+    B = external_product(A, A)
+    assert B.verify() == []
+    assert schemas.load(S1XS1_CAP3) == schemas.bisab_to_json(B)
+
+
+def test_collapse_is_certified_only_where_the_window_holds_every_term():
+    """On valid grids every window gives a page, never a CollapseMismatch:
+    pi_t(diag) is compared with E2_(0,t) only for t <= smax, where the
+    terms E2_(s,t-s) with 0 < s <= t lie in the window. With smax = 0 the
+    S^1 x S^1 page is concentrated in s = 0 while pi_2(diag) = Z comes
+    from E2_(1,1), outside the window."""
+    rng = random.Random(61)
+    A = free_abelian(sphere(1, 3))
+    grids = [external_product(A, A), random_resolution_grid(rng)[0]]
+    grids += [external_product(random_small_strict_object(rng, 2), random_small_strict_object(rng, 3))
+              for _ in range(2)]
+    for B in grids:
+        for smax in range(B.hcap):
+            for tmax in range(B.vcap):
+                page = e2_page(B, smax, tmax)
+                assert page.collapse_certified == page.collapsed
+    page = e2_page(grids[0], 0, 2)
+    assert page.collapse_certified and homotopy_groups(diagonal(grids[0]), [2])[2] == (0,)
 
 
 def test_e2_zero_grid():
@@ -384,3 +419,36 @@ def test_corpus_s1xs1_grid_verifies():
     B = schemas.bisab_from_json(schemas.load(path))
     assert B.levels[1][1].ngens == 1
     assert B.verify() == []
+
+
+def unnormalized_complex(A):
+    """The unnormalized complex C(A) of a simplicial abelian group: C_n = A_n
+    with boundary the alternating sum of the faces. By Moore's theorem (May,
+    "Simplicial Objects in Algebraic Topology", 1967, Thm 22.1; Goerss and
+    Jardine, "Simplicial Homotopy Theory", 1999, III.2) its homology is the
+    homotopy of A: a second route to homotopy_groups, with no intersection
+    of face kernels and no lifts, that shares only the Smith layer."""
+    return ChainComplex(groups=list(A.levels), diffs={n: boundary_matrix(A, n) for n in range(1, A.cap + 1)})
+
+
+def _oracle_object(kind, rng):
+    if kind == "fibrant":
+        return random_fibrant_strict_object(rng, rng.choice([2, 3]))
+    if kind == "small":
+        return random_small_strict_object(rng, rng.choice([2, 3]), torsion=rng.random() < 0.5)
+    return diagonal(random_resolution_grid(rng)[0])  # the objects of acceptance criterion 7
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["fibrant", "small", "diagonal"]), st.integers(0, 2**32 - 1))
+def test_unnormalized_homology_agrees_with_homotopy_groups(kind, seed):
+    """homotopy_groups, through the Moore complex, equals the homology of
+    the unnormalized complex on the generators' simplicial objects and on
+    their face-only reducts, whose Moore complexes are built without
+    degeneracies. The theorem is proved with degeneracies, so face-only
+    objects are tested only as reducts of simplicial ones."""
+    A = _oracle_object(kind, random.Random(seed))
+    assert verify_identities(A).ok
+    oracle = chain_homology_factors(unnormalized_complex(A), range(A.cap))
+    assert homotopy_groups(A) == oracle
+    assert homotopy_groups(underlying_delta(A)) == oracle
