@@ -37,7 +37,7 @@ def main():
     put("fibrant.dsab.json", schemas.dsab_to_json(underlying_delta(W)))
     put("fibrant_full.dsab.json", schemas.dsab_to_json(W))
     hdeg = HomotopyDegeneracyData.from_simplicial(W)
-    put("fibrant.hdeg.json", schemas.hdeg_to_json(hdeg, underlying_delta(W)))
+    put("fibrant.hdeg.json", schemas.hdeg_to_json(hdeg))
     # perturbed candidates on a cap-3 object (the draw of the round-trip
     # tests' seed 202): synthesize takes tier exact at stage 0, tie at
     # stage 1 and lift at the top stage 2
@@ -45,7 +45,7 @@ def main():
     W = random_fibrant_strict_object(rng, rng.choice([2, 3]))
     V = underlying_delta(W)
     put("perturbed.dsab.json", schemas.dsab_to_json(V))
-    put("perturbed.hdeg.json", schemas.hdeg_to_json(perturb_degeneracies(W, rng), V))
+    put("perturbed.hdeg.json", schemas.hdeg_to_json(perturb_degeneracies(W, rng)))
 
     B, _, _ = random_resolution_grid(random.Random(20260811))
     put("resolution.bisab.json", schemas.bisab_to_json(B))

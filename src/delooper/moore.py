@@ -259,7 +259,7 @@ class CollapseMismatch(RuntimeError):
 @dataclass
 class E2Page:
     entries: dict  # (s, t) -> invariant factors
-    collapsed: bool  # every entry with s > 0 vanishes in the window
+    collapsed: bool | None  # every entry with s > 0 vanishes in the window; None when smax = 0
     window: tuple
     collapse_certified: bool = False  # diagonal comparison ran and agreed
 
@@ -273,7 +273,7 @@ def e2_page(B, smax=None, tmax=None):
     if smax >= B.hcap or tmax >= B.vcap:
         raise InputError("window exceeds the reliable range of the caps")
     entries = {}
-    collapsed = True
+    collapsed = True if smax else None  # with no s > 0 column there is nothing to vanish
     cols = [B.column(p) for p in range(B.hcap + 1)]
     moores = [moore_complex(c) for c in cols]  # independent of t: built once per page
     for t in range(tmax + 1):

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .abelian import PresentedGroup, quotient
 from .intlin import Mat, SmithSolver, solve_modulo, unvec, vec_block
-from .jsontypes import InputError, entry, key_int, load_object, typed
+from .jsontypes import InputError, entry, key_int, typed
 
 
 class NotAbelianError(InputError):
@@ -35,13 +35,9 @@ class SphereTable:
     whitehead: dict  # (gen, gen) -> value vector
 
     @staticmethod
-    def load(path=None):
-        """The table in the file at path, or the bundled table."""
-        if path is None:
-            data = json.loads(resources.files("delooper").joinpath("data/spheres.json").read_text())
-        else:
-            data = load_object(path)
-        return SphereTable.from_json(data)
+    def load():
+        """The bundled table."""
+        return SphereTable.from_json(json.loads(resources.files("delooper").joinpath("data/spheres.json").read_text()))
 
     @staticmethod
     def from_json(data):

@@ -296,7 +296,7 @@ def fragment_from_json(data):
     )
 
 
-def hdeg_to_json(H, V):
+def hdeg_to_json(H):
     return {
         "format": FORMAT,
         "kind": "hdeg",

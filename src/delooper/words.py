@@ -122,38 +122,14 @@ class DegeneracyWord:
 
 
 def canonical_degeneracy_words(k, n):
-    """All canonical degeneracy words k -> n (length n - k, possibly empty)."""
-    length = n - k
-    if length < 0:
+    """All canonical degeneracy words k -> n: one per (n - k)-subset of
+    range(n), its letters in increasing order (none when n < k)."""
+    if n < k:
         return []
-    out = []
-
-    def rec(prefix, dim):
-        if len(prefix) == length:
-            out.append(DegeneracyWord(k, tuple(prefix)))
-            return
-        lo = prefix[-1] + 1 if prefix else 0
-        for j in range(lo, dim + 1):
-            prefix.append(j)
-            rec(prefix, dim + 1)
-            prefix.pop()
-
-    rec([], k)
-    return out
+    return [DegeneracyWord(k, c) for c in itertools.combinations(range(n), n - k)]
 
 
 def all_face_words(source_dim, length):
-    """Every face word of the given length from source_dim (not deduplicated)."""
-    out = []
-
-    def rec(prefix, dim):
-        if len(prefix) == length:
-            out.append(FaceWord(source_dim, tuple(prefix)))
-            return
-        for i in range(dim + 1):
-            prefix.append(i)
-            rec(prefix, dim - 1)
-            prefix.pop()
-
-    rec([], source_dim)
-    return out
+    """Every face word of the given length from source_dim (not
+    deduplicated): letter t is any of 0..source_dim - t."""
+    return [FaceWord(source_dim, w) for w in itertools.product(*(range(source_dim + 1 - t) for t in range(length)))]

@@ -277,7 +277,7 @@ def test_handler_input_errors_share_the_input_error_report(tmp_path, capsys):
     schemas.save(str(tmp_path / "whitehead.pialg.json"), fragment)
     zs1 = schemas.dsab_from_json(schemas.load(corpus("zs1.dsab.json")))
     hdeg = HomotopyDegeneracyData.from_simplicial(zs1)
-    schemas.save(str(tmp_path / "zs1.hdeg.json"), schemas.hdeg_to_json(hdeg, zs1))
+    schemas.save(str(tmp_path / "zs1.hdeg.json"), schemas.hdeg_to_json(hdeg))
     for argv, command, error in [
         (("--window", "3,1", "moore", corpus("zs1.dsab.json")), "moore", "empty degree window 3,1: lo exceeds hi"),
         (("deloop", str(tmp_path / "whitehead.pialg.json")), "deloop",
@@ -934,12 +934,16 @@ def test_moore_window_flag():
 
 def test_e2_window_below_the_diagonal_degrees_is_computed():
     """--window 0,2 on the S^1 x S^1 grid at cap 3 holds no E2 term off the
-    base column, so the page is compared with pi_0(diag) alone: exit 0,
-    not a collapse mismatch at pi_2(diag) = Z."""
+    base column, so the page makes no collapse claim: exit 0 with
+    "collapsed": null and nothing certified, not a collapse mismatch at
+    pi_2(diag) = Z, which --window 1,2 shows coming from E2_(1,1) = Z."""
     rc, out = run("--window", "0,2", "e2", "tests/data/s1xs1_cap3.bisab.json")
     rep = json.loads(out)
     assert rc == 0, out
-    assert rep["verdict"] == "computed" and rep["collapse_certified"]
+    assert rep["verdict"] == "computed" and rep["collapsed"] is None and rep["collapse_certified"] is False
+    rc, out = run("--window", "1,2", "e2", "tests/data/s1xs1_cap3.bisab.json")
+    rep = json.loads(out)
+    assert rc == 0 and rep["entries"]["1,1"] == [0] and rep["collapsed"] is False
 
 
 def test_global_cap_flag_truncates():

@@ -183,8 +183,8 @@ def test_collapse_is_certified_only_where_the_window_holds_every_term():
     """On valid grids every window gives a page, never a CollapseMismatch:
     pi_t(diag) is compared with E2_(0,t) only for t <= smax, where the
     terms E2_(s,t-s) with 0 < s <= t lie in the window. With smax = 0 the
-    S^1 x S^1 page is concentrated in s = 0 while pi_2(diag) = Z comes
-    from E2_(1,1), outside the window."""
+    window holds no s > 0 column, so the page makes no collapse claim: on
+    S^1 x S^1, pi_2(diag) = Z comes from E2_(1,1), outside the window."""
     rng = random.Random(61)
     A = free_abelian(sphere(1, 3))
     grids = [external_product(A, A), random_resolution_grid(rng)[0]]
@@ -194,9 +194,11 @@ def test_collapse_is_certified_only_where_the_window_holds_every_term():
         for smax in range(B.hcap):
             for tmax in range(B.vcap):
                 page = e2_page(B, smax, tmax)
-                assert page.collapse_certified == page.collapsed
+                assert page.collapse_certified == bool(page.collapsed)
+                assert (page.collapsed is None) == (smax == 0)
     page = e2_page(grids[0], 0, 2)
-    assert page.collapse_certified and homotopy_groups(diagonal(grids[0]), [2])[2] == (0,)
+    assert page.collapsed is None and not page.collapse_certified
+    assert homotopy_groups(diagonal(grids[0]), [2])[2] == (0,)
 
 
 def test_e2_zero_grid():

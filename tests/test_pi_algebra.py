@@ -262,6 +262,45 @@ def test_deloop_loop_space_matches_bundled_rows(table):
     assert fragments_equal(result.fragment, bundled, table)
 
 
+def loop_space_fragment(table, K, window=None):
+    """The fragment of the loops on S^K that the table alone gives, on the
+    degree window (by default every row of S^K): degree d is the row
+    pi_{d+1} S^K, and theta in pi_m S^n acts on the adjoint of a generator
+    beta of degree n as beta . E(theta), read from the table's suspensions
+    and compositions (beta = i_K composes as the identity). A value the
+    table does not record is skipped; no Whitehead value is recorded."""
+    d_lo, d_hi = window or (K - 1, K - 1 + table.span[2])
+    degrees = range(d_lo, d_hi + 1)
+    G = PiAlgebraFragment(d_lo=d_lo, d_hi=d_hi, groups={d: table.group(K, d + 1) for d in degrees},
+                          gen_names={d: list(table.gens[(K, d + 1)]) for d in degrees}, action={}, whitehead={})
+    for theta, (n, m, _) in table.location.items():
+        if m == n or theta not in table.suspensions or n < d_lo or m > d_hi:
+            continue
+        suspended = table.suspensions[theta]
+        for i, beta in enumerate(G.gen_names[n]):
+            unit = [int(j == i) for j in range(len(G.gen_names[n]))]
+            value = suspended if n + 1 == K else table.compose_elements((K, n + 1), unit, (n + 1, m + 1), suspended)
+            if value is not None:
+                G.action[(theta, (n, beta))] = value
+    return G
+
+
+def test_loop_space_builder_reproduces_the_s3_fragment(table):
+    assert fragments_equal(loop_space_fragment(table, 3, (2, 5)), loop_space_s3_fragment(), table)
+
+
+@pytest.mark.parametrize("K", range(3, 8))
+def test_loop_spaces_over_the_whole_table_deloop(table, K):
+    """The Pi-algebra of a loop space always deloops: the fragment of the
+    loops on S^K, for every sphere S^3..S^7 of the table on its full window,
+    is consistent and meets no obstruction."""
+    G = loop_space_fragment(table, K)
+    assert G.action
+    assert validate(G, table).ok, validate(G, table).problems
+    result = deloop(G, table)
+    assert isinstance(result, DeloopResult), result.describe()
+
+
 def test_deloop_suspension_forcing_exact(table):
     """Successful delooping shifts every recorded suspension-class action."""
     G = loop_space_s3_fragment()
@@ -406,13 +445,11 @@ with open(os.path.join(os.path.dirname(__file__), "..", "src", "delooper", "data
          "composition (ee5, nu7) lands in pi_10 S^5, outside the table"),
     ],
 )
-def test_table_audit_raises_each_error(tmp_path, section, entry, message):
+def test_table_audit_raises_each_error(section, entry, message):
     data = copy.deepcopy(SPHERES)
     data[section].append(entry)
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(InputError) as info:
-        SphereTable.load(str(path))
+        SphereTable.from_json(data)
     assert message in str(info.value)
 
 

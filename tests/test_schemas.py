@@ -63,7 +63,7 @@ def test_hdeg_roundtrip(tmp_path):
     V = underlying_delta(W)
     H = HomotopyDegeneracyData.from_simplicial(W)
     path = tmp_path / "h.hdeg.json"
-    schemas.save(path, schemas.hdeg_to_json(H, V))
+    schemas.save(path, schemas.hdeg_to_json(H))
     H2 = schemas.hdeg_from_json(schemas.load(path), V)
     for n in range(V.cap):
         for j in range(n + 1):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from delooper.simplicial import (
@@ -53,7 +55,6 @@ def test_identity_cases_hold_in_delta(cap):
     (n+1)n/2 dd cases at each n >= 2, (n+1)(n+2) ds cases at each n < cap
     and (n+1)(n+2)/2 ss cases at each n < cap - 1, and drops all but dd
     without degeneracies."""
-    import itertools
     from collections import Counter
 
     cases = identity_cases(cap)
@@ -144,6 +145,117 @@ def test_pointed_map_search_bound_fails_fast():
     assert time.perf_counter() - started < 1.0
 
 
+def test_pointed_map_search_counts_the_product():
+    """A level whose cells' candidates multiply counts every assignment of
+    the cells before each cell: Delta[7] -> S^2 at cap 2 has 2^56 maps (each
+    of its 56 triangles goes to * or the 2-cell), though its candidate lists
+    hold 112 images."""
+    import time
+
+    from delooper.permutohedron import ResourceError
+
+    assert len(enumerate_pointed_maps(standard_simplex(3, 2), sphere(2, 2))) == 2**4
+    started = time.perf_counter()
+    with pytest.raises(ResourceError):
+        enumerate_pointed_maps(standard_simplex(7, 2), sphere(2, 2))
+    assert time.perf_counter() - started < 1.0
+
+
+def reference_enumerate_pointed_maps(A, B):
+    """Reference: the pointed maps A -> B by backtracking on the
+    nondegenerate cells, one at a time, rebuilding a cell's candidates for
+    every assignment of the cells before it on its level. Returns the maps
+    and the number of candidate images tested."""
+    cap = A.cap
+    tested = 0
+    nondeg = {n: [x for x in A.nondegenerate(n) if x != BASE] for n in range(cap + 1)}
+
+    def extend_table(partial, n):
+        table = dict(partial[n])
+        for j in range(n):
+            for x in A.elements[n - 1]:
+                sx = A.degeneracy(n - 1, j, x)
+                img = B.degeneracies[n - 1][j][partial[n - 1][x]]
+                if sx in table and table[sx] != img:
+                    return None
+                table[sx] = img
+        return table
+
+    results = []
+
+    def assign(n, partial):
+        if n > cap:
+            m = SimplicialSetMap(A, B, [dict(partial[k]) for k in range(cap + 1)])
+            if m.is_valid():
+                results.append(m)
+            return
+        base_table = {BASE: BASE}
+        if n > 0:
+            partial.append(base_table)
+            filled = extend_table(partial, n)
+            partial.pop()
+            if filled is None:
+                return
+            base_table = filled
+        cells = nondeg[n]
+
+        def candidates(x):
+            nonlocal tested
+            tested += len(B.elements[n])
+            opts = []
+            for y in B.elements[n]:
+                if all(partial[n - 1][A.face(n, i, x)] == B.faces[n][i][y] for i in range(n + 1 if n else 0)):
+                    opts.append(y)
+            return opts
+
+        def rec(idx, table):
+            if idx == len(cells):
+                partial.append(table)
+                assign(n + 1, partial)
+                partial.pop()
+                return
+            x = cells[idx]
+            for y in candidates(x):
+                rec(idx + 1, {**table, x: y})
+
+        rec(0, base_table)
+
+    assign(0, [])
+    return results, tested
+
+
+def test_pointed_maps_match_backtracking():
+    """The level-by-level product lists the reference's maps in the same
+    order on all 130 pairs of spheres and simplices at caps 1-4."""
+    pairs = 0
+    for cap in range(1, 5):
+        models = [sphere(1, cap), standard_simplex(1, cap), standard_simplex(1, cap, "disjoint"),
+                  standard_simplex(2, cap)]
+        if cap >= 3:
+            models += [sphere(2, cap), sphere(3, cap), standard_simplex(3, cap)]
+        for A, B in itertools.product(models, repeat=2):
+            maps, _ = reference_enumerate_pointed_maps(A, B)
+            assert [m.tables for m in enumerate_pointed_maps(A, B)] == [m.tables for m in maps]
+            pairs += 1
+    assert pairs == 130
+
+
+def test_pointed_map_bound_is_the_4_simplex_search(monkeypatch):
+    """The bound is what the reference tests on Delta[4] -> Delta[4] at
+    cap 4; the product search returns its 70 maps within it and raises
+    ResourceError one candidate image below it."""
+    from delooper import simplicial
+    from delooper.permutohedron import ResourceError
+
+    D4 = standard_simplex(4, 4)
+    maps, tested = reference_enumerate_pointed_maps(D4, D4)
+    assert tested == simplicial.PRACTICAL_MAP_CANDIDATES and len(maps) == 70
+    assert len(enumerate_pointed_maps(D4, D4)) == 70
+    monkeypatch.setattr(simplicial, "PRACTICAL_MAP_CANDIDATES", tested - 1)
+    with pytest.raises(ResourceError):
+        enumerate_pointed_maps(D4, D4)
+
+
 def _tuple_id(t):
     return "x" + "".join(str(v) for v in t)
 
@@ -151,8 +263,6 @@ def _tuple_id(t):
 def reference_standard_simplex(n, cap, basepoint="vertex0"):
     """Delta[n] written out on its own, as it was before standard_simplex and
     sphere shared one vertex-tuple model."""
-    import itertools
-
     collapse_vertex = basepoint == "vertex0"
 
     def name(t):
@@ -189,8 +299,6 @@ def reference_standard_simplex(n, cap, basepoint="vertex0"):
 
 def reference_sphere(n, cap):
     """S^n written out on its own, from the tuples that hit every vertex."""
-    import itertools
-
     full = set(range(n + 1))
     elements, by_dim = [], []
     for k in range(cap + 1):

@@ -88,6 +88,58 @@ def rewrite_push_face_through(word, i):
     return ("face", i, rewrite_degeneracy_normal_form(DegeneracyWord(word.source_dim - 1, tuple(outer[::-1]))))
 
 
+def reference_canonical_degeneracy_words(k, n):
+    """Reference: the canonical words k -> n by backtracking, each letter
+    above the last and at most the dimension it acts at."""
+    length = n - k
+    if length < 0:
+        return []
+    out = []
+
+    def rec(prefix, dim):
+        if len(prefix) == length:
+            out.append(DegeneracyWord(k, tuple(prefix)))
+            return
+        lo = prefix[-1] + 1 if prefix else 0
+        for j in range(lo, dim + 1):
+            prefix.append(j)
+            rec(prefix, dim + 1)
+            prefix.pop()
+
+    rec([], k)
+    return out
+
+
+def reference_all_face_words(source_dim, length):
+    """Reference: every face word of the length by backtracking, each
+    letter at most the dimension it acts at."""
+    out = []
+
+    def rec(prefix, dim):
+        if len(prefix) == length:
+            out.append(FaceWord(source_dim, tuple(prefix)))
+            return
+        for i in range(dim + 1):
+            prefix.append(i)
+            rec(prefix, dim - 1)
+            prefix.pop()
+
+    rec([], source_dim)
+    return out
+
+
+def test_word_enumerations_match_backtracking():
+    """The combinations and products list the backtracking references'
+    words in the same order: canonical words k -> n for 0 <= k <= 8 and
+    -1 <= n <= 9, and face words from d <= 8 of length <= d + 2."""
+    for k in range(9):
+        for n in range(-1, 10):
+            assert canonical_degeneracy_words(k, n) == reference_canonical_degeneracy_words(k, n), (k, n)
+    for d in range(9):
+        for length in range(d + 3):
+            assert all_face_words(d, length) == reference_all_face_words(d, length), (d, length)
+
+
 def test_push_face_through_matches_rewriting():
     """The epi-mono factorisation of the surjection with position i removed
     gives the rewrite loop's answer for every canonical word k -> n,
@@ -221,18 +273,8 @@ def test_degeneracy_normal_form_unique():
             assert len(surjections) == len(canon)
             # every word normalizes into the canonical list
             if n - k <= 3:
-                all_words = []
-
-                def rec(prefix, dim):
-                    if len(prefix) == n - k:
-                        all_words.append(DegeneracyWord(k, tuple(prefix)))
-                        return
-                    for j in range(dim + 1):
-                        prefix.append(j)
-                        rec(prefix, dim + 1)
-                        prefix.pop()
-
-                rec([], k)
+                all_words = [DegeneracyWord(k, letters)
+                             for letters in itertools.product(*[range(k + t + 1) for t in range(n - k)])]
                 for w in all_words:
                     nf = w.normal_form()
                     # the normal-form shape of a degeneracy word: letters strictly increasing
