@@ -137,18 +137,9 @@ def augmented_acyclic_complex(cap, rng, base_rank=1):
     the chain-level model of a resolution of a free group."""
     acyclic = random_acyclic_complex(cap, rng, max_rank=1, max_cones=2)
     groups = [PresentedGroup.free(acyclic.groups[0].ngens + base_rank)] + acyclic.groups[1:]
-    diffs = {}
-    for m in range(1, cap + 1):
-        D = acyclic.diffs[m]
-        if m == 1:
-            padded = Mat(groups[0].ngens, D.c)
-            for r in range(D.r):
-                for c in range(D.c):
-                    padded.a[r][c] = D.a[r][c]
-            diffs[1] = padded
-        else:
-            diffs[m] = D
-    cpx = ChainComplex(groups=groups, diffs=diffs)
+    padded = Mat(groups[0].ngens, acyclic.diffs[1].c)
+    add_block(padded, 0, 0, acyclic.diffs[1])
+    cpx = ChainComplex(groups=groups, diffs={**acyclic.diffs, 1: padded})
     P, Pinv = zip(*[random_unimodular(g.ngens, rng, steps=4) for g in groups])
     for m in range(1, cap + 1):
         cpx.diffs[m] = (P[m - 1] @ cpx.diffs[m]) @ Pinv[m]

@@ -16,6 +16,7 @@ from .permutohedron import ResourceError
 
 
 BASE = "*"
+_UNSEEN = object()  # no target element: marks a value whose image is not yet computed
 # the largest search between spheres and simplices of dimension at most 4 at
 # cap 4 (the 4-simplex to itself, 70 maps) counts 122,275 candidate images;
 # enumerate_pointed_maps finishes it in about 40 ms on a 2-vCPU VM
@@ -60,29 +61,27 @@ class FiniteSimplicialSet:
     def _check_structure(self):
         if len(self.elements) != self.cap + 1:
             raise StructuralError("need element list for every dimension up to cap")
+        levels = [set(elts) for elts in self.elements]
         for n, elts in enumerate(self.elements):
             if BASE not in elts:
                 raise StructuralError(f"basepoint missing in dimension {n}")
-            if len(set(elts)) != len(elts):
+            if len(levels[n]) != len(elts):
                 raise StructuralError(f"duplicate ids in dimension {n}")
-        for n in range(1, self.cap + 1):
-            if len(self.faces.get(n, [])) != n + 1:
-                raise StructuralError(f"need {n + 1} face maps at dimension {n}")
-            for i, table in enumerate(self.faces[n]):
-                for x in self.elements[n]:
-                    if x not in table:
-                        raise StructuralError(f"d_{i} undefined on {x} at dimension {n}")
-                    if table[x] not in set(self.elements[n - 1]):
-                        raise StructuralError(f"d_{i}({x}) not an element of dimension {n - 1}")
-        for n in range(0, self.cap):
-            if len(self.degeneracies.get(n, [])) != n + 1:
-                raise StructuralError(f"need {n + 1} degeneracy maps at dimension {n}")
-            for j, table in enumerate(self.degeneracies[n]):
-                for x in self.elements[n]:
-                    if x not in table:
-                        raise StructuralError(f"s_{j} undefined on {x} at dimension {n}")
-                    if table[x] not in set(self.elements[n + 1]):
-                        raise StructuralError(f"s_{j}({x}) not an element of dimension {n + 1}")
+        for k, name, maps, dims, step in self._families():
+            for n in dims:
+                if len(maps.get(n, [])) != n + 1:
+                    raise StructuralError(f"need {n + 1} {name} maps at dimension {n}")
+                for i, table in enumerate(maps[n]):
+                    for x in self.elements[n]:
+                        if x not in table:
+                            raise StructuralError(f"{k}_{i} undefined on {x} at dimension {n}")
+                        if table[x] not in levels[n + step]:
+                            raise StructuralError(f"{k}_{i}({x}) not an element of dimension {n + step}")
+
+    def _families(self):
+        """(letter, name, tables, source levels, level step) of the faces, then the degeneracies."""
+        return (("d", "face", self.faces, range(1, self.cap + 1), -1),
+                ("s", "degeneracy", self.degeneracies, range(self.cap), 1))
 
     def identity(self, n):
         """The basepoint, as a map into this set sends it (see is_simplicial_map)."""
@@ -107,14 +106,11 @@ class FiniteSimplicialSet:
         """Exhaustive check of the five identity families and pointedness."""
         report = Report()
         add = report.violations.append
-        for n in range(1, self.cap + 1):
-            for i in range(n + 1):
-                if self.face(n, i, BASE) != BASE:
-                    add(Violation("basepoint", n, (i,), f"d_{i}(*) = {self.face(n, i, BASE)}"))
-        for n in range(0, self.cap):
-            for j in range(n + 1):
-                if self.degeneracy(n, j, BASE) != BASE:
-                    add(Violation("basepoint", n, (j,), f"s_{j}(*) = {self.degeneracy(n, j, BASE)}"))
+        for k, _, maps, dims, _ in self._families():
+            for n in dims:
+                for i, table in enumerate(maps[n]):
+                    if table[BASE] != BASE:
+                        add(Violation("basepoint", n, (i,), f"{k}_{i}(*) = {table[BASE]}"))
         tables = {"d": self.faces, "s": self.degeneracies}
         for family, n, indices, lhs, rhs, _ in identity_cases(self.cap):
             (k1, n1, i1), (k2, n2, i2) = lhs
@@ -256,38 +252,24 @@ def is_simplicial_map(src, target, tables):
     a pointed map with f(d_i x) = d_i f(x) and f(s_j x) = s_j f(x) for every
     simplex x. The target has identity(n), face(n, i, v) and
     degeneracy(n, j, v); a table may leave out the basepoint, which goes to
-    target.identity(n). Each target face or degeneracy is evaluated once
-    per distinct value of a level (numbered by first appearance in
-    src.elements[n]), when a simplex first needs it."""
-    cap = src.cap
-    for n in range(cap + 1):
+    target.identity(n). Each face or degeneracy memoises the target image of
+    each value of the map, computed when a simplex first needs it."""
+    for n in range(src.cap + 1):
         if BASE in tables[n] and tables[n][BASE] != target.identity(n):
             return False
-    levels = [{**tables[n], BASE: target.identity(n)} for n in range(cap + 1)]
-    # per level: the distinct values, and (simplex, value number, first
-    # appearance) per simplex; a flag, as a target element may be any object
-    distinct, slots = [], []
-    for n, level in enumerate(levels):
-        numbers, values, level_slots = {}, [], []
-        for x in src.elements[n]:
-            v = level[x]
-            k = numbers.setdefault(v, len(values))
-            first = k == len(values)
-            if first:
-                values.append(v)
-            level_slots.append((x, k, first))
-        distinct.append(values)
-        slots.append(level_slots)
-    checks = [(n, target.face, src.faces[n], levels[n - 1]) for n in range(1, cap + 1)]
-    checks += [(n, target.degeneracy, src.degeneracies[n], levels[n + 1]) for n in range(cap)]
+    levels = [{**tables[n], BASE: target.identity(n)} for n in range(src.cap + 1)]
+    checks = [(n, target.face, src.faces[n], levels[n - 1]) for n in range(1, src.cap + 1)]
+    checks += [(n, target.degeneracy, src.degeneracies[n], levels[n + 1]) for n in range(src.cap)]
     for n, target_move, moves, other in checks:
-        values = distinct[n]
+        level = levels[n]
         for i, move in enumerate(moves):
-            image = []
-            for x, k, first in slots[n]:
-                if first:
-                    image.append(target_move(n, i, values[k]))
-                if other[move[x]] != image[k]:
+            images = {}
+            for x in src.elements[n]:
+                v = level[x]
+                image = images.get(v, _UNSEEN)
+                if image is _UNSEEN:
+                    image = images[v] = target_move(n, i, v)
+                if other[move[x]] != image:
                     return False
     return True
 

@@ -803,45 +803,48 @@ def test_combinatorial_reports_pinned(argv, digest, capsys):
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "argv,code,digest",
-    [
-        (("verify", "corpus/zs1.dsab.json"), 0, "5eef5ab5765388c3de4dee920e9c81208354b739b292e870e623f00272483580"),
-        (("moore", "corpus/zs1.dsab.json"), 0, "b92abf97479ca69cd0adbf406ac93677bc77bc7d1611d96fca5d49e80d28ed19"),
-        (
-            ("--window", "0,1", "moore", "corpus/zs1.dsab.json"),
-            0,
-            "375277ea1093916e7ede7156ba500f5759a3fcc73b1032b6bf50729c6f5a1f37",
-        ),
-        (("match", "corpus/zs1.dsab.json", "-n", "1"), 0, "0949d345e8fa0b99aad70b4ae5003fd01ba65ff679e68f96b7b0ccad6ccf7435"),
-        (("reedy", "corpus/fibrant.dsab.json"), 0, "3bbbc10e1bf97f32ff971f54211383645d7dcdda6256d80ecc0afb104d9bfcea"),
-        (("extend", "corpus/zs1.dsab.json"), 0, "b8929bf687dec807560c7d65e6edd408c5d409310b1a95d9b29dbba87e60a3f8"),
-        (("perm", "enum", "2"), 0, "c424b569ae6b34a7b5ff212cbd55077ad7493e55617a2a089ba2c8c24bec4c59"),
-        (("perm", "label", "3:0,0,0"), 0, "429484431ef67d9da84fc30985dd737a613191f8fada94215e803429927c7768"),
-        (("perm", "schema", "3:0,0,0"), 0, "f21ba9a6ddca304c160756a4a7c628943ae0d81e1173209e8e070cb167163170"),
-        (("simplex", "index", "2"), 0, "9b3fd3cde46e57d9e22de1837f7a966e6866b281cf6fa857bf13186a636b534d"),
-        (("deloop", "corpus/eta_chain.pialg.json"), 1, "38bf5144b4b0e9ddea4fab71119ebefbc51947e1c0ea18cffe5fca6b2d480269"),
-        (("deloop", "corpus/loop_s3.pialg.json"), 0, "dca7b26ea591140a1cba962714a295d96c946776806ed2c85c60d06a5542c7da"),
-        (star_check(), 0, "5a0d2d994ddb877bbc4465dd0ffdff370bf872aa56a022b1caff61e2337a8004"),
-        (
-            ("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"),
-            0,
-            "0d525a26a3facdb846fe1abd464d630176989a7e34b6e79609a6bbd828ece6ef",
-        ),
-        (("e2", "corpus/resolution.bisab.json"), 0, "396ff9859038d55813b7ec3b848b3b188ac87c00322d324cd5326cd57763282d"),
-        (
-            ("--seed", "7", "moore", "corpus/zs1.dsab.json"),
-            0,
-            "f93b8b384c6f5899e4997eab9531ed43a980fc5911486508c7f64ccd908935b2",
-        ),
-        (("e2", "corpus/s1xs1.bisab.json"), 0, "d1d4ad399240c32b1121f9ca91c42468fc46ea7c58bbcd210f3a772eef6fa433"),
-        (
-            ("synthesize", "--input", "corpus/perturbed.dsab.json", "--hdeg", "corpus/perturbed.hdeg.json"),
-            0,
-            "e4e150557fed290033b362b02e2c70b9f1c75d6c35656dc3ae8b3f7041290430",
-        ),
-    ],
-)
+# (argv, exit code, report digest) of every README corpus command and a few
+# more; a new row goes at the end, so that each existing test id keeps its number
+CORPUS_REPORTS = [
+    (("verify", "corpus/zs1.dsab.json"), 0, "5eef5ab5765388c3de4dee920e9c81208354b739b292e870e623f00272483580"),
+    (("moore", "corpus/zs1.dsab.json"), 0, "b92abf97479ca69cd0adbf406ac93677bc77bc7d1611d96fca5d49e80d28ed19"),
+    (
+        ("--window", "0,1", "moore", "corpus/zs1.dsab.json"),
+        0,
+        "375277ea1093916e7ede7156ba500f5759a3fcc73b1032b6bf50729c6f5a1f37",
+    ),
+    (("match", "corpus/zs1.dsab.json", "-n", "1"), 0, "0949d345e8fa0b99aad70b4ae5003fd01ba65ff679e68f96b7b0ccad6ccf7435"),
+    (("reedy", "corpus/fibrant.dsab.json"), 0, "3bbbc10e1bf97f32ff971f54211383645d7dcdda6256d80ecc0afb104d9bfcea"),
+    (("extend", "corpus/zs1.dsab.json"), 0, "b8929bf687dec807560c7d65e6edd408c5d409310b1a95d9b29dbba87e60a3f8"),
+    (("perm", "enum", "2"), 0, "c424b569ae6b34a7b5ff212cbd55077ad7493e55617a2a089ba2c8c24bec4c59"),
+    (("perm", "label", "3:0,0,0"), 0, "429484431ef67d9da84fc30985dd737a613191f8fada94215e803429927c7768"),
+    (("perm", "schema", "3:0,0,0"), 0, "f21ba9a6ddca304c160756a4a7c628943ae0d81e1173209e8e070cb167163170"),
+    (("simplex", "index", "2"), 0, "9b3fd3cde46e57d9e22de1837f7a966e6866b281cf6fa857bf13186a636b534d"),
+    (("deloop", "corpus/eta_chain.pialg.json"), 1, "38bf5144b4b0e9ddea4fab71119ebefbc51947e1c0ea18cffe5fca6b2d480269"),
+    (("deloop", "corpus/loop_s3.pialg.json"), 0, "dca7b26ea591140a1cba962714a295d96c946776806ed2c85c60d06a5542c7da"),
+    (star_check(), 0, "5a0d2d994ddb877bbc4465dd0ffdff370bf872aa56a022b1caff61e2337a8004"),
+    (
+        ("synthesize", "--input", "corpus/fibrant.dsab.json", "--hdeg", "corpus/fibrant.hdeg.json"),
+        0,
+        "0d525a26a3facdb846fe1abd464d630176989a7e34b6e79609a6bbd828ece6ef",
+    ),
+    (("e2", "corpus/resolution.bisab.json"), 0, "396ff9859038d55813b7ec3b848b3b188ac87c00322d324cd5326cd57763282d"),
+    (
+        ("--seed", "7", "moore", "corpus/zs1.dsab.json"),
+        0,
+        "f93b8b384c6f5899e4997eab9531ed43a980fc5911486508c7f64ccd908935b2",
+    ),
+    (("e2", "corpus/s1xs1.bisab.json"), 0, "d1d4ad399240c32b1121f9ca91c42468fc46ea7c58bbcd210f3a772eef6fa433"),
+    (
+        ("synthesize", "--input", "corpus/perturbed.dsab.json", "--hdeg", "corpus/perturbed.hdeg.json"),
+        0,
+        "e4e150557fed290033b362b02e2c70b9f1c75d6c35656dc3ae8b3f7041290430",
+    ),
+    (("--cap", "2", "verify", "corpus/s1.sset.json"), 0, "f162fe9418b85a0138de0a65f89633121ee2caf712b0994e77846371701b5665"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", CORPUS_REPORTS)
 def test_corpus_reports_pinned(argv, code, digest, capsys, monkeypatch):
     """Every README corpus command prints the report pinned here byte for
     byte apart from its timing_s line (keys in order, values, indentation)
@@ -854,6 +857,15 @@ def test_corpus_reports_pinned(argv, code, digest, capsys, monkeypatch):
     kept = [line for line in lines if not line.startswith(' "timing_s": ')]
     assert len(kept) == len(lines) - 1
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
+
+
+def test_every_readme_command_has_a_pinned_report():
+    from test_reach import readme_commands
+
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        commands = readme_commands(f.read())
+    pinned = {argv for argv, _, _ in CORPUS_REPORTS}
+    assert [argv for argv in commands if tuple(argv) not in pinned] == []
 
 
 # pairs that differ only in a flag, so a flag left behind by the first call
@@ -1118,3 +1130,52 @@ def test_same_named_inputs_keep_both_digests(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["inputs"] == {"x.json": _digest(corpus("fibrant.dsab.json")),
                                 "b/x.json": _digest(corpus("fibrant.hdeg.json"))}
+
+
+# report keys of the dsab commands that do not depend on the basis of a level
+BASIS_FREE_KEYS = ("command", "verdict", "caps", "homotopy", "n", "matching_invariants", "delta_well_defined")
+DSAB_COMMANDS = (("verify",), ("moore",), ("reedy",), ("extend",), ("match", "-n", "1"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_dsab_reports_are_invariant_under_a_change_of_basis(data):
+    """A dsab command on an object with free levels and on its conjugate by
+    levelwise unimodular automorphisms exits with one code and prints the
+    same basis-free keys. The change of basis takes at most 5 elementary
+    steps per level, as generators.conjugate_simplicial does: reedy and
+    moore go through Smith normal forms whose entries blow up on some
+    conjugates (ROADMAP item 2). Over 210 conjugates of these inputs per
+    step count, reedy ran past 1 s on at most 1 at each of 1 to 5 steps,
+    on 4 at 8 steps and on 14 at 12 steps, moore on 2 at 12 steps, and a
+    reedy at 10 steps ran past 5 minutes. Widen it once that is mended."""
+    import random
+
+    from delooper import cli, schemas
+    from delooper.delta_core import SAb
+    from delooper.generators import random_fibrant_strict_object, random_unimodular
+
+    source = data.draw(st.sampled_from(["zs1.dsab.json", "fibrant_full.dsab.json", 2, 3]))
+    if isinstance(source, str):
+        V = schemas.dsab_from_json(schemas.load(corpus(source)))
+    else:
+        V = random_fibrant_strict_object(random.Random(data.draw(st.integers(0, 19), label="object seed")), source)
+    assert all(g.rels.c == 0 for g in V.levels)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="basis seed"))
+    steps = data.draw(st.integers(1, 5), label="steps")
+    T, Tinv = zip(*[random_unimodular(V.rank(n), rng, steps) for n in range(V.cap + 1)])
+    faces = {n: [(T[n - 1] @ V.face(n, i)) @ Tinv[n] for i in range(n + 1)] for n in range(1, V.cap + 1)}
+    degeneracies = {n: [(T[n + 1] @ V.degeneracy(n, j)) @ Tinv[n] for j in range(n + 1)] for n in range(V.cap)}
+    conjugate = SAb(V.levels, faces, degeneracies, V.cap)
+    command, *flags = data.draw(st.sampled_from(DSAB_COMMANDS))
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, W in (("object", V), ("conjugate", conjugate)):
+            path = os.path.join(tmp, f"{name}.dsab.json")
+            schemas.save(path, schemas.dsab_to_json(W))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, path, *flags])
+            report = json.loads(out.getvalue())
+            outcomes.append((code, {key: report[key] for key in BASIS_FREE_KEYS if key in report}))
+    assert outcomes[0] == outcomes[1]

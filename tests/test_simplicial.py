@@ -97,6 +97,31 @@ def test_structural_error_is_distinct():
         FiniteSimplicialSet(2, S1.elements, broken_faces, S1.degeneracies)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d, s: d[1].pop(), "need 2 face maps at dimension 1"),
+    (lambda d, s: d[2][1].pop("p"), "d_1 undefined on p at dimension 2"),
+    (lambda d, s: d[1][0].update(p="q"), "d_0(p) not an element of dimension 0"),
+    (lambda d, s: s.pop(1), "need 2 degeneracy maps at dimension 1"),
+    (lambda d, s: s[0][0].pop("p"), "s_0 undefined on p at dimension 0"),
+    (lambda d, s: s[1][1].update({BASE: "q"}), "s_1(*) not an element of dimension 2"),
+    # faces before degeneracies, each by ascending level, then by index
+    (lambda d, s: (s[0].pop(), d[2][0].update(p="q")), "d_0(p) not an element of dimension 1"),
+    (lambda d, s: (d[2].pop(), d[1][1].update(p="q")), "d_1(p) not an element of dimension 0"),
+    (lambda d, s: (d[1][1].pop(BASE), d[1][0].update(p="q")), "d_0(p) not an element of dimension 0"),
+    (lambda d, s: (s[1][0].update(p="q"), s[0][0].pop("p")), "s_0 undefined on p at dimension 0"),
+])
+def test_structural_error_texts_pinned(edit, message):
+    """The first malformed table of S^0 at cap 2 raises its own text."""
+    elements = [[BASE, "p"] for _ in range(3)]
+    faces = {n: [{BASE: BASE, "p": "p"} for _ in range(n + 1)] for n in (1, 2)}
+    degeneracies = {n: [{BASE: BASE, "p": "p"} for _ in range(n + 1)] for n in (0, 1)}
+    FiniteSimplicialSet(2, elements, faces, degeneracies)
+    edit(faces, degeneracies)
+    with pytest.raises(StructuralError) as exc:
+        FiniteSimplicialSet(2, elements, faces, degeneracies)
+    assert str(exc.value) == message
+
+
 def test_swapped_faces_reported_not_raised():
     """Swapping d_0 and d_1 at dimension 2 only breaks an identity instance."""
     D1 = standard_simplex(1, 2)
